@@ -79,7 +79,8 @@ def _build_parser():
 
 
 def _load_config(args) -> config.RunConfig:
-    cfg = config.parse_file(args.config) if args.config else config.RunConfig()
+    """Flags override the environment, which overrides the config file."""
+    cfg = config.parse_file(args.config) if args.config else config.parse("")
     pot = dict(cfg.potential)
     if getattr(args, "potential", None):
         pot = {"kind": args.potential}
@@ -94,7 +95,6 @@ def _load_config(args) -> config.RunConfig:
         cfg.grid.size = args.N
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    config._apply_env_overrides(cfg)
     return cfg
 
 

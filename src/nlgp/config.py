@@ -4,6 +4,8 @@ The schema is strict: unknown sections or keys are rejected so that a typo
 never silently falls back to a default.  ``serialize`` followed by ``parse``
 is the identity on RunConfig values.  Environment variables NLGP_GRID_L and
 NLGP_GRID_N override the grid size only (batch sweeps on shared machines).
+Precedence, highest first: command-line flags, environment, config file,
+defaults.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ _RUN_KEYS = {"seed": int}
 _COMMAND_KEYS = {
     "c": float, "c_from": float, "c_to": float, "out": str, "input": str,
     "refine_steps": int, "xi_max": float, "n": int, "dir": str,
-    "mu_max": float, "w_max": float,
 }
 
 

@@ -10,14 +10,15 @@ grad_J(v) = -F(rho) with rho = 1 - v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
-from .hydro import POSITIVITY_FLOOR
-from .potentials import HypothesisCertificate, PotentialSpec
-from .spectral import Grid, convolve, derivative, integrate
+from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, rho_equation,
+                    rho_jacobian)
+from .potentials import HypothesisCertificate, PotentialSpec, mc_symbol
+from .spectral import Grid, apply_symbol, convolve, derivative, integrate
 
 
 @dataclass(frozen=True)
@@ -43,55 +44,26 @@ def _f(s):
     return s * (2.0 - s)
 
 
-def _h(s):
-    return s * (2.0 - s) * (s ** 2 - 2.0 * s + 2.0) / (4.0 * (1.0 - s) ** 3)
-
-
-def _h_prime(s):
-    r4 = (1.0 - s) ** 4
-    return (3.0 + r4) / (4.0 * r4)
-
-
-@dataclass(frozen=True)
-class ActionParts:
-    J: float
-    A: float
-    B: float
-
-
 def functional_J(vf: Vfield, c: float, spec: PotentialSpec) -> ActionParts:
     """J_c = A - c^2 B.  Outside the nonvanishing set B = +inf and J = -inf."""
-    g = vf.grid
-    v = vf.v
+    g, v = vf.grid, vf.v
     eta = _f(v)
-    A = 0.5 * integrate(g, derivative(g, v) ** 2) \
-        + 0.25 * integrate(g, convolve(spec, g, eta) * eta)
-    if not vf.in_nv:
-        return ActionParts(J=-math.inf, A=float(A), B=math.inf)
-    B = 0.125 * integrate(g, eta ** 2 / (1.0 - v) ** 2)
-    return ActionParts(J=float(A - c ** 2 * B), A=float(A), B=float(B))
+    parts = action_parts(g, c, 1.0 - v, derivative(g, v), eta, convolve(spec, g, eta))
+    return parts if vf.in_nv else replace(parts, J=-math.inf, B=math.inf)
 
 
 def grad_J(vf: Vfield, c: float, spec: PotentialSpec) -> np.ndarray:
-    """L2 representative of the first derivative: -v'' + (W*f(v))(1-v) - c^2 h(v)."""
+    """L2 representative of the first derivative: -F(1 - v)."""
     if not vf.in_nv:
         raise VortexError("gradient undefined outside the nonvanishing set")
-    g, v = vf.grid, vf.v
-    return (-derivative(g, v, 2)
-            + convolve(spec, g, _f(v)) * (1.0 - v)
-            - c ** 2 * _h(v))
+    return -rho_equation(vf.grid, 1.0 - vf.v, c, spec)
 
 
 def hess_J_apply(vf: Vfield, c: float, spec: PotentialSpec, psi: np.ndarray) -> np.ndarray:
-    """Second derivative applied to a direction psi (symmetric operator)."""
+    """Second derivative applied to a direction psi: F'(1 - v) psi (symmetric)."""
     if not vf.in_nv:
         raise VortexError("Hessian undefined outside the nonvanishing set")
-    g, v = vf.grid, vf.v
-    fp = 2.0 - 2.0 * v
-    return (-derivative(g, psi, 2)
-            - c ** 2 * _h_prime(v) * psi
-            + convolve(spec, g, fp * psi) * (1.0 - v)
-            - convolve(spec, g, _f(v)) * psi)
+    return rho_jacobian(vf.grid, 1.0 - vf.v, c, spec)(psi)
 
 
 def pairing_identity(vf: Vfield, c: float, spec: PotentialSpec):
@@ -264,13 +236,12 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     segment, since the nodal maximum alone can step over the ridge between
     nodes.  The lower bound is the sphere constant at radius r_sup / 2.
     """
-    from .potentials import mc_symbol
     endpoint = build_phi_c(c, spec, grid)
     v_end = endpoint.vfield.v
     r = _r_sup(cert, c) / 2.0
     sb = sphere_bound(c, spec, cert, r, grid, n_samples=0)
     path = [t * v_end for t in np.linspace(0.0, 1.0, n_nodes)]
-    mc = mc_symbol(spec, abs(c), grid.xi)
+    inv_mc = 1.0 / mc_symbol(spec, abs(c), grid.xi)
 
     def J_of(v):
         # a path through the boundary is inadmissible: +inf, never a bound
@@ -289,7 +260,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
                 # path until reparameterization drags nodes off the barrier
                 continue
             gvec = grad_J(Vfield.make(grid, v), c, spec)
-            dvec = np.fft.ifft(np.fft.fft(gvec) / mc).real
+            dvec = apply_symbol(gvec, inv_mc)
             s = step
             for _ in range(12):  # reject and halve on NV escape or J increase
                 vn = v - s * dvec

@@ -77,8 +77,6 @@ def phase_from_rho(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -
 
 def assemble(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -> WaveFields:
     """Build the full field set from an amplitude profile."""
-    if rho.min() <= 0.0:
-        raise VortexError(f"min rho = {rho.min():g} <= 0: lifting impossible")
     theta = phase_from_rho(grid, rho, c, anchor)
     thp = 0.5 * c * (1.0 / rho ** 2 - 1.0)
     return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp)
@@ -116,6 +114,21 @@ def rho_equation(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> 
     return (-derivative(grid, rho, 2)
             + 0.25 * c ** 2 * (1.0 - rho ** 4) / rho ** 3
             - rho * convolve(spec, grid, eta))
+
+
+def rho_jacobian(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
+    """d -> F'(rho) d, the linearization of ``rho_equation`` at rho.
+
+    F'(rho) d = -d'' - (c^2/4)(3/rho^4 + 1) d - (W * (1 - rho^2)) d
+    + 2 rho (W * (rho d)).  The operator is symmetric, is the Hessian of J_c
+    at v = 1 - rho, and equals the multiplier M_c at the vacuum rho = 1.  Its
+    multiplication part is formed once per linearization point.
+    """
+    diag = -0.25 * c ** 2 * (3.0 / rho ** 4 + 1.0) - convolve(spec, grid, 1.0 - rho ** 2)
+
+    def apply(d):
+        return -derivative(grid, d, 2) + diag * d + 2.0 * rho * convolve(spec, grid, rho * d)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +227,7 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
         entries.append(_entry("pohozaev", lhs, rhs, tol))
         # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
         rho_x = derivative(g, rho)
-        A = 0.5 * integrate(g, rho_x ** 2) + 0.25 * integrate(g, weta * eta)
-        B = 0.125 * integrate(g, eta ** 2 / rho ** 2)
-        jc = A - c ** 2 * B
+        jc = action_parts(g, c, rho, rho_x, eta, weta).J
         rhs = integrate(g, rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eta)
         entries.append(_entry("action_identity", jc, rhs, tol))
     else:
@@ -262,14 +273,32 @@ def momentum(fields: WaveFields):
     return float(p_def), float(p_eta)
 
 
+@dataclass(frozen=True)
+class ActionParts:
+    J: float
+    A: float
+    B: float
+
+
+def action_parts(grid: Grid, c: float, rho: np.ndarray, rho_x: np.ndarray,
+                 eta: np.ndarray, weta: np.ndarray) -> ActionParts:
+    """J_c(1 - rho) = A - c^2 B with A = (1/2) int (rho')^2 + (1/4) int (W*eta) eta
+    and B = (1/8) int eta^2 / rho^2, where eta = 1 - rho^2.
+
+    Callers pass eta and W*eta in the arithmetic they already hold (the
+    variational layer forms eta = v (2 - v) with rho = 1 - v); rho_x enters
+    only squared, so either sign of the derivative will do.
+    """
+    A = 0.5 * integrate(grid, rho_x ** 2) + 0.25 * integrate(grid, weta * eta)
+    B = 0.125 * integrate(grid, eta ** 2 / rho ** 2)
+    return ActionParts(J=float(A - c ** 2 * B), A=float(A), B=float(B))
+
+
 def action(fields: WaveFields, spec: PotentialSpec) -> float:
     """J_c(1 - rho) = A - c^2 B evaluated directly from the amplitude."""
-    g = fields.grid
-    rho, eta = fields.rho, fields.eta
-    rho_x = derivative(g, rho)
-    A = 0.5 * integrate(g, rho_x ** 2) + 0.25 * integrate(g, convolve(spec, g, eta) * eta)
-    B = 0.125 * integrate(g, eta ** 2 / rho ** 2)
-    return float(A - fields.c ** 2 * B)
+    g, rho, eta = fields.grid, fields.rho, fields.eta
+    return action_parts(g, fields.c, rho, derivative(g, rho), eta,
+                        convolve(spec, g, eta)).J
 
 
 def momentum_conditioning_warning(fields: WaveFields) -> Optional[str]:

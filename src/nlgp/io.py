@@ -14,6 +14,7 @@ import tempfile
 
 import numpy as np
 
+from .errors import ConfigError
 from .potentials import make_potential
 from .spectral import Grid
 
@@ -76,16 +77,28 @@ def write_solution(path, sol, seed=None, extra=None):
 
 
 def read_solution(path):
-    """Load a solution file: (spec, grid, c, arrays dict, full document)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SOLUTION_FORMAT:
-        raise ValueError(f"not a solution file: {path}")
-    spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
-    grid = Grid(doc["grid"]["half_length"], doc["grid"]["size"])
-    payload = doc["payload"]
-    arrays = {k: _decode(payload[k]) for k in ("rho", "theta", "eta")}
-    return spec, grid, float(doc["c"]), arrays, doc
+    """Load a solution file: (spec, grid, c, arrays dict, full document).
+
+    A file that is not a well-formed solution raises ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read solution {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
+        raise ConfigError(f"not a solution file: {path}")
+    try:
+        spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
+        grid = Grid(doc["grid"]["half_length"], doc["grid"]["size"])
+        arrays = {k: _decode(doc["payload"][k]) for k in ("rho", "theta", "eta")}
+        c = float(doc["c"])
+        float(doc["residuals"]["sup"])  # the reference residual of nlgp verify
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed solution file: {exc!r}") from exc
+    if any(a.size != grid.size for a in arrays.values()):
+        raise ConfigError(f"{path}: payload length differs from grid size {grid.size}")
+    return spec, grid, c, arrays, doc
 
 
 BRANCH_COLUMNS = "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters"

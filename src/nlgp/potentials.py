@@ -103,8 +103,7 @@ def delta() -> PotentialSpec:
     one = lambda xi: np.ones_like(xi)
     return PotentialSpec(
         kind="delta", params={}, _symbol=one,
-        _deriv=lambda xi: np.zeros_like(xi),
-        _complex_symbol=lambda z: np.ones_like(z),
+        _deriv=lambda xi: np.zeros_like(xi), _complex_symbol=one,
         measure_decomposition=MeasureDecomposition(0.0, 0.0, 1.0),
         d2_at_zero=0.0, total_variation=1.0)
 
@@ -126,7 +125,7 @@ def exp_repulsive(alpha: float, beta: float) -> PotentialSpec:
 
     return PotentialSpec(
         kind="exp_repulsive", params={"alpha": alpha, "beta": beta},
-        _symbol=sym, _deriv=der, _complex_symbol=lambda z: A * (1.0 - 2.0 * alpha * beta / (z ** 2 + beta ** 2)),
+        _symbol=sym, _deriv=der, _complex_symbol=sym,
         measure_decomposition=MeasureDecomposition(0.0, 2.0 * alpha / beta, A),
         d2_at_zero=4.0 * alpha / (beta ** 2 * (beta - 2 * alpha)),
         total_variation=(beta + 2 * alpha) / (beta - 2 * alpha))
@@ -136,11 +135,10 @@ def shifted_deltas(lam: float) -> PotentialSpec:
     """Contact repulsion with attractive deltas at +-lam: W_hat = 2 - cos(lam xi)."""
     if lam <= 0:
         raise ValueError("shifted_deltas requires lam > 0")
+    sym = lambda xi: 2.0 - np.cos(lam * xi)
     return PotentialSpec(
-        kind="shifted_deltas", params={"lam": lam},
-        _symbol=lambda xi: 2.0 - np.cos(lam * xi),
-        _deriv=lambda xi: lam * np.sin(lam * xi),
-        _complex_symbol=lambda z: 2.0 - np.cos(lam * z),
+        kind="shifted_deltas", params={"lam": lam}, _symbol=sym,
+        _deriv=lambda xi: lam * np.sin(lam * xi), _complex_symbol=sym,
         measure_decomposition=MeasureDecomposition(0.0, 0.5, 2.0),
         d2_at_zero=lam ** 2, total_variation=3.0)
 
@@ -149,11 +147,10 @@ def gaussian(lam: float) -> PotentialSpec:
     """Gaussian kernel: W_hat(xi) = exp(-lam xi^2)."""
     if lam <= 0:
         raise ValueError("gaussian requires lam > 0")
+    sym = lambda xi: np.exp(-lam * xi ** 2)
     return PotentialSpec(
-        kind="gaussian", params={"lam": lam},
-        _symbol=lambda xi: np.exp(-lam * xi ** 2),
-        _deriv=lambda xi: -2.0 * lam * xi * np.exp(-lam * xi ** 2),
-        _complex_symbol=lambda z: np.exp(-lam * z ** 2),
+        kind="gaussian", params={"lam": lam}, _symbol=sym,
+        _deriv=lambda xi: -2.0 * lam * xi * sym(xi), _complex_symbol=sym,
         d2_at_zero=-2.0 * lam, total_variation=1.0)
 
 
@@ -166,20 +163,13 @@ def soft_core(lam: float) -> PotentialSpec:
         return np.sinc(lam * xi / np.pi)
 
     def der(xi):
-        x = lam * xi
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = (np.cos(x) - np.sinc(x / np.pi)) / xi
+            out = (np.cos(lam * xi) - sym(xi)) / xi
         return np.where(xi == 0.0, 0.0, out)
-
-    def csym(z):
-        x = lam * z
-        small = np.abs(x) < 1e-8
-        xs = np.where(small, 1.0, x)
-        return np.where(small, 1.0 - x ** 2 / 6.0, np.sin(xs) / xs)
 
     return PotentialSpec(
         kind="soft_core", params={"lam": lam}, _symbol=sym, _deriv=der,
-        _complex_symbol=csym, d2_at_zero=-lam ** 2 / 3.0, total_variation=1.0)
+        _complex_symbol=sym, d2_at_zero=-lam ** 2 / 3.0, total_variation=1.0)
 
 
 def bochner_riesz(kappa: float) -> PotentialSpec:
@@ -207,17 +197,11 @@ def berloff(a: float, b: float, lam: float) -> PotentialSpec:
         return (1.0 + a * x2 + b * x2 ** 2) * np.exp(-lam * x2)
 
     def der(xi):
-        x2 = xi ** 2
-        return ((2 * a * xi + 4 * b * xi * x2)
-                - 2 * lam * xi * (1.0 + a * x2 + b * x2 ** 2)) * np.exp(-lam * x2)
-
-    def csym(z):
-        z2 = z ** 2
-        return (1.0 + a * z2 + b * z2 ** 2) * np.exp(-lam * z2)
+        return (2 * a * xi + 4 * b * xi ** 3) * np.exp(-lam * xi ** 2) - 2 * lam * xi * sym(xi)
 
     return PotentialSpec(
         kind="berloff", params={"a": a, "b": b, "lam": lam},
-        _symbol=sym, _deriv=der, _complex_symbol=csym,
+        _symbol=sym, _deriv=der, _complex_symbol=sym,
         d2_at_zero=2.0 * (a - lam))
 
 
@@ -252,16 +236,10 @@ def measure_combo(weights, shifts) -> PotentialSpec:
             acc = acc - wj * sj * np.sin(sj * xi)
         return A * acc
 
-    def csym(z):
-        acc = np.ones_like(z)
-        for wj, sj in zip(w, s):
-            acc = acc + wj * np.cos(sj * z)
-        return A * acc
-
     return PotentialSpec(
         kind="measure_combo",
         params={"weights": tuple(w.tolist()), "shifts": tuple(s.tolist())},
-        _symbol=sym, _deriv=der, _complex_symbol=csym,
+        _symbol=sym, _deriv=der, _complex_symbol=sym,
         measure_decomposition=MeasureDecomposition(mu_plus, mu_minus, A),
         d2_at_zero=float(-A * np.sum(w * s ** 2)),
         total_variation=float(A * (1.0 + np.sum(np.abs(w)))))

@@ -15,12 +15,13 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import OutOfRegimeError, SupersonicMultiplierError, VortexError
+from .errors import (NlgpError, OutOfRegimeError, SupersonicMultiplierError,
+                     VortexError)
 from .hydro import (WaveFields, action, assemble, energy, identity_suite,
-                    momentum, rho_equation)
+                    momentum, rho_equation, rho_jacobian)
 from .functionals import Vfield, functional_J, grad_J
 from .potentials import PotentialSpec, decay_prediction, mc_symbol
-from .spectral import Grid, convolve, derivative, sech, tail_magnitude
+from .spectral import Grid, apply_symbol, convolve, sech, tail_magnitude
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,8 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         raise SupersonicMultiplierError(
             f"M_c nonpositive on the lattice at c = {c:g}; "
             "speed outside the certified subsonic range")
+    n, inv_mc = grid.size, 1.0 / mc
+    P = LinearOperator((n, n), dtype=float, matvec=lambda r: apply_symbol(r, inv_mc))
     even = opts.symmetry_mode == "even_subspace"
     rho = np.array(rho0, dtype=float)
     if even:
@@ -152,17 +155,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-
-        def jac(d):
-            return (-derivative(grid, d, 2)
-                    - 0.25 * c ** 2 * (3.0 / rho ** 4 + 1.0) * d
-                    - convolve(spec, grid, 1.0 - rho ** 2) * d
-                    + 2.0 * rho * convolve(spec, grid, rho * d))
-
-        n = grid.size
-        A = LinearOperator((n, n), matvec=jac, dtype=float)
-        P = LinearOperator((n, n), dtype=float,
-                           matvec=lambda r: np.fft.ifft(np.fft.fft(r) / mc).real)
+        A = LinearOperator((n, n), matvec=rho_jacobian(grid, rho, c, spec), dtype=float)
         d, info = gmres(A, res, M=P, rtol=opts.krylov_tol, atol=0.0,
                         maxiter=opts.krylov_maxiter)
         if info != 0:
@@ -285,7 +278,7 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
             best_v, best_g = v, gnorm
         if gnorm <= tol:
             break
-        d = np.fft.ifft(np.fft.fft(g) / mc).real if precondition else g
+        d = apply_symbol(g, 1.0 / mc) if precondition else g
         accepted = False
         for _ in range(30):
             trial = v - s * d
@@ -320,12 +313,13 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
     Samples c = sqrt(2) - gap for a decreasing sequence of gaps, enlarging
     the domain as the predicted tail rate sqrt(2 - c^2) degrades, and fits
     log eta_max against log (2 - c^2).  The lower bound
-    ||W * eta||_inf >= (2 - c^2)/4 is evaluated at every sample.
+    ||W * eta||_inf >= (2 - c^2)/4 is evaluated at every sample.  Fewer than
+    two converged samples leave the fit underdetermined and raise NlgpError.
     """
     if gaps is None:
         gaps = np.array([0.2, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012, 0.008, 0.005])
     c2 = math.sqrt(2.0)
-    rows = []
+    rows, failed = [], []
     ok = True
     for gap in gaps:
         c = float(c2 - gap)
@@ -336,11 +330,16 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
         grid = Grid(L, N)
         sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
         if not sol.converged:
+            failed.append(f"{gap:g}")
             continue
         weta = convolve(spec, grid, sol.fields.eta)
         margin = float(np.abs(weta).max() - (2.0 - c ** 2) / 4.0)
         ok = bool(ok and margin >= 0.0)
         rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, margin))
+    if len(rows) < 2:
+        raise NlgpError(
+            f"sonic sweep fit needs two converged samples, {len(rows)} of {len(gaps)} "
+            f"converged; no convergence at gaps {', '.join(failed) or 'none'}")
     rows = np.array(rows)
     x = np.log(2.0 - rows[:, 0] ** 2)
     gamma = float(np.polyfit(x, np.log(rows[:, 2]), 1)[0])

@@ -51,12 +51,21 @@ class Grid:
         return f[np.r_[0, self.size - 1:0:-1]]
 
 
+def apply_symbol(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Fourier multiplier: inverse transform of symbol(xi_k) * f_hat(xi_k).
+
+    ``symbol`` holds the multiplier's values on the lattice in FFT order
+    (``grid.xi``); a real f gives a real result.
+    """
+    out = np.fft.ifft(symbol * np.fft.fft(f))
+    return out.real if np.isrealobj(f) else out
+
+
 def derivative(grid: Grid, f: np.ndarray, k: int = 1) -> np.ndarray:
     """k-th spectral derivative; exact for band-limited f."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {k}")
-    out = np.fft.ifft((1j * grid.xi) ** k * np.fft.fft(f))
-    return out.real if np.isrealobj(f) else out
+    return apply_symbol(f, (1j * grid.xi) ** k)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | complex:
@@ -70,9 +79,7 @@ def convolve(spec, grid: Grid, f: np.ndarray) -> np.ndarray:
 
     ``spec`` is anything with a vectorized ``symbol`` method (a potential).
     """
-    wk = spec.symbol(grid.xi)
-    out = np.fft.ifft(wk * np.fft.fft(f))
-    return out.real if np.isrealobj(f) else out
+    return apply_symbol(f, spec.symbol(grid.xi))
 
 
 def continuous_hat(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -128,12 +135,3 @@ def sech(z):
     e = np.exp(-a)
     return 2.0 * e / (1.0 + e * e)
 
-
-def save_grid_function_csv(path, grid: Grid, f: np.ndarray, header: str = "x,value"):
-    data = np.column_stack([grid.x, np.asarray(f, dtype=float)])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def load_grid_function_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, 0], data[:, 1]

@@ -1,5 +1,6 @@
 """Configuration round-trip, CLI commands, exit codes, file formats."""
 
+import base64
 import json
 import math
 import os
@@ -36,6 +37,8 @@ def test_config_unknown_keys_rejected():
         config.parse("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         config.parse("[solver]\ntol_newton = -1\n")
+    with pytest.raises(ConfigError):
+        config.parse("[command]\nmu_max = 1\n")
 
 
 def test_config_env_overrides_grid_only(monkeypatch):
@@ -53,6 +56,16 @@ def test_config_env_overrides_grid_only(monkeypatch):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def test_cli_grid_flags_beat_environment(monkeypatch, capsys):
+    # precedence: flags > environment > config file > defaults
+    monkeypatch.setenv("NLGP_GRID_L", "64")
+    monkeypatch.setenv("NLGP_GRID_N", "512")
+    assert run_cli("--json", "solve", "--potential", "delta", "--c", "1",
+                   "--L", "32", "--N", "1024") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["grid"] == {"half_length": 32.0, "size": 1024}
 
 
 def test_cli_solve_verify_roundtrip(tmp_path, capsys):
@@ -142,13 +155,40 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     run_cli("solve", "--potential", "delta", "--c", "1.0",
             "--L", "64", "--N", "2048", "--out", str(out))
     doc = json.loads(out.read_text())
-    import base64
     rho = np.frombuffer(base64.b64decode(doc["payload"]["rho"]), dtype="<f8").copy()
     rho[100:200] *= 0.9
     doc["payload"]["rho"] = base64.b64encode(rho.tobytes()).decode()
     out.write_text(json.dumps(doc))
     assert run_cli("verify", str(out)) == 4
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def solution_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sol") / "sol.json"
+    assert run_cli("solve", "--potential", "delta", "--c", "1.0",
+                   "--L", "32", "--N", "512", "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+def _without_payload(doc):
+    return {k: v for k, v in doc.items() if k != "payload"}
+
+
+def _short_rho(doc):
+    short = base64.b64encode(np.ones(doc["grid"]["size"] - 1).tobytes()).decode()
+    return {**doc, "payload": {**doc["payload"], "rho": short}}
+
+
+@pytest.mark.parametrize("corrupt", [lambda doc: {"a": 1}, _without_payload, _short_rho],
+                         ids=["wrong_format", "missing_key", "wrong_length"])
+def test_cli_verify_bad_file_exit_2_one_line(corrupt, solution_doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(solution_doc)))
+    capsys.readouterr()
+    assert run_cli("verify", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_report(tmp_path, capsys):

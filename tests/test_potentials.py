@@ -37,6 +37,15 @@ def test_symbol_values():
     assert bochner_riesz(0.4).symbol(10.0) == 0.0
 
 
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.has_complex_symbol],
+                         ids=lambda s: s.kind)
+def test_complex_symbol_extends_the_real_symbol(spec):
+    xi = Grid(16.0, 256).xi                    # includes xi = 0 and both signs
+    z = spec.complex_symbol(xi + 0j)
+    assert np.all(z.imag == 0.0)
+    np.testing.assert_allclose(z.real, spec.symbol(xi), rtol=1e-15, atol=1e-15)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-50.0, 50.0), st.sampled_from(range(len(ALL_SPECS))))
 def test_symbol_even_and_bounded(xi, ispec):

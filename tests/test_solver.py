@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlgp import (Grid, OutOfRegimeError, SolverOptions,
+from nlgp import (Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   SupersonicMultiplierError, VortexError, continue_branch,
                   delta, exp_repulsive, gaussian, gradient_flow, initial_guess,
                   newton_solve, residual_rho, shifted_deltas, solve_auto,
@@ -184,6 +184,18 @@ def test_sonic_sweep_contact():
     assert np.all(np.diff(eta) < 0)  # amplitude vanishes toward the sonic speed
     # closed form: eta_max = (2 - c^2)/2 exactly
     np.testing.assert_allclose(eta, (2.0 - sweep.rows[:, 0] ** 2) / 2.0, rtol=1e-8)
+
+
+def test_sonic_sweep_refuses_one_sample():
+    with pytest.raises(NlgpError, match="1 of 1"):
+        sonic_sweep(delta(), gaps=np.array([0.2]), base_half_length=32.0,
+                    base_size=512)
+
+
+def test_sonic_sweep_refuses_zero_samples_and_names_them():
+    with pytest.raises(NlgpError, match=r"0 of 2.*0\.2, 0\.1"):
+        sonic_sweep(delta(), SolverOptions(max_iter=0), gaps=np.array([0.2, 0.1]),
+                    base_half_length=32.0, base_size=512)
 
 
 def test_sonic_sweep_curvature_bookkeeping():
