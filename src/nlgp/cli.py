@@ -62,12 +62,12 @@ def _build_parser():
     sp = sub.add_parser("dispersion", help="dispersion curve, multiplier, critical points")
     common(sp)
     sp.add_argument("--xi-max", type=float, default=None)
-    sp.add_argument("--n", type=int, default=2048)
+    sp.add_argument("--n", type=int, default=None)
     sp = sub.add_parser("certify", help="sampled kernel-hypothesis certificates")
     common(sp, speed=False)
     sp = sub.add_parser("mpass", help="mountain-pass bracket at one speed")
     common(sp)
-    sp.add_argument("--refine-steps", type=int, default=200)
+    sp.add_argument("--refine-steps", type=int, default=None)
     sp = sub.add_parser("decay", help="tail fit against the multiplier prediction")
     common(sp)
     sp = sub.add_parser("sonic", help="amplitude sweep toward the sonic speed")
@@ -204,8 +204,9 @@ def _cmd_verify(args, cfg):
 def _cmd_dispersion(args, cfg):
     spec = _make_spec(cfg.potential)
     cs = potentials.sound_speed(spec)
-    xi_max = args.xi_max if args.xi_max is not None else 8.0 * cs
-    xi = np.linspace(0.0, xi_max, args.n)
+    xi_max = args.xi_max if args.xi_max is not None else cfg.command.get("xi_max", 8.0 * cs)
+    n = args.n if args.n is not None else cfg.command.get("n", 2048)
+    xi = np.linspace(0.0, xi_max, n)
     w, imag = potentials.dispersion(spec, xi, with_flag=True)
     crit = potentials.roton_maxon(spec, xi)
     c = args.c if args.c is not None else cfg.command.get("c")

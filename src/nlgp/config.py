@@ -39,8 +39,8 @@ _SOLVER_FIELDS = {f.name: f.type for f in dc_fields(SolverOptions)}
 _GRID_FIELDS = {"half_length": float, "size": int, "auto_refine": bool}
 _RUN_KEYS = {"seed": int}
 _COMMAND_KEYS = {
-    "c": float, "c_from": float, "c_to": float, "out": str, "input": str,
-    "refine_steps": int, "xi_max": float, "n": int, "dir": str,
+    "c": float, "c_from": float, "c_to": float, "out": str,
+    "refine_steps": int, "xi_max": float, "n": int,
 }
 
 

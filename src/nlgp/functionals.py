@@ -106,7 +106,7 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid,
     """
     if c <= 0:
         raise OutOfRegimeError("endpoint construction needs c > 0")
-    wsup = float(np.abs(spec.symbol(grid.xi)).max())
+    wsup = float(np.abs(spec.lattice_symbol(grid)).max())
     delta = 0.5 * min(1.0 - 2.0 * floor, c ** 2 / (2.0 * wsup))
     ax = np.abs(grid.x)
     r = 2.0
@@ -241,7 +241,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     r = _r_sup(cert, c) / 2.0
     sb = sphere_bound(c, spec, cert, r, grid, n_samples=0)
     path = [t * v_end for t in np.linspace(0.0, 1.0, n_nodes)]
-    inv_mc = 1.0 / mc_symbol(spec, abs(c), grid.xi)
+    inv_mc = 1.0 / mc_symbol(spec, abs(c), grid)
 
     def J_of(v):
         # a path through the boundary is inadmissible: +inf, never a bound

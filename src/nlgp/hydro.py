@@ -219,8 +219,8 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
                           (c ** 2 * eta ** 2 + eta_x ** 2) / (2.0 * (1.0 - eta)),
                           tol, scale))
     if spec.has_deriv:
-        wk = spec.symbol(g.xi)
-        xwp = spec.xi_symbol_deriv(g.xi)
+        wk = spec.lattice_symbol(g)
+        xwp = spec.xi_symbol_deriv(g.xi_half)
         # int |u'|^2 = (1/4pi) int (W_hat - xi W_hat') |eta_hat|^2
         lhs = integrate(g, K)
         rhs = 0.5 * spectral_density_integral(g, wk - xwp, eta)

@@ -56,10 +56,25 @@ class PotentialSpec:
     d2_at_zero: Optional[float] = None
     total_variation: Optional[float] = None
     h2_class: str = "W2inf"  # {"W2inf", "XiDerivBounded", "Fails"}
+    _lattice: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def symbol(self, xi):
         """W_hat evaluated at xi; evenness is enforced exactly."""
         return self._symbol(np.abs(np.asarray(xi, dtype=float)))
+
+    def lattice_symbol(self, grid: Grid) -> np.ndarray:
+        """W_hat on the grid's half lattice ``grid.xi_half``.
+
+        Evaluated once per grid and kept as long as this spec lives; grids
+        are told apart by (L, N), so equal sizes with different L never
+        share an entry.  The returned array is read-only.
+        """
+        w = self._lattice.get(grid)
+        if w is None:
+            w = self._lattice[grid] = self.symbol(grid.xi_half)
+            w.flags.writeable = False
+        return w
 
     @property
     def has_deriv(self) -> bool:
@@ -90,8 +105,15 @@ class PotentialSpec:
     def label(self) -> str:
         if not self.params:
             return self.kind
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ", ".join(f"{k}={_format_param(v)}" for k, v in self.params.items())
         return f"{self.kind}({inner})"
+
+
+def _format_param(v) -> str:
+    """A scalar as ``%g``; a sequence (measure_combo weights) as ``[a, b]``."""
+    if isinstance(v, tuple):
+        return "[" + ", ".join(f"{x:g}" for x in v) + "]"
+    return f"{v:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +534,21 @@ def roton_maxon(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
 
 
 def mc_symbol(spec: PotentialSpec, c: float, xi):
-    """M_c(xi) = xi^2 + 2 W_hat(xi) - c^2."""
-    xi = np.asarray(xi, dtype=float)
-    return xi ** 2 + 2.0 * spec.symbol(xi) - c ** 2
+    """M_c(xi) = xi^2 + 2 W_hat(xi) - c^2.
+
+    ``xi`` is real, complex (W_hat through the kernel's analytic extension,
+    as the strip search of ``decay_prediction`` needs), or a Grid, which
+    stands for its half lattice with the spec's cached W_hat there.
+    """
+    if isinstance(xi, Grid):
+        xi, w = xi.xi_half, spec.lattice_symbol(xi)
+    elif np.iscomplexobj(xi):
+        xi = np.asarray(xi, dtype=complex)
+        w = spec.complex_symbol(xi)
+    else:
+        xi = np.asarray(xi, dtype=float)
+        w = spec.symbol(xi)
+    return xi ** 2 + 2.0 * w - c ** 2
 
 
 def kink_aligned_half_length(spec: PotentialSpec, target: float) -> float:
@@ -548,15 +582,16 @@ def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
     DFT, so the exact round-trip DFT -> 1/M_c holds only for the uncorrected
     output.
     """
-    mc = mc_symbol(spec, c, grid.xi)
+    mc = mc_symbol(spec, c, grid)
     if np.min(mc) <= 0.0:
         raise SupersonicMultiplierError(
             f"{spec.label()}: M_c has a nonpositive value {np.min(mc):g} "
             f"on the lattice at c = {c:g}")
-    signs = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
+    N, xi = grid.size, grid.xi_half
+    signs = np.where(np.arange(xi.size) % 2 == 0, 1.0, -1.0)
     if not corrected:
-        return np.fft.ifft(signs / mc).real / grid.spacing
-    B2 = 2.0 * float(spec.symbol(np.abs(grid.xi).max())) - c ** 2
+        return np.fft.irfft(signs / mc, n=N) / grid.spacing
+    B2 = 2.0 * float(spec.lattice_symbol(grid)[-1]) - c ** 2
     if B2 < 1e-8:
         B2 = 1.0
     B = math.sqrt(B2)
@@ -564,8 +599,8 @@ def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
     L = grid.half_length
     base = (np.exp(-B * ax) + np.exp(-B * (2 * L - ax))
             + np.exp(-B * (2 * L + ax))) / (2.0 * B)
-    remainder = 1.0 / mc - 1.0 / (grid.xi ** 2 + B2)
-    return base + np.fft.ifft(signs * remainder).real / grid.spacing
+    remainder = 1.0 / mc - 1.0 / (xi ** 2 + B2)
+    return base + np.fft.irfft(signs * remainder, n=N) / grid.spacing
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +676,8 @@ def decay_prediction(spec: PotentialSpec, c: float, w_max: float = 4.0,
     if not spec.has_complex_symbol:
         return DecayPrediction(model="unknown")
     cs = sound_speed(spec)
-
-    def fz(z):
-        return z ** 2 + 2.0 * spec.complex_symbol(z) - c ** 2
-
-    zeros = _strip_zeros(fz, xi_max=4.0 * cs, w_max=w_max, nxi=nxi, nw=nw)
+    zeros = _strip_zeros(lambda z: mc_symbol(spec, c, z), xi_max=4.0 * cs,
+                         w_max=w_max, nxi=nxi, nw=nw)
     if not zeros:
         return DecayPrediction(model="exponential", value=w_max, censored=True)
     zlow = min(zeros, key=lambda z: z.imag)

@@ -117,7 +117,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     """
     if np.min(rho0) <= opts.positivity_floor:
         raise VortexError("seed amplitude at or below the positivity floor")
-    mc = mc_symbol(spec, abs(c), grid.xi)
+    mc = mc_symbol(spec, abs(c), grid)
     if np.min(mc) <= 0.0:
         raise SupersonicMultiplierError(
             f"M_c nonpositive on the lattice at c = {c:g}; "
@@ -211,13 +211,13 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
     sonic point when c_to lies beyond it.
     """
     sols = []
-    mc0 = mc_symbol(spec, c_to, grid.xi)
+    mc0 = mc_symbol(spec, c_to, grid)
     c_stop, sonic_capped = c_to, False
     if np.min(mc0) <= 0.0:  # locate the largest admissible speed on the lattice
         lo, hi = c_from, c_to
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if np.min(mc_symbol(spec, mid, grid.xi)) > 0.0:
+            if np.min(mc_symbol(spec, mid, grid)) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -265,7 +265,7 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
     vf = Vfield.make(grid, v, opts.positivity_floor)
     if not vf.in_nv:
         raise VortexError("gradient flow seed outside the nonvanishing set")
-    mc = mc_symbol(spec, abs(c), grid.xi)
+    mc = mc_symbol(spec, abs(c), grid)
     if precondition and np.min(mc) <= 0.0:
         raise SupersonicMultiplierError("preconditioned flow needs M_c > 0")
     J = functional_J(vf, c, spec).J

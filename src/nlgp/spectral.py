@@ -1,9 +1,12 @@
 """Periodic pseudospectral toolbox: grid, differentiation, convolution, quadrature.
 
 All fields live on a uniform grid over [-L, L) with a power-of-two number of
-nodes, so every operation is a couple of FFTs.  Functions are plain numpy
-arrays of length ``grid.size``; the grid object carries the nodes and the
-frequency lattice.
+nodes.  Functions are plain real numpy arrays of length ``grid.size``, so
+every Fourier multiplier is a real transform pair on the N/2 + 1
+nonnegative frequencies (the half lattice): the negative frequencies of real
+data are the complex conjugates of the positive ones.  Symbols are given on
+that half lattice and evaluated once per grid: the derivative symbols
+(i xi)^k are kept by the grid, the kernel symbol W_hat by the potential.
 """
 
 from __future__ import annotations
@@ -17,16 +20,21 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform discretization of [-L, L) with its frequency lattice.
+    """Uniform discretization of [-L, L) with its frequency lattices.
 
-    Nodes are x_j = -L + 2 L j / N and frequencies xi_k = pi k / L for
-    k = -N/2 .. N/2-1 (stored in FFT order).
+    Nodes are x_j = -L + 2 L j / N.  ``xi`` holds the full lattice
+    xi_k = pi k / L, k = -N/2 .. N/2-1, in FFT order; ``xi_half`` holds its
+    N/2 + 1 nonnegative values k = 0 .. N/2, the lattice of the real
+    transforms, with the same |xi| values.  Two grids are equal when L and N
+    are; quantities cached on a grid live as long as it does.
     """
 
     half_length: float
     size: int
     x: np.ndarray = field(init=False, repr=False, compare=False)
     xi: np.ndarray = field(init=False, repr=False, compare=False)
+    xi_half: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, N = self.half_length, self.size
@@ -37,10 +45,33 @@ class Grid:
         h = 2.0 * L / N
         object.__setattr__(self, "x", -L + h * np.arange(N))
         object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))
+        object.__setattr__(self, "xi_half", 2.0 * np.pi * np.fft.rfftfreq(N, d=h))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_length / self.size
+
+    def cached(self, key, make):
+        """The array make(self), computed on first use and kept read-only for
+        the life of the grid.  Concurrent first uses may both compute it;
+        they store equal values."""
+        memo = self._memo
+        if key not in memo:
+            value = make(self)
+            value.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    @property
+    def hermitian_weights(self) -> np.ndarray:
+        """Multiplicity of each half-lattice frequency in the full lattice:
+        1 at xi = 0 and at the Nyquist frequency, 2 (for +-xi) in between."""
+        def make(g):
+            w = np.full(g.xi_half.size, 2.0)
+            w[0] = w[-1] = 1.0
+            return w
+        return self.cached("hermitian_weights", make)
 
     def refined(self) -> "Grid":
         """Domain doubled at fixed spacing."""
@@ -52,20 +83,36 @@ class Grid:
 
 
 def apply_symbol(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Fourier multiplier: inverse transform of symbol(xi_k) * f_hat(xi_k).
+    """Fourier multiplier on real data: irfft(symbol * rfft(f)).
 
-    ``symbol`` holds the multiplier's values on the lattice in FFT order
-    (``grid.xi``); a real f gives a real result.
+    ``symbol`` holds the multiplier on the half lattice (``grid.xi_half``).
+    Its values at -xi are taken to be the complex conjugates of those at xi,
+    as for an even real symbol or for (i xi)^k, so the result is real; an
+    imaginary part at the Nyquist frequency is dropped by the inverse
+    transform.
     """
-    out = np.fft.ifft(symbol * np.fft.fft(f))
-    return out.real if np.isrealobj(f) else out
+    fh = np.fft.rfft(f)
+    fh *= symbol
+    return np.fft.irfft(fh, n=f.shape[-1])
+
+
+def _derivative_symbol(grid: Grid, k: int) -> np.ndarray:
+    s = (1j * grid.xi_half) ** k
+    if k % 2 == 0:
+        return s.real
+    s[-1] = 0.0   # the odd derivative of the Nyquist mode vanishes at the nodes
+    return s
 
 
 def derivative(grid: Grid, f: np.ndarray, k: int = 1) -> np.ndarray:
-    """k-th spectral derivative; exact for band-limited f."""
+    """k-th spectral derivative; exact for band-limited f.
+
+    The symbol (i xi)^k is evaluated once per grid.
+    """
     if k not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {k}")
-    return apply_symbol(f, (1j * grid.xi) ** k)
+    return apply_symbol(f, grid.cached(("derivative", k),
+                                       lambda g: _derivative_symbol(g, k)))
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | complex:
@@ -75,18 +122,20 @@ def integrate(grid: Grid, f: np.ndarray) -> float | complex:
 
 
 def convolve(spec, grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Periodized W * f as the inverse transform of W_hat(xi_k) * f_hat(xi_k).
+    """Periodized W * f: the multiplier W_hat on the half lattice.
 
-    ``spec`` is anything with a vectorized ``symbol`` method (a potential).
+    ``spec`` is anything with a ``lattice_symbol(grid)`` method (a
+    potential), which returns W_hat on ``grid.xi_half`` and evaluates it once
+    per grid.
     """
-    return apply_symbol(f, spec.symbol(grid.xi))
+    return apply_symbol(f, spec.lattice_symbol(grid))
 
 
 def continuous_hat(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Samples of the line Fourier transform int e^{-i x xi} f(x) dx at xi_k.
 
-    Returned in FFT order (matching ``grid.xi``).  The (-1)^k phase accounts
-    for the grid starting at -L rather than 0.
+    Returned on the full lattice in FFT order (matching ``grid.xi``).  The
+    (-1)^k phase accounts for the grid starting at -L rather than 0.
     """
     N = grid.size
     signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
@@ -94,10 +143,15 @@ def continuous_hat(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def spectral_density_integral(grid: Grid, weights: np.ndarray, f: np.ndarray) -> float:
-    """(1/2pi) * int weights(xi) |f_hat(xi)|^2 d(xi) on the frequency lattice."""
-    fh2 = np.abs(continuous_hat(grid, f)) ** 2
+    """(1/2pi) * int weights(xi) |f_hat(xi)|^2 d(xi) on the frequency lattice.
+
+    ``weights`` is an even weight given on the half lattice; each interior
+    frequency counts for itself and its mirror image.
+    """
+    fh2 = np.abs(np.fft.rfft(f)) ** 2
     dxi = np.pi / grid.half_length
-    return float(np.sum(weights * fh2) * dxi / (2.0 * np.pi))
+    s = np.sum(weights * grid.hermitian_weights * fh2)
+    return float(s * grid.spacing ** 2 * dxi / (2.0 * np.pi))
 
 
 def cumulative_integral(grid: Grid, g: np.ndarray, anchor: float = 0.0) -> np.ndarray:
@@ -107,20 +161,24 @@ def cumulative_integral(grid: Grid, g: np.ndarray, anchor: float = 0.0) -> np.nd
     integrated by dividing by i xi.  The value at the anchor is evaluated by
     summing the Fourier series there, so the anchor need not be a node.
     """
-    gh = np.fft.fft(g)
+    gh = np.fft.rfft(g)
     mean = gh[0].real / grid.size
-    coef = np.zeros_like(gh, dtype=complex)
-    coef[1:] = gh[1:] / (1j * grid.xi[1:])
-    periodic = np.fft.ifft(coef).real
+    coef = np.zeros_like(gh)
+    coef[1:] = gh[1:] / (1j * grid.xi_half[1:])
+    periodic = np.fft.irfft(coef, n=grid.size)
     G = periodic + mean * (grid.x + grid.half_length)
     G_anchor = _eval_series(grid, coef, anchor) + mean * (anchor + grid.half_length)
     return G - G_anchor
 
 
 def _eval_series(grid: Grid, coef: np.ndarray, a: float) -> float:
-    """Evaluate (1/N) sum_k coef_k exp(i xi_k (a + L)) at an arbitrary point."""
-    phase = np.exp(1j * grid.xi * (a + grid.half_length))
-    return float(np.sum(coef * phase).real / grid.size)
+    """Evaluate (1/N) sum_k coef_k exp(i xi_k (a + L)) at an arbitrary point.
+
+    ``coef`` is the half-lattice transform of a real series; the full sum is
+    real, and each interior term stands for itself and its conjugate.
+    """
+    phase = np.exp(1j * grid.xi_half * (a + grid.half_length))
+    return float(np.sum(grid.hermitian_weights * (coef * phase).real) / grid.size)
 
 
 def tail_magnitude(grid: Grid, f: np.ndarray, fraction: float = 0.05) -> float:

@@ -41,6 +41,13 @@ def test_config_unknown_keys_rejected():
         config.parse("[command]\nmu_max = 1\n")
 
 
+@pytest.mark.parametrize("key", ["input = sol.json", "dir = out"])
+def test_config_command_keys_without_a_reader_rejected(key):
+    # verify's input and report's dir are required arguments, never config keys
+    with pytest.raises(ConfigError):
+        config.parse(f"[command]\n{key}\n")
+
+
 def test_config_env_overrides_grid_only(monkeypatch):
     monkeypatch.setenv("NLGP_GRID_L", "32")
     monkeypatch.setenv("NLGP_GRID_N", "512")
@@ -236,3 +243,48 @@ def test_cli_sonic(capsys, tmp_path):
     assert doc["nonvanishing_ok"] is True
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 6
+
+
+# ---------------------------------------------------------------------------
+# [command] keys: flags > config file > defaults
+
+
+def _dispersion_csv(tmp_path, cfg_text, *flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[potential]\nkind = delta\n" + cfg_text)
+    out = tmp_path / "disp.csv"
+    assert run_cli("--config", str(cfg), "dispersion", "--out", str(out), *flags) == 0
+    return np.loadtxt(out, delimiter=",", skiprows=1)
+
+
+def test_cli_command_key_n(tmp_path, capsys):
+    assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n")) == 17
+    assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n", "--n", "9")) == 9
+    assert len(_dispersion_csv(tmp_path, "")) == 2048
+
+
+def test_cli_command_key_xi_max(tmp_path, capsys):
+    data = _dispersion_csv(tmp_path, "[command]\nxi_max = 3.5\nn = 8\n")
+    assert data[-1, 0] == 3.5
+    data = _dispersion_csv(tmp_path, "[command]\nxi_max = 3.5\nn = 8\n",
+                           "--xi-max", "2.5")
+    assert data[-1, 0] == 2.5
+    data = _dispersion_csv(tmp_path, "[command]\nn = 8\n")
+    assert data[-1, 0] == pytest.approx(8.0 * math.sqrt(2.0))   # 8 c*
+
+
+def test_cli_command_key_refine_steps(tmp_path, monkeypatch, capsys):
+    from nlgp import functionals
+    seen = []
+    bracket = functionals.mountain_pass_bracket
+
+    def spy(*args, refine_steps, **kwargs):
+        seen.append(refine_steps)
+        return bracket(*args, refine_steps=refine_steps, **kwargs)
+    monkeypatch.setattr(functionals, "mountain_pass_bracket", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[potential]\nkind = delta\n[grid]\nhalf_length = 32\n"
+                   "size = 256\n[command]\nc = 1.0\nrefine_steps = 3\n")
+    assert run_cli("--config", str(cfg), "mpass") == 0
+    assert run_cli("--config", str(cfg), "mpass", "--refine-steps", "2") == 0
+    assert seen == [3, 2]

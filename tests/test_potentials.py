@@ -239,6 +239,34 @@ def test_mc_symbol_values():
     assert mc_symbol(exp_repulsive(1.0, 3.0), 1.0, 0.0) == pytest.approx(1.0)
 
 
+def test_mc_symbol_complex_argument_uses_the_analytic_extension():
+    z = np.array([0.3 + 0.7j, 1.1 + 0.05j, 2.0j])
+    for spec in ALL_SPECS:
+        if not spec.has_complex_symbol:
+            continue
+        np.testing.assert_array_equal(
+            mc_symbol(spec, 0.9, z), z ** 2 + 2.0 * spec.complex_symbol(z) - 0.81)
+
+
+def test_mc_symbol_on_a_grid_is_the_half_lattice():
+    g = Grid(32.0, 512)
+    for spec in ALL_SPECS:
+        np.testing.assert_array_equal(mc_symbol(spec, 0.9, g),
+                                      mc_symbol(spec, 0.9, g.xi_half))
+
+
+def test_labels():
+    # scalar labels are printed by the benchmark record: keep them verbatim
+    assert delta().label() == "delta"
+    assert gaussian(0.3).label() == "gaussian(lam=0.3)"
+    assert exp_repulsive(1.0, 3.0).label() == "exp_repulsive(alpha=1, beta=3)"
+    assert bochner_riesz(0.4).label() == "bochner_riesz(kappa=0.4)"
+    assert berloff(-36.0, 2687.0, 30.0).label() == "berloff(a=-36, b=2687, lam=30)"
+    assert measure_combo([0.3], [1.0]).label() == "measure_combo(weights=[0.3], shifts=[1])"
+    assert (measure_combo([0.25, -0.25], [0.0, 1.0]).label()
+            == "measure_combo(weights=[0.25, -0.25], shifts=[0, 1])")
+
+
 def test_mc_positive_under_certificate():
     for spec in ALL_SPECS:
         lattice = certification_lattice(spec)

@@ -98,7 +98,7 @@ def test_parseval_and_symmetry(seed):
     h = np.fft.ifft(band * (rng.standard_normal(256) + 1j * rng.standard_normal(256))).real
     # discrete Plancherel
     lhs = integrate(g, f ** 2)
-    rhs = spectral_density_integral(g, np.ones(256), f)
+    rhs = spectral_density_integral(g, np.ones(g.xi_half.size), f)
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # convolution symmetry and norm bound
     spec = gaussian(0.4)
