@@ -109,7 +109,10 @@ def _make_spec(pot: dict) -> potentials.PotentialSpec:
             raise ConfigError("tabulated potential needs file = <csv path>")
         if params:
             raise ConfigError(f"unknown tabulated parameters {sorted(params)}")
-        return potentials.tabulated_from_csv(path)
+        try:
+            return potentials.tabulated_from_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read tabulated symbol {path}: {exc}") from exc
     try:
         return potentials.make_potential(kind, **params)
     except (TypeError, ValueError) as exc:

@@ -29,6 +29,8 @@ class WaveFields:
     theta is the cumulative phase on [-L, x] (not periodic; the mismatch
     theta(L) - theta(-L) is the physical phase jump).  theta_prime is stored
     separately because it *is* periodic and carries the spectral accuracy.
+    The periodic derivatives rho' and eta' are taken once, here, and every
+    diagnostic reads them from the profile.
     """
 
     grid: Grid
@@ -38,33 +40,28 @@ class WaveFields:
     theta_prime: np.ndarray
     u: np.ndarray = field(init=False, repr=False, compare=False)
     eta: np.ndarray = field(init=False, repr=False, compare=False)
+    rho_x: np.ndarray = field(init=False, repr=False, compare=False)
+    eta_x: np.ndarray = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho, thp = self.rho, self.theta_prime
-        u = rho * np.exp(1j * self.theta)
         eta = 1.0 - rho ** 2
         rho_x = derivative(self.grid, rho)
-        K = rho_x ** 2 + (rho * thp) ** 2
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", rho * np.exp(1j * self.theta))
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "rho_x", rho_x)
+        object.__setattr__(self, "eta_x", derivative(self.grid, eta))
+        object.__setattr__(self, "K", rho_x ** 2 + (rho * thp) ** 2)
 
     @property
     def min_rho(self) -> float:
         return float(self.rho.min())
 
-    def u_derivatives(self):
-        """(u', u'') through the lifted representation."""
-        g = self.grid
-        rho, thp = self.rho, self.theta_prime
-        rho_x = derivative(g, rho)
-        rho_xx = derivative(g, rho, 2)
-        thpp = derivative(g, thp)
-        phase = np.exp(1j * self.theta)
-        up = (rho_x + 1j * rho * thp) * phase
-        upp = (rho_xx - rho * thp ** 2 + 1j * (2.0 * rho_x * thp + rho * thpp)) * phase
-        return up, upp
+    @property
+    def u_x(self) -> np.ndarray:
+        """u' = (rho' + i rho theta') e^{i theta}, from the stored rho'."""
+        return (self.rho_x + 1j * self.rho * self.theta_prime) * np.exp(1j * self.theta)
 
 
 def phase_from_rho(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -> np.ndarray:
@@ -93,8 +90,10 @@ def plane_wave(grid: Grid, r: float, mode: int, c: float) -> WaveFields:
 def residual_tw(fields: WaveFields, spec: PotentialSpec):
     """(sup, L2) norms of i c u' + u'' + u (W * (1 - |u|^2))."""
     g = fields.grid
-    up, upp = fields.u_derivatives()
-    res = 1j * fields.c * up + upp + fields.u * convolve(spec, g, fields.eta)
+    rho, rho_x, thp = fields.rho, fields.rho_x, fields.theta_prime
+    upp = (derivative(g, rho, 2) - rho * thp ** 2
+           + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp))) * np.exp(1j * fields.theta)
+    res = 1j * fields.c * fields.u_x + upp + fields.u * convolve(spec, g, fields.eta)
     sup = float(np.abs(res).max())
     l2 = float(np.sqrt(integrate(g, np.abs(res) ** 2)))
     return sup, l2
@@ -195,16 +194,14 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
     derivative and are marked skipped when it is unavailable.
     """
     g = fields.grid
-    c, rho, eta, K = fields.c, fields.rho, fields.eta, fields.K
+    c, rho, eta, eta_x, K = fields.c, fields.rho, fields.eta, fields.eta_x, fields.K
     weta = convolve(spec, g, eta)
-    eta_x = derivative(g, eta)
     scale = max(float(np.abs(eta).max()) * max(1.0, c) ** 2, 1e-30)
 
     entries = []
     # (c/2) eta = -<i u', u>
-    up, _ = fields.u_derivatives()
     entries.append(_entry("phase_current", 0.5 * c * eta,
-                          -np.real(1j * up * np.conj(fields.u)), tol, scale))
+                          -np.real(1j * fields.u_x * np.conj(fields.u)), tol, scale))
     # -eta'' + 2 W*eta - c^2 eta = 2K + 2 eta (W*eta)
     entries.append(_entry("elliptic",
                           -derivative(g, eta, 2) + 2.0 * weta - c ** 2 * eta,
@@ -226,9 +223,8 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
         rhs = 0.5 * spectral_density_integral(g, wk - xwp, eta)
         entries.append(_entry("pohozaev", lhs, rhs, tol))
         # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
-        rho_x = derivative(g, rho)
-        jc = action_parts(g, c, rho, rho_x, eta, weta).J
-        rhs = integrate(g, rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eta)
+        jc = action_parts(g, c, rho, fields.rho_x, eta, weta).J
+        rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eta)
         entries.append(_entry("action_identity", jc, rhs, tol))
     else:
         entries.append(IdentityEntry("pohozaev", np.nan, np.nan, np.nan, False, skipped=True))
@@ -254,9 +250,8 @@ def energy(fields: WaveFields, spec: PotentialSpec):
     if fields.min_rho <= 0.0:
         raise VortexError("density form of the energy needs min rho > 0")
     one = 1.0 - eta
-    eta_x = derivative(g, eta)
     e_dens = (fields.c ** 2 / 8.0) * integrate(g, eta ** 2 / one) \
-        + 0.125 * integrate(g, eta_x ** 2 / one) + pot
+        + 0.125 * integrate(g, fields.eta_x ** 2 / one) + pot
     return float(e_grad), float(e_dens)
 
 
@@ -266,8 +261,7 @@ def momentum(fields: WaveFields):
     eta = fields.eta
     if fields.min_rho <= 0.0:
         raise VortexError("renormalized momentum needs min rho > 0")
-    up, _ = fields.u_derivatives()
-    iup_u = np.real(1j * up * np.conj(fields.u))
+    iup_u = np.real(1j * fields.u_x * np.conj(fields.u))
     p_def = -0.5 * integrate(g, iup_u * eta / (1.0 - eta))
     p_eta = 0.25 * fields.c * integrate(g, eta ** 2 / (1.0 - eta))
     return float(p_def), float(p_eta)
@@ -297,7 +291,7 @@ def action_parts(grid: Grid, c: float, rho: np.ndarray, rho_x: np.ndarray,
 def action(fields: WaveFields, spec: PotentialSpec) -> float:
     """J_c(1 - rho) = A - c^2 B evaluated directly from the amplitude."""
     g, rho, eta = fields.grid, fields.rho, fields.eta
-    return action_parts(g, fields.c, rho, derivative(g, rho), eta,
+    return action_parts(g, fields.c, rho, fields.rho_x, eta,
                         convolve(spec, g, eta)).J
 
 

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import make_potential
+from .potentials import make_potential, tabulated
 from .spectral import Grid
 
 SOLUTION_FORMAT = "nlgp-solution-v1"
@@ -45,9 +45,14 @@ def _decode(s: str) -> np.ndarray:
 
 def solution_to_dict(sol, seed=None, extra=None) -> dict:
     f = sol.fields
+    spec = {"kind": sol.spec.kind, "params": dict(sol.spec.params)}
+    if sol.spec.table is not None:
+        xs, ws = sol.spec.table
+        spec["table"] = {"encoding": "base64/float64-le",
+                         "xi": _encode(xs), "w": _encode(ws)}
     doc = {
         "format": SOLUTION_FORMAT,
-        "spec": {"kind": sol.spec.kind, "params": dict(sol.spec.params)},
+        "spec": spec,
         "c": f.c,
         "grid": {"half_length": f.grid.half_length, "size": f.grid.size},
         "converged": sol.converged,
@@ -89,7 +94,14 @@ def read_solution(path):
     if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
         raise ConfigError(f"not a solution file: {path}")
     try:
-        spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
+        if doc["spec"]["kind"] == "tabulated":
+            table = doc["spec"].get("table")
+            if table is None:
+                raise ConfigError(f"{path}: tabulated solution file has no symbol "
+                                  "table (spec.table with the xi, W_hat samples)")
+            spec = tabulated(_decode(table["xi"]), _decode(table["w"]))
+        else:
+            spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
         grid = Grid(doc["grid"]["half_length"], doc["grid"]["size"])
         arrays = {k: _decode(doc["payload"][k]) for k in ("rho", "theta", "eta")}
         c = float(doc["c"])

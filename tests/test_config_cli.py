@@ -221,6 +221,55 @@ def test_cli_tabulated_from_csv(tmp_path, capsys):
     assert doc["sigma"] == pytest.approx(1.0, abs=1e-3)
 
 
+def _gaussian_table(path):
+    """The smooth 4001-sample table on which a linear interpolant failed the
+    identity suite at 2e-4."""
+    xs = np.linspace(0.0, 200.0, 4001)
+    np.savetxt(path, np.column_stack([xs, np.exp(-0.3 * xs ** 2)]), delimiter=",")
+    return path
+
+
+@pytest.fixture(scope="module")
+def tabulated_solution(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tab")
+    table, out = _gaussian_table(d / "symbol.csv"), d / "sol.json"
+    code = run_cli("solve", "--potential", "tabulated", "--file", str(table),
+                   "--c", "0.8", "--out", str(out))
+    return code, out
+
+
+def test_cli_tabulated_solve_and_verify(tabulated_solution, capsys):
+    code, out = tabulated_solution
+    assert code == 0
+    assert run_cli("verify", str(out)) == 0
+    capsys.readouterr()
+
+
+def test_cli_verify_tabulated_without_table_exit_2(tabulated_solution, tmp_path, capsys):
+    doc = json.loads(tabulated_solution[1].read_text())
+    del doc["spec"]["table"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert "table" in err
+
+
+@pytest.mark.parametrize("content", [None, "0.0,1.0\n0.5,abc\n", "0.0,1.0\n"],
+                         ids=["missing", "unparsable", "one_row"])
+def test_cli_bad_table_exit_2_one_line(content, tmp_path, capsys):
+    table = tmp_path / "symbol.csv"
+    if content is not None:
+        table.write_text(content)
+    for cmd in (("certify",), ("solve", "--c", "0.8")):
+        capsys.readouterr()
+        assert run_cli(*cmd, "--potential", "tabulated", "--file", str(table)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_cli_mpass(capsys, tmp_path):
     out = tmp_path / "bracket.json"
     code = run_cli("--json", "mpass", "--potential", "delta", "--c", "1.0",

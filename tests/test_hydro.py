@@ -250,6 +250,33 @@ def test_action_equals_energy_minus_cp(grid, contact_fields):
     assert action(contact_fields, delta()) == pytest.approx(e1 - 1.0 * p1, abs=1e-10)
 
 
+def test_profile_derivatives_taken_once(grid, contact_fields, monkeypatch):
+    # rho' and eta' belong to the profile: the finalize stage and the verify
+    # path transform only what no earlier step has (eta'', K', rho'')
+    from nlgp import hydro, spectral
+    calls = []
+    real = spectral.derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spectral, "derivative", counted)
+    monkeypatch.setattr(hydro, "derivative", counted)
+    spec, rho = exp_repulsive(1.0, 3.0), contact_fields.rho
+    f = assemble(grid, rho, 1.0)
+    identity_suite(f, spec)
+    energy(f, spec)
+    momentum(f)
+    action(f, spec)
+    assert len(calls) <= 4
+    calls.clear()
+    f = assemble(grid, rho, 1.0)
+    identity_suite(f, spec)
+    residual_rho(grid, rho, 1.0, spec)
+    nonvanishing_check(f, spec)
+    assert len(calls) <= 5
+
+
 def test_catalog_invariant_battery(catalog_solutions):
     # every converged solution: identities at 1e-6, both energy forms and
     # both momentum forms agreeing at 1e-8 relative

@@ -97,6 +97,57 @@ def test_tabulated_interpolation_and_range():
         spec.symbol(11.0)
 
 
+def _gauss(x):
+    return np.exp(-0.3 * x ** 2)
+
+
+def test_tabulated_spline_and_exact_derivative():
+    xs = np.linspace(0.0, 10.0, 1001)
+    spec = tabulated(xs, _gauss(xs))
+    q = np.linspace(0.0, 9.9, 777)
+    # a C^2 cubic spline: O(h^4) values, O(h^3) slopes (h = 0.01)
+    assert np.abs(spec.symbol(q) - _gauss(q)).max() < 1e-8
+    assert np.abs(spec.symbol_deriv(q) + 0.6 * q * _gauss(q)).max() < 1e-6
+    # the derivative is the interpolant's own, so its difference quotient matches
+    h = 1e-5
+    fd = (spec.symbol(q + h) - spec.symbol(q - h)) / (2 * h)
+    assert np.abs(fd - spec.symbol_deriv(q)).max() < 1e-8
+    assert spec.symbol_deriv(0.0) == 0.0
+    with pytest.raises(OutOfRangeError):
+        spec.symbol_deriv(11.0)
+
+
+def test_tabulated_table_listing_both_signs():
+    xs = np.linspace(0.0, 10.0, 1001)
+    half = tabulated(xs, _gauss(xs))
+    both_xs = np.concatenate([-xs[::-1], xs])
+    both = tabulated(both_xs, _gauss(both_xs))
+    q = np.linspace(-9.9, 9.9, 555)
+    assert np.array_equal(both.symbol(q), half.symbol(q))
+    assert np.array_equal(both.symbol_deriv(q), half.symbol_deriv(q))
+    assert both.params == half.params
+    # symmetric samples without xi = 0 (an even count): the even extension
+    odd_free = np.linspace(-10.0, 10.0, 1000)
+    spec = tabulated(odd_free, _gauss(odd_free))
+    assert np.abs(spec.symbol(q) - _gauss(q)).max() < 1e-8
+    assert abs(float(spec.symbol_deriv(1e-9))) < 1e-8
+    with pytest.raises(ValueError):     # a repeated xi
+        tabulated([0.0, 1.0, 1.0], [1.0, 0.5, 0.4])
+
+
+def test_import_nlgp_leaves_scipy_interpolate_out():
+    import os
+    import subprocess
+    import sys
+
+    import nlgp
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlgp.__file__)))
+    code = "import sys, nlgp; sys.exit(int('scipy.interpolate' in sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # sound speed
 
