@@ -235,11 +235,12 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     bound re-evaluates the final path on ``subdivisions`` interior points per
     segment, since the nodal maximum alone can step over the ridge between
     nodes.  The lower bound is the sphere constant at radius r_sup / 2.
+    Each node's action is evaluated once per position and kept beside it.
     """
     endpoint = build_phi_c(c, spec, grid)
     v_end = endpoint.vfield.v
-    r = _r_sup(cert, c) / 2.0
-    sb = sphere_bound(c, spec, cert, r, grid, n_samples=0)
+    r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
+    lower = float(sphere_ell(cert, c, r) * r ** 2)
     path = [t * v_end for t in np.linspace(0.0, 1.0, n_nodes)]
     inv_mc = 1.0 / mc_symbol(spec, abs(c), grid)
 
@@ -248,12 +249,11 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         vf = Vfield.make(grid, v)
         return functional_J(vf, c, spec).J if vf.in_nv else math.inf
 
-    nodal = max(J_of(v) for v in path)
-    history = [nodal]
+    Js = [J_of(v) for v in path]
+    history = [max(Js)]
     for _ in range(refine_steps):
         for i in range(1, n_nodes - 1):
-            v = path[i]
-            Jv = J_of(v)
+            v, Jv = path[i], Js[i]
             if Jv <= endpoint.J:
                 # frozen downhill tail: the action is steeply unbounded below
                 # near the positivity floor, and chasing it only stretches the
@@ -262,19 +262,19 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
             gvec = grad_J(Vfield.make(grid, v), c, spec)
             dvec = apply_symbol(gvec, inv_mc)
             s = step
-            for _ in range(12):  # reject and halve on NV escape or J increase
+            for _ in range(12):  # reject and halve on NV escape (J = +inf) or J increase
                 vn = v - s * dvec
-                if np.max(vn) < 1.0 - POSITIVITY_FLOOR and J_of(vn) <= Jv:
+                if J_of(vn) <= Jv:
                     path[i] = vn
                     break
                 s *= 0.5
         path = _reparameterize(grid, path)
-        nodal = min(nodal, max(J_of(v) for v in path))
-        history.append(nodal)
-    upper = max(J_of((1.0 - w) * a + w * b)
-                for a, b in zip(path[:-1], path[1:])
-                for w in np.linspace(0.0, 1.0, subdivisions + 2))
-    return MountainPassBracket(c=c, lower=sb.lower, upper=float(upper), path=path,
+        Js[1:-1] = [J_of(v) for v in path[1:-1]]
+        history.append(min(history[-1], max(Js)))
+    upper = max(Js + [J_of((1.0 - w) * a + w * b)
+                      for a, b in zip(path[:-1], path[1:])
+                      for w in np.linspace(0.0, 1.0, subdivisions + 2)[1:-1]])
+    return MountainPassBracket(c=c, lower=lower, upper=float(upper), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history)
 

@@ -38,7 +38,6 @@ class WaveFields:
     rho: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
-    u: np.ndarray = field(init=False, repr=False, compare=False)
     eta: np.ndarray = field(init=False, repr=False, compare=False)
     rho_x: np.ndarray = field(init=False, repr=False, compare=False)
     eta_x: np.ndarray = field(init=False, repr=False, compare=False)
@@ -48,7 +47,6 @@ class WaveFields:
         rho, thp = self.rho, self.theta_prime
         eta = 1.0 - rho ** 2
         rho_x = derivative(self.grid, rho)
-        object.__setattr__(self, "u", rho * np.exp(1j * self.theta))
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "rho_x", rho_x)
         object.__setattr__(self, "eta_x", derivative(self.grid, eta))
@@ -57,6 +55,11 @@ class WaveFields:
     @property
     def min_rho(self) -> float:
         return float(self.rho.min())
+
+    @property
+    def u(self) -> np.ndarray:
+        """u = rho e^{i theta}, formed on each read and never stored."""
+        return self.rho * np.exp(1j * self.theta)
 
     @property
     def u_x(self) -> np.ndarray:

@@ -95,6 +95,11 @@ class PotentialSpec:
         return np.where(xi == 0.0, 0.0, out)
 
     @property
+    def algebraic_tail(self) -> bool:
+        """True for the truncated parabola, whose solitons decay algebraically."""
+        return self.kind == "bochner_riesz"
+
+    @property
     def has_complex_symbol(self) -> bool:
         return self._complex_symbol is not None
 
@@ -691,7 +696,7 @@ def decay_prediction(spec: PotentialSpec, c: float, w_max: float = 4.0,
     kernel only admits algebraic decay (every power below 1); tabulated
     symbols give no prediction.
     """
-    if spec.kind == "bochner_riesz":
+    if spec.algebraic_tail:
         return DecayPrediction(model="algebraic", value=1.0)
     if not spec.has_complex_symbol:
         return DecayPrediction(model="unknown")

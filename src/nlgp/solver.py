@@ -18,10 +18,10 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import (NlgpError, OutOfRegimeError, SupersonicMultiplierError,
                      VortexError)
 from .hydro import (WaveFields, action, assemble, energy, identity_suite,
-                    momentum, rho_equation, rho_jacobian)
+                    momentum, nonvanishing_check, rho_equation, rho_jacobian)
 from .functionals import Vfield, functional_J, grad_J
-from .potentials import PotentialSpec, decay_prediction, mc_symbol
-from .spectral import Grid, apply_symbol, convolve, sech, tail_magnitude
+from .potentials import PotentialSpec, mc_symbol
+from .spectral import Grid, apply_symbol, sech, tail_magnitude
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,12 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
                auto_refine: bool = True):
     """Solve on the default grid, doubling the domain until the tail resolves.
 
-    Kernels with an algebraic-decay prediction never meet an exponential
-    tail tolerance, so refinement is skipped for them and the periodization
-    is only monitored.
+    Kernels with an algebraic tail (``PotentialSpec.algebraic_tail``) never
+    meet an exponential tail tolerance, so refinement is skipped for them and
+    the periodization is only monitored.
     """
     grid = Grid(half_length, size)
-    pred = decay_prediction(spec, c) if auto_refine else None
-    refine = auto_refine and (pred is None or pred.model != "algebraic")
+    refine = auto_refine and not spec.algebraic_tail
     sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
     tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
     n = 0
@@ -248,14 +247,13 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
 
 def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
                   opts: SolverOptions = SolverOptions(), tol: float = 1e-8,
-                  max_steps: int = 5000, step: float = 1e-2,
-                  precondition: bool = True) -> np.ndarray:
+                  max_steps: int = 5000, step: float = 1e-2) -> np.ndarray:
     """Backtracked descent on the action; local relaxation near a seed.
 
     The raw spectral gradient is Nyquist-stiff (the Laplacian eigenvalue
     (pi/h)^2 forces explicit steps below ~1e-4), so the descent direction is
-    preconditioned by 1/M_c by default; the operator is positive on the
-    lattice, so the direction still strictly decreases J under backtracking.
+    preconditioned by 1/M_c; the operator is positive on the lattice, so the
+    direction still strictly decreases J under backtracking.
     The action is unbounded below and its soliton critical points are
     saddles, so this is only a local relaxation; it stops at the gradient
     tolerance or the step budget and returns the iterate with the smallest
@@ -266,8 +264,9 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
     if not vf.in_nv:
         raise VortexError("gradient flow seed outside the nonvanishing set")
     mc = mc_symbol(spec, abs(c), grid)
-    if precondition and np.min(mc) <= 0.0:
+    if np.min(mc) <= 0.0:
         raise SupersonicMultiplierError("preconditioned flow needs M_c > 0")
+    inv_mc = 1.0 / mc
     J = functional_J(vf, c, spec).J
     best_v, best_g = v, math.inf
     s = step
@@ -278,7 +277,7 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
             best_v, best_g = v, gnorm
         if gnorm <= tol:
             break
-        d = apply_symbol(g, 1.0 / mc) if precondition else g
+        d = apply_symbol(g, inv_mc)
         accepted = False
         for _ in range(30):
             trial = v - s * d
@@ -320,7 +319,6 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
         gaps = np.array([0.2, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012, 0.008, 0.005])
     c2 = math.sqrt(2.0)
     rows, failed = [], []
-    ok = True
     for gap in gaps:
         c = float(c2 - gap)
         rate = math.sqrt(2.0 - c ** 2)
@@ -332,10 +330,8 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
         if not sol.converged:
             failed.append(f"{gap:g}")
             continue
-        weta = convolve(spec, grid, sol.fields.eta)
-        margin = float(np.abs(weta).max() - (2.0 - c ** 2) / 4.0)
-        ok = bool(ok and margin >= 0.0)
-        rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, margin))
+        nv = nonvanishing_check(sol.fields, spec)
+        rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, nv.weta_sup - nv.bound))
     if len(rows) < 2:
         raise NlgpError(
             f"sonic sweep fit needs two converged samples, {len(rows)} of {len(gaps)} "
@@ -344,4 +340,5 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
     x = np.log(2.0 - rows[:, 0] ** 2)
     gamma = float(np.polyfit(x, np.log(rows[:, 2]), 1)[0])
     return SonicSweep(spec_label=spec.label(), rows=rows, gamma=gamma,
-                      d2_symbol_at_zero=spec.d2_at_zero, all_nonvanishing_ok=ok)
+                      d2_symbol_at_zero=spec.d2_at_zero,
+                      all_nonvanishing_ok=bool(np.all(rows[:, 5] >= 0.0)))

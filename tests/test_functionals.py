@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from nlgp import (Grid, VortexError, build_phi_c, delta, functional_J, gaussian,
-                  grad_J, hess_J_apply, initial_guess, pairing_identity,
+from nlgp import (Grid, OutOfRegimeError, VortexError, build_phi_c, delta,
+                  functional_J, functionals, gaussian, grad_J, hess_J_apply,
+                  initial_guess, mountain_pass_bracket, pairing_identity,
                   residual_rho, sphere_bound)
 from nlgp.functionals import Vfield, sobolev_norm, _random_band_limited, _r_sup
 from nlgp.hydro import rho_equation
@@ -236,6 +237,30 @@ def test_sphere_bound_out_of_regime(grid):
     from nlgp import OutOfRegimeError
     with pytest.raises(OutOfRegimeError):
         sphere_bound(1.5, delta(), cert, 0.1, grid)
+
+
+def test_mountain_pass_evaluates_each_array_once(grid, monkeypatch):
+    # the string method keeps each node's action beside the path, so no
+    # array reaches functional_J twice within one bracket
+    seen = []
+    inner = functionals.functional_J
+
+    def spy(vf, c, spec):
+        seen.append(vf.v)  # held, so no id is reused
+        return inner(vf, c, spec)
+
+    monkeypatch.setattr(functionals, "functional_J", spy)
+    cert = certify(delta())
+    bracket = mountain_pass_bracket(1.0, delta(), cert, grid, refine_steps=3)
+    assert len({id(v) for v in seen}) == len(seen)
+    sb = sphere_bound(1.0, delta(), cert, _r_sup(cert, 1.0) / 2, grid, n_samples=0)
+    assert bracket.lower == sb.lower
+    assert 0.0 < bracket.lower < bracket.upper
+
+
+def test_mountain_pass_out_of_regime(grid):
+    with pytest.raises(OutOfRegimeError):
+        mountain_pass_bracket(1.5, delta(), certify(delta()), grid, refine_steps=0)
 
 
 def test_sobolev_norm(grid):

@@ -78,6 +78,14 @@ def test_assemble_trivial(grid):
     np.testing.assert_allclose(f.K, 0.0, atol=1e-14)
 
 
+def test_u_formed_on_read_not_stored(grid):
+    # a profile stores seven real arrays; u is built from rho and theta
+    f = assemble(grid, contact_amplitude(grid.x, 0.8), 0.8)
+    assert "u" not in vars(f)
+    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 7
+    assert np.array_equal(f.u, f.rho * np.exp(1j * f.theta))
+
+
 def test_assemble_contact_trough(grid, contact_fields):
     # eta(0) = 1 - c^2/2 = 0.5 at c = 1
     j0 = grid.size // 2

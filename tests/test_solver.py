@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nlgp import (Grid, NlgpError, OutOfRegimeError, SolverOptions,
-                  SupersonicMultiplierError, VortexError, continue_branch,
-                  delta, exp_repulsive, gaussian, gradient_flow, initial_guess,
-                  newton_solve, residual_rho, shifted_deltas, solve_auto,
-                  sonic_sweep)
+                  SupersonicMultiplierError, VortexError, bochner_riesz,
+                  continue_branch, delta, exp_repulsive, gaussian, gradient_flow,
+                  initial_guess, newton_solve, potentials, residual_rho,
+                  shifted_deltas, solve_auto, sonic_sweep)
 from nlgp.spectral import sech
 
 
@@ -105,6 +105,25 @@ def test_solve_auto_refines_for_slow_decay():
     assert sol.converged
     assert sol.grid.half_length > 32.0
     assert tail < 1e-10
+
+
+def test_solve_auto_runs_no_strip_search(monkeypatch):
+    # whether to refine is a property of the kernel, not of located zeros
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_auto searched the strip for zeros")
+
+    monkeypatch.setattr(potentials, "_strip_zeros", refuse)
+    sol, tail = solve_auto(gaussian(0.3), 1.0)
+    assert sol.converged and tail < 1e-10
+
+
+def test_solve_auto_keeps_first_grid_for_algebraic_tail():
+    # the truncated parabola's tail is algebraic: it would fail the
+    # exponential tail tolerance on every grid, so none is refined
+    sol, tail = solve_auto(bochner_riesz(0.4), 1.0, half_length=64.0, size=2048)
+    assert sol.converged
+    assert sol.grid == Grid(64.0, 2048)
+    assert tail > 1e-10
 
 
 # ---------------------------------------------------------------------------
