@@ -169,16 +169,21 @@ def _cmd_branch(args, cfg):
     out = args.out or cfg.command.get("out")
     if out:
         nio.write_branch_csv(out, branch)
+    failures = branch.identity_failures
     doc = {"spec": spec.label(), "members": len(branch.solutions),
            "termination": branch.termination,
-           "rows": branch.table().tolist()}
-    _emit(args, doc, [
-        f"{spec.label()}: branch of {len(branch.solutions)} members, "
-        f"terminated: {branch.termination}",
-    ] + ([f"  wrote {out}"] if out else []))
+           "rows": branch.table().tolist(),
+           "identity_failures": [{"c": c, "max_residual": r} for c, r in failures]}
+    lines = [f"{spec.label()}: branch of {len(branch.solutions)} members, "
+             f"terminated: {branch.termination}"]
+    if failures:
+        lines.append(f"  {len(failures)} of {len(branch.solutions)} members "
+                     "fail the identity suite:")
+        lines += [f"    c = {c:g}: max residual {r:.3e}" for c, r in failures]
+    _emit(args, doc, lines + ([f"  wrote {out}"] if out else []))
     if branch.termination == "newton_failed" and not branch.solutions:
         return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_VERIFY if failures else EXIT_OK
 
 
 def _cmd_verify(args, cfg):
@@ -333,13 +338,16 @@ def _cmd_sonic(args, cfg):
     doc = {"spec": sweep.spec_label, "gamma": sweep.gamma,
            "d2_symbol_at_zero": sweep.d2_symbol_at_zero,
            "nonvanishing_ok": sweep.all_nonvanishing_ok,
-           "rows": sweep.rows.tolist()}
+           "rows": sweep.rows.tolist(),
+           "skipped_gaps": list(sweep.skipped_gaps)}
+    skipped = ", ".join(f"{gap:g}" for gap in sweep.skipped_gaps)
     _emit(args, doc, [
         f"{sweep.spec_label}: amplitude exponent gamma = {sweep.gamma:.4f} "
         f"(eta_max ~ (2 - c^2)^gamma)",
         f"  symbol curvature at 0: {sweep.d2_symbol_at_zero}",
         f"  nonvanishing bound held at every sample: {sweep.all_nonvanishing_ok}",
-    ] + ([f"  wrote {out}"] if out else []))
+    ] + ([f"  skipped gaps (no convergence): {skipped}"] if skipped else [])
+      + ([f"  wrote {out}"] if out else []))
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ numerical mountain-pass geometry.
 The unknown is v = 1 - rho, constrained to the nonvanishing set (sup v < 1).
 Critical points of J_c(v) = A(v) - c^2 B(v) are exactly the zeros of the
 amplitude equation; the gradient returned here is the L2 representative, so
-grad_J(v) = -F(rho) with rho = 1 - v.
+grad_J(v) = -F(rho) with rho = 1 - v.  A stack of candidates, one per row,
+goes through the same functions and gets one value, or one membership flag,
+per row.
 """
 
 from __future__ import annotations
@@ -18,26 +20,29 @@ from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, rho_equation,
                     rho_jacobian)
 from .potentials import HypothesisCertificate, PotentialSpec, mc_symbol
-from .spectral import Grid, apply_symbol, convolve, derivative, integrate
+from .spectral import (Grid, apply_symbol, convolve, derivative, integrate,
+                       per_row)
 
 
 @dataclass(frozen=True)
 class Vfield:
-    """A candidate v = 1 - rho with its nonvanishing-set membership flag."""
+    """A candidate v = 1 - rho with its nonvanishing-set membership flag
+    (for a stack of candidates, one flag per row)."""
 
     grid: Grid
     v: np.ndarray
-    in_nv: bool
+    in_nv: bool | np.ndarray
 
     @classmethod
     def make(cls, grid: Grid, v: np.ndarray, floor: float = POSITIVITY_FLOOR) -> "Vfield":
         return cls(grid=grid, v=np.asarray(v, dtype=float),
-                   in_nv=bool(np.max(v) < 1.0 - floor))
+                   in_nv=per_row(np.max(v, axis=-1) < 1.0 - floor))
 
 
-def sobolev_norm(grid: Grid, v: np.ndarray) -> float:
+def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
     """Discrete H1 norm: sqrt(int v^2 + int (v')^2)."""
-    return math.sqrt(integrate(grid, v ** 2) + integrate(grid, derivative(grid, v) ** 2))
+    return per_row(np.sqrt(integrate(grid, v ** 2)
+                           + integrate(grid, derivative(grid, v) ** 2)))
 
 
 def _f(s):
@@ -49,19 +54,22 @@ def functional_J(vf: Vfield, c: float, spec: PotentialSpec) -> ActionParts:
     g, v = vf.grid, vf.v
     eta = _f(v)
     parts = action_parts(g, c, 1.0 - v, derivative(g, v), eta, convolve(spec, g, eta))
-    return parts if vf.in_nv else replace(parts, J=-math.inf, B=math.inf)
+    if np.all(vf.in_nv):
+        return parts
+    return replace(parts, J=per_row(np.where(vf.in_nv, parts.J, -math.inf)),
+                   B=per_row(np.where(vf.in_nv, parts.B, math.inf)))
 
 
 def grad_J(vf: Vfield, c: float, spec: PotentialSpec) -> np.ndarray:
     """L2 representative of the first derivative: -F(1 - v)."""
-    if not vf.in_nv:
+    if not np.all(vf.in_nv):
         raise VortexError("gradient undefined outside the nonvanishing set")
     return -rho_equation(vf.grid, 1.0 - vf.v, c, spec)
 
 
 def hess_J_apply(vf: Vfield, c: float, spec: PotentialSpec, psi: np.ndarray) -> np.ndarray:
     """Second derivative applied to a direction psi: F'(1 - v) psi (symmetric)."""
-    if not vf.in_nv:
+    if not np.all(vf.in_nv):
         raise VortexError("Hessian undefined outside the nonvanishing set")
     return rho_jacobian(vf.grid, 1.0 - vf.v, c, spec)(psi)
 
@@ -208,7 +216,7 @@ class MountainPassBracket:
     c: float
     lower: float
     upper: float
-    path: list                    # list of v arrays from 0 to 1 - phi_c
+    path: np.ndarray              # (n_nodes, N): the nodes v from 0 to 1 - phi_c
     phi_delta: float
     phi_r: float
     endpoint_J: float
@@ -235,65 +243,63 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     bound re-evaluates the final path on ``subdivisions`` interior points per
     segment, since the nodal maximum alone can step over the ridge between
     nodes.  The lower bound is the sphere constant at radius r_sup / 2.
+
+    The path is one (n_nodes, N) array.  Between reparameterizations the
+    nodes move independently, so each stage acts on a stack of rows at once:
+    the actions after a reparameterization, the gradients and descent
+    directions of the moving nodes, and each line-search round over the
+    nodes not yet accepted.  Each node has its own acceptance test; the
+    nodes still pending share the step, which every round halves.
     Each node's action is evaluated once per position and kept beside it.
     """
     endpoint = build_phi_c(c, spec, grid)
-    v_end = endpoint.vfield.v
     r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
     lower = float(sphere_ell(cert, c, r) * r ** 2)
-    path = [t * v_end for t in np.linspace(0.0, 1.0, n_nodes)]
+    path = np.linspace(0.0, 1.0, n_nodes)[:, None] * endpoint.vfield.v
     inv_mc = 1.0 / mc_symbol(spec, abs(c), grid)
 
-    def J_of(v):
+    def J_of(vs):
         # a path through the boundary is inadmissible: +inf, never a bound
-        vf = Vfield.make(grid, v)
-        return functional_J(vf, c, spec).J if vf.in_nv else math.inf
+        vf = Vfield.make(grid, vs)
+        return np.where(vf.in_nv, functional_J(vf, c, spec).J, math.inf)
 
-    Js = [J_of(v) for v in path]
-    history = [max(Js)]
+    Js = J_of(path)
+    history = [float(Js.max())]
     for _ in range(refine_steps):
-        for i in range(1, n_nodes - 1):
-            v, Jv = path[i], Js[i]
-            if Jv <= endpoint.J:
-                # frozen downhill tail: the action is steeply unbounded below
-                # near the positivity floor, and chasing it only stretches the
-                # path until reparameterization drags nodes off the barrier
-                continue
-            gvec = grad_J(Vfield.make(grid, v), c, spec)
-            dvec = apply_symbol(gvec, inv_mc)
+        # frozen downhill tail: the action is steeply unbounded below near
+        # the positivity floor, and chasing it only stretches the path until
+        # reparameterization drags nodes off the barrier
+        moving = 1 + np.flatnonzero(~(Js[1:-1] <= endpoint.J))
+        if moving.size:
+            dvec = apply_symbol(grad_J(Vfield.make(grid, path[moving]), c, spec), inv_mc)
             s = step
             for _ in range(12):  # reject and halve on NV escape (J = +inf) or J increase
-                vn = v - s * dvec
-                if J_of(vn) <= Jv:
-                    path[i] = vn
+                vn = path[moving] - s * dvec
+                ok = J_of(vn) <= Js[moving]
+                path[moving[ok]] = vn[ok]
+                moving, dvec = moving[~ok], dvec[~ok]
+                if not moving.size:
                     break
                 s *= 0.5
         path = _reparameterize(grid, path)
-        Js[1:-1] = [J_of(v) for v in path[1:-1]]
-        history.append(min(history[-1], max(Js)))
-    upper = max(Js + [J_of((1.0 - w) * a + w * b)
-                      for a, b in zip(path[:-1], path[1:])
-                      for w in np.linspace(0.0, 1.0, subdivisions + 2)[1:-1]])
+        Js[1:-1] = J_of(path[1:-1])
+        history.append(min(history[-1], float(Js.max())))
+    w = np.linspace(0.0, 1.0, subdivisions + 2)[1:-1, None]
+    upper = max([Js.max()] + [J_of((1.0 - w) * a + w * b).max(initial=-math.inf)
+                              for a, b in zip(path[:-1], path[1:])])
     return MountainPassBracket(c=c, lower=lower, upper=float(upper), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history)
 
 
-def _reparameterize(grid: Grid, path):
+def _reparameterize(grid: Grid, path: np.ndarray) -> np.ndarray:
     """Redistribute nodes to equal H1 arc length along the polyline."""
     n = len(path)
-    d = np.zeros(n)
-    for i in range(1, n):
-        d[i] = d[i - 1] + sobolev_norm(grid, path[i] - path[i - 1])
+    d = np.concatenate(([0.0], np.cumsum(sobolev_norm(grid, np.diff(path, axis=0)))))
     if d[-1] == 0.0:
         return path
     d /= d[-1]
-    new_path = [path[0]]
     targets = np.linspace(0.0, 1.0, n)[1:-1]
-    for s in targets:
-        i = int(np.searchsorted(d, s))
-        i = min(max(i, 1), n - 1)
-        w = (s - d[i - 1]) / max(d[i] - d[i - 1], 1e-300)
-        new_path.append((1.0 - w) * path[i - 1] + w * path[i])
-    new_path.append(path[-1])
-    return new_path
+    i = np.clip(np.searchsorted(d, targets), 1, n - 1)
+    w = ((targets - d[i - 1]) / np.maximum(d[i] - d[i - 1], 1e-300))[:, None]
+    return np.vstack([path[:1], (1.0 - w) * path[i - 1] + w * path[i], path[-1:]])

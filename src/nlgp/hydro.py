@@ -16,7 +16,7 @@ import numpy as np
 from .errors import VortexError
 from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
-                       integrate, spectral_density_integral)
+                       integrate, per_row, spectral_density_integral)
 
 POSITIVITY_FLOOR = 1e-3
 MOMENTUM_CONDITIONING_FLOOR = 0.05
@@ -109,7 +109,10 @@ def residual_rho(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
 
 
 def rho_equation(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarray:
-    """F(rho) = -rho'' + (c^2/4)(1 - rho^4)/rho^3 - rho (W * (1 - rho^2))."""
+    """F(rho) = -rho'' + (c^2/4)(1 - rho^4)/rho^3 - rho (W * (1 - rho^2)).
+
+    A stack of amplitudes, one per row, gives F of each row.
+    """
     if rho.min() <= 0.0:
         raise VortexError(f"min rho = {rho.min():g} <= 0")
     eta = 1.0 - rho ** 2
@@ -272,7 +275,7 @@ def momentum(fields: WaveFields):
 
 @dataclass(frozen=True)
 class ActionParts:
-    J: float
+    J: float              # each an array of row values for a stack
     A: float
     B: float
 
@@ -284,11 +287,12 @@ def action_parts(grid: Grid, c: float, rho: np.ndarray, rho_x: np.ndarray,
 
     Callers pass eta and W*eta in the arithmetic they already hold (the
     variational layer forms eta = v (2 - v) with rho = 1 - v); rho_x enters
-    only squared, so either sign of the derivative will do.
+    only squared, so either sign of the derivative will do.  For a stack of
+    profiles, one per row, each part holds one value per row.
     """
     A = 0.5 * integrate(grid, rho_x ** 2) + 0.25 * integrate(grid, weta * eta)
     B = 0.125 * integrate(grid, eta ** 2 / rho ** 2)
-    return ActionParts(J=float(A - c ** 2 * B), A=float(A), B=float(B))
+    return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
 
 
 def action(fields: WaveFields, spec: PotentialSpec) -> float:

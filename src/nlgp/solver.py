@@ -81,6 +81,12 @@ class SolitonBranch:
     solutions: list
     termination: str                  # reached_cmax | trivialized | newton_failed | sonic_limit
 
+    @property
+    def identity_failures(self) -> list:
+        """(c, max relative residual) of each member failing the identity suite."""
+        return [(s.c, s.identity_report.max_residual) for s in self.solutions
+                if not s.identity_report.passed]
+
     def table(self):
         """Columns: c, E, p, J, eta_max, min_rho, newton_iters."""
         rows = [(s.c, s.E, s.p, s.J, s.eta_max, s.fields.min_rho, s.newton_iters)
@@ -302,6 +308,7 @@ class SonicSweep:
     gamma: float            # fitted exponent of eta_max ~ (2 - c^2)^gamma
     d2_symbol_at_zero: Optional[float]
     all_nonvanishing_ok: bool
+    skipped_gaps: tuple     # gaps whose solve did not converge, left out of rows
 
 
 def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
@@ -313,7 +320,8 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
     the domain as the predicted tail rate sqrt(2 - c^2) degrades, and fits
     log eta_max against log (2 - c^2).  The lower bound
     ||W * eta||_inf >= (2 - c^2)/4 is evaluated at every sample.  Fewer than
-    two converged samples leave the fit underdetermined and raise NlgpError.
+    two converged samples leave the fit underdetermined and raise NlgpError;
+    otherwise the unconverged gaps are returned in ``skipped_gaps``.
     """
     if gaps is None:
         gaps = np.array([0.2, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012, 0.008, 0.005])
@@ -328,17 +336,19 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
         grid = Grid(L, N)
         sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
         if not sol.converged:
-            failed.append(f"{gap:g}")
+            failed.append(float(gap))
             continue
         nv = nonvanishing_check(sol.fields, spec)
         rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, nv.weta_sup - nv.bound))
     if len(rows) < 2:
         raise NlgpError(
             f"sonic sweep fit needs two converged samples, {len(rows)} of {len(gaps)} "
-            f"converged; no convergence at gaps {', '.join(failed) or 'none'}")
+            f"converged; no convergence at gaps "
+            f"{', '.join(f'{gap:g}' for gap in failed) or 'none'}")
     rows = np.array(rows)
     x = np.log(2.0 - rows[:, 0] ** 2)
     gamma = float(np.polyfit(x, np.log(rows[:, 2]), 1)[0])
     return SonicSweep(spec_label=spec.label(), rows=rows, gamma=gamma,
                       d2_symbol_at_zero=spec.d2_at_zero,
-                      all_nonvanishing_ok=bool(np.all(rows[:, 5] >= 0.0)))
+                      all_nonvanishing_ok=bool(np.all(rows[:, 5] >= 0.0)),
+                      skipped_gaps=tuple(failed))

@@ -4,7 +4,9 @@ All fields live on a uniform grid over [-L, L) with a power-of-two number of
 nodes.  Functions are plain real numpy arrays of length ``grid.size``, so
 every Fourier multiplier is a real transform pair on the N/2 + 1
 nonnegative frequencies (the half lattice): the negative frequencies of real
-data are the complex conjugates of the positive ones.  Symbols are given on
+data are the complex conjugates of the positive ones.  The multipliers and
+the quadrature act on the last axis, so a stack of fields, one per row, goes
+through the same code as a single field.  Symbols are given on
 that half lattice and evaluated once per grid: the derivative symbols
 (i xi)^k are kept by the grid, the kernel symbol W_hat by the potential.
 """
@@ -115,10 +117,19 @@ def derivative(grid: Grid, f: np.ndarray, k: int = 1) -> np.ndarray:
                                        lambda g: _derivative_symbol(g, k)))
 
 
-def integrate(grid: Grid, f: np.ndarray) -> float | complex:
-    """h * sum(f): the trapezoid rule, spectrally accurate on periodic data."""
-    s = grid.spacing * np.sum(f)
+def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:
+    """h * sum(f): the trapezoid rule, spectrally accurate on periodic data.
+
+    Sums over the last axis, so a stack of fields gives one value per row.
+    """
+    s = grid.spacing * np.sum(f, axis=-1)
     return s.real if np.isrealobj(f) else s
+
+
+def per_row(x):
+    """A reduction over the last axis: a Python scalar for one field, the
+    array of row values for a stack."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def convolve(spec, grid: Grid, f: np.ndarray) -> np.ndarray:

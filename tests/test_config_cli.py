@@ -148,6 +148,28 @@ def test_cli_branch_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_branch_reports_identity_failures(capsys):
+    # on the default grid (h = 1/16) the near-vortex members below c ~ 0.3
+    # converge but fail the identity suite; each is listed and the exit is 4
+    code = run_cli("--json", "branch", "--potential", "delta", "--c-from", "0.1")
+    assert code == cli.EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    fails = doc["identity_failures"]
+    assert 0 < len(fails) < doc["members"]
+    assert fails[0]["c"] == 0.1
+    assert all(f["max_residual"] > 1e-6 for f in fails)
+    assert [f["c"] for f in fails] == [r[0] for r in doc["rows"][:len(fails)]]
+
+
+def test_cli_branch_text_names_failing_members(capsys):
+    code = run_cli("branch", "--potential", "delta", "--c-from", "0.1",
+                   "--c-to", "0.15")
+    assert code == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "fail the identity suite" in out
+    assert "c = 0.1:" in out
+
+
 def test_cli_decay_command(capsys):
     code = run_cli("--json", "decay", "--potential", "delta", "--c", "1.0")
     assert code == 0
@@ -292,6 +314,20 @@ def test_cli_sonic(capsys, tmp_path):
     assert doc["nonvanishing_ok"] is True
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 6
+
+
+def test_cli_sonic_lists_skipped_gaps(capsys, monkeypatch):
+    from nlgp import solver
+    sweep = solver.sonic_sweep
+
+    def with_unreachable_gap(spec, opts, **kwargs):
+        return sweep(spec, opts, gaps=[0.2, 0.1, 1e-9], **kwargs)
+
+    monkeypatch.setattr(solver, "sonic_sweep", with_unreachable_gap)
+    assert run_cli("sonic", "--potential", "delta") == 0
+    assert "skipped gaps (no convergence): 1e-09" in capsys.readouterr().out
+    assert run_cli("--json", "sonic", "--potential", "delta") == 0
+    assert json.loads(capsys.readouterr().out)["skipped_gaps"] == [1e-9]
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,61 @@ def test_mountain_pass_out_of_regime(grid):
         mountain_pass_bracket(1.5, delta(), certify(delta()), grid, refine_steps=0)
 
 
+def test_mountain_pass_bracket_pinned(grid):
+    # exact values of the node-by-node string method: batching reorders no arithmetic
+    bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
+    assert repr(bracket.lower) == "0.0016819959113241322"
+    assert repr(bracket.upper) == "0.04960773352832476"
+    assert [repr(h) for h in bracket.upper_history] == [
+        "0.11131831582990781", "0.06833934555558235", "0.05725569572421421",
+        "0.052020833641406944", "0.049710488738114816", "0.04548400001659403"]
+    assert bracket.path.shape == (33, grid.size)
+
+
+# ---------------------------------------------------------------------------
+# stacks of fields: one value, or one membership flag, per row
+
+
+@pytest.fixture(scope="module")
+def stack(grid):
+    rng = np.random.default_rng(17)
+    rows = [random_smooth(grid, rng, 0.4), 1.2 * sech(grid.x),
+            random_smooth(grid, rng, 0.3)]
+    return np.array(rows)
+
+
+def test_stack_membership_per_row(grid, stack):
+    vf = Vfield.make(grid, stack)
+    assert vf.in_nv.tolist() == [True, False, True]
+    assert [Vfield.make(grid, v).in_nv for v in stack] == [True, False, True]
+
+
+def test_stack_functional_J_matches_rows(grid, stack):
+    spec = gaussian(0.3)
+    parts = functional_J(Vfield.make(grid, stack), 1.0, spec)
+    for k, v in enumerate(stack):
+        one = functional_J(Vfield.make(grid, v), 1.0, spec)
+        assert (parts.J[k], parts.A[k], parts.B[k]) == (one.J, one.A, one.B)
+    assert parts.J[1] == -math.inf and parts.B[1] == math.inf
+
+
+def test_stack_grad_J_matches_rows(grid, stack):
+    inside = stack[[0, 2]]
+    g = grad_J(Vfield.make(grid, inside), 1.0, gaussian(0.3))
+    for row, v in zip(g, inside):
+        assert np.array_equal(row, grad_J(Vfield.make(grid, v), 1.0, gaussian(0.3)))
+    with pytest.raises(VortexError):
+        grad_J(Vfield.make(grid, stack), 1.0, gaussian(0.3))
+
+
+def test_stack_sobolev_norm_and_integrate_match_rows(grid, stack):
+    norms = sobolev_norm(grid, stack)
+    sums = integrate(grid, stack ** 2)
+    assert norms.tolist() == [sobolev_norm(grid, v) for v in stack]
+    assert sums.tolist() == [integrate(grid, v ** 2) for v in stack]
+    assert isinstance(sobolev_norm(grid, stack[0]), float)
+
+
 def test_sobolev_norm(grid):
     v = sech(grid.x)
     # int sech^2 = 2, int sech^2 tanh^2 = 2/3

@@ -217,6 +217,13 @@ def test_sonic_sweep_refuses_zero_samples_and_names_them():
                     base_half_length=32.0, base_size=512)
 
 
+def test_sonic_sweep_reports_skipped_gaps():
+    # two converged samples carry the fit; the unconverged gap is listed
+    sweep = sonic_sweep(delta(), gaps=[0.2, 0.1, 1e-9])
+    assert sweep.rows.shape[0] == 2
+    assert sweep.skipped_gaps == (1e-9,)
+
+
 def test_sonic_sweep_curvature_bookkeeping():
     # second symbol derivative at 0 decides the nonexistence hypothesis
     assert sonic_sweep(delta(), gaps=np.array([0.2, 0.1])).d2_symbol_at_zero == 0.0
