@@ -79,7 +79,8 @@ def _build_parser():
 
 
 def _load_config(args) -> config.RunConfig:
-    """Flags override the environment, which overrides the config file."""
+    """Flags override the environment, which overrides the config file; a set
+    command flag replaces its ``[command]`` key, which commands read alone."""
     cfg = config.parse_file(args.config) if args.config else config.parse("")
     pot = dict(cfg.potential)
     if getattr(args, "potential", None):
@@ -95,6 +96,8 @@ def _load_config(args) -> config.RunConfig:
         cfg.grid.size = args.N
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    cfg.command.update({k: getattr(args, k) for k in config.COMMAND_KEYS
+                        if getattr(args, k, None) is not None})
     return cfg
 
 
@@ -135,7 +138,7 @@ def _check_subsonic(spec, c):
 
 def _cmd_solve(args, cfg):
     spec = _make_spec(cfg.potential)
-    c = args.c if args.c is not None else cfg.command.get("c")
+    c = cfg.command.get("c")
     if c is None:
         raise ConfigError("solve needs --c")
     _check_subsonic(spec, c)
@@ -146,7 +149,7 @@ def _cmd_solve(args, cfg):
               file=sys.stderr)
         return EXIT_SOLVER
     doc = nio.solution_to_dict(sol, seed=cfg.seed, extra={"tail": tail})
-    out = args.out or cfg.command.get("out")
+    out = cfg.command.get("out")
     if out:
         nio.write_solution(out, sol, seed=cfg.seed, extra={"tail": tail})
     _emit(args, doc, [
@@ -161,12 +164,11 @@ def _cmd_solve(args, cfg):
 
 def _cmd_branch(args, cfg):
     spec = _make_spec(cfg.potential)
-    c_from = args.c_from if args.c_from is not None else cfg.command.get("c_from", 0.2)
-    c_to = args.c_to if args.c_to is not None else cfg.command.get("c_to", 1.35)
+    c_from, c_to = cfg.command.get("c_from", 0.2), cfg.command.get("c_to", 1.35)
     _check_subsonic(spec, c_from)
     grid = Grid(cfg.grid.half_length, cfg.grid.size)
     branch = solver.continue_branch(spec, grid, c_from, c_to, cfg.solver)
-    out = args.out or cfg.command.get("out")
+    out = cfg.command.get("out")
     if out:
         nio.write_branch_csv(out, branch)
     failures = branch.identity_failures
@@ -188,10 +190,10 @@ def _cmd_branch(args, cfg):
 
 def _cmd_verify(args, cfg):
     spec, grid, c, arrays, doc = nio.read_solution(args.input)
-    fields = assemble(grid, arrays["rho"], c)
-    report = identity_suite(fields, spec, tol=args.tol)
+    fields = assemble(grid, arrays["rho"], c, spec)
+    report = identity_suite(fields, tol=args.tol)
     sup, l2 = residual_rho(grid, arrays["rho"], c, spec)
-    nv = nonvanishing_check(fields, spec)
+    nv = nonvanishing_check(fields)
     ok = report.passed and sup <= max(10 * doc["residuals"]["sup"], 1e-9)
     out_doc = {"input": args.input, "residual_sup": sup, "residual_l2": l2,
                "identity": report.as_dict(),
@@ -212,14 +214,13 @@ def _cmd_verify(args, cfg):
 def _cmd_dispersion(args, cfg):
     spec = _make_spec(cfg.potential)
     cs = potentials.sound_speed(spec)
-    xi_max = args.xi_max if args.xi_max is not None else cfg.command.get("xi_max", 8.0 * cs)
-    n = args.n if args.n is not None else cfg.command.get("n", 2048)
-    xi = np.linspace(0.0, xi_max, n)
+    xi = np.linspace(0.0, cfg.command.get("xi_max", 8.0 * cs),
+                     cfg.command.get("n", 2048))
     w, imag = potentials.dispersion(spec, xi, with_flag=True)
     crit = potentials.roton_maxon(spec, xi)
-    c = args.c if args.c is not None else cfg.command.get("c")
+    c = cfg.command.get("c")
     mc = potentials.mc_symbol(spec, c, xi) if c is not None else None
-    out = args.out or cfg.command.get("out")
+    out = cfg.command.get("out")
     if out:
         cols = [xi, w] + ([mc] if mc is not None else [])
         header = "xi,w" + (",Mc" if mc is not None else "")
@@ -267,21 +268,19 @@ def _cmd_certify(args, cfg):
 
 def _cmd_mpass(args, cfg):
     spec = _make_spec(cfg.potential)
-    c = args.c if args.c is not None else cfg.command.get("c")
+    c = cfg.command.get("c")
     if c is None:
         raise ConfigError("mpass needs --c")
     cert = potentials.certify(spec)
     if c >= math.sqrt(2.0 * cert.sigma):
         raise OutOfRegimeError(f"c = {c:g} outside the certified interval")
     grid = Grid(cfg.grid.half_length, cfg.grid.size)
-    steps = args.refine_steps if args.refine_steps is not None \
-        else cfg.command.get("refine_steps", 200)
-    bracket = functionals.mountain_pass_bracket(c, spec, cert, grid,
-                                                refine_steps=steps)
+    bracket = functionals.mountain_pass_bracket(
+        c, spec, cert, grid, refine_steps=cfg.command.get("refine_steps", 200))
     doc = bracket.as_dict()
     doc["seed"] = cfg.seed
     del doc["upper_history"]
-    out = args.out or cfg.command.get("out")
+    out = cfg.command.get("out")
     if out:
         nio.atomic_write_text(out, json.dumps(doc, indent=1))
     _emit(args, doc, [
@@ -296,7 +295,7 @@ def _cmd_mpass(args, cfg):
 
 def _cmd_decay(args, cfg):
     spec = _make_spec(cfg.potential)
-    c = args.c if args.c is not None else cfg.command.get("c")
+    c = cfg.command.get("c")
     if c is None:
         raise ConfigError("decay needs --c")
     _check_subsonic(spec, c)
@@ -332,7 +331,7 @@ def _cmd_sonic(args, cfg):
     sweep = solver.sonic_sweep(spec, cfg.solver,
                                base_half_length=cfg.grid.half_length,
                                base_size=cfg.grid.size)
-    out = args.out or cfg.command.get("out")
+    out = cfg.command.get("out")
     if out:
         nio.write_csv(out, "c,gap,eta_max,E,p,nonvanishing_margin", sweep.rows)
     doc = {"spec": sweep.spec_label, "gamma": sweep.gamma,

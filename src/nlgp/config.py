@@ -38,7 +38,7 @@ class RunConfig:
 _SOLVER_FIELDS = {f.name: f.type for f in dc_fields(SolverOptions)}
 _GRID_FIELDS = {"half_length": float, "size": int, "auto_refine": bool}
 _RUN_KEYS = {"seed": int}
-_COMMAND_KEYS = {
+COMMAND_KEYS = {
     "c": float, "c_from": float, "c_to": float, "out": str,
     "refine_steps": int, "xi_max": float, "n": int,
 }
@@ -99,9 +99,9 @@ def parse(text: str) -> RunConfig:
                 setattr(cfg, k, _parse_value(v, _RUN_KEYS[k]))
         elif section == "command":
             for k, v in items.items():
-                if k not in _COMMAND_KEYS:
+                if k not in COMMAND_KEYS:
                     raise ConfigError(f"unknown key [command] {k}")
-                cfg.command[k] = _parse_value(v, _COMMAND_KEYS[k])
+                cfg.command[k] = _parse_value(v, COMMAND_KEYS[k])
         else:
             raise ConfigError(f"unknown section [{section}]")
     _apply_env_overrides(cfg)

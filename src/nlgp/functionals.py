@@ -96,6 +96,10 @@ def pairing_identity(vf: Vfield, c: float, spec: PotentialSpec):
 # ---------------------------------------------------------------------------
 # mountain-pass geometry
 
+PATH_NODES = 33       # string-method nodes, endpoints included
+DESCENT_STEP = 0.5    # first trial step of each node's line search
+SUBDIVISIONS = 8      # interior points per segment in the final path maximum
+
 
 @dataclass(frozen=True)
 class PhiEndpoint:
@@ -105,8 +109,7 @@ class PhiEndpoint:
     J: float
 
 
-def build_phi_c(c: float, spec: PotentialSpec, grid: Grid,
-                floor: float = POSITIVITY_FLOOR) -> PhiEndpoint:
+def build_phi_c(c: float, spec: PotentialSpec, grid: Grid) -> PhiEndpoint:
     """Negative-action endpoint: phi^2 = delta on [-r, r], cosine ramp to 1.
 
     delta is chosen below c^2 / (2 ||W_hat||_inf) so that widening the core
@@ -115,7 +118,7 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid,
     if c <= 0:
         raise OutOfRegimeError("endpoint construction needs c > 0")
     wsup = float(np.abs(spec.lattice_symbol(grid)).max())
-    delta = 0.5 * min(1.0 - 2.0 * floor, c ** 2 / (2.0 * wsup))
+    delta = 0.5 * min(1.0 - 2.0 * POSITIVITY_FLOOR, c ** 2 / (2.0 * wsup))
     ax = np.abs(grid.x)
     r = 2.0
     while True:
@@ -128,7 +131,7 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid,
         phi2[core] = delta
         t = ax[ramp] - r
         phi2[ramp] = delta + (1.0 - delta) * 0.5 * (1.0 - np.cos(np.pi * t))
-        vf = Vfield.make(grid, 1.0 - np.sqrt(phi2), floor)
+        vf = Vfield.make(grid, 1.0 - np.sqrt(phi2))
         J = functional_J(vf, c, spec).J
         if J < 0.0:
             return PhiEndpoint(vfield=vf, delta=float(delta), r=float(r), J=float(J))
@@ -216,7 +219,7 @@ class MountainPassBracket:
     c: float
     lower: float
     upper: float
-    path: np.ndarray              # (n_nodes, N): the nodes v from 0 to 1 - phi_c
+    path: np.ndarray              # (PATH_NODES, N): the nodes v from 0 to 1 - phi_c
     phi_delta: float
     phi_r: float
     endpoint_J: float
@@ -231,8 +234,7 @@ class MountainPassBracket:
 
 
 def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
-                          grid: Grid, refine_steps: int = 200, n_nodes: int = 33,
-                          step: float = 0.5, subdivisions: int = 8) -> MountainPassBracket:
+                          grid: Grid, refine_steps: int = 200) -> MountainPassBracket:
     """Bracket the mountain-pass level between the sphere bound and a path max.
 
     The initial path is the straight segment t (1 - phi_c), which stays in
@@ -240,11 +242,11 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     preconditioned gradient with fixed endpoints (a string method),
     re-parameterized by H1 arc length after each sweep.  ``upper_history``
     tracks the running minimum of the nodal path maxima; the reported upper
-    bound re-evaluates the final path on ``subdivisions`` interior points per
+    bound re-evaluates the final path on SUBDIVISIONS interior points per
     segment, since the nodal maximum alone can step over the ridge between
     nodes.  The lower bound is the sphere constant at radius r_sup / 2.
 
-    The path is one (n_nodes, N) array.  Between reparameterizations the
+    The path is one (PATH_NODES, N) array.  Between reparameterizations the
     nodes move independently, so each stage acts on a stack of rows at once:
     the actions after a reparameterization, the gradients and descent
     directions of the moving nodes, and each line-search round over the
@@ -255,7 +257,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     endpoint = build_phi_c(c, spec, grid)
     r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
     lower = float(sphere_ell(cert, c, r) * r ** 2)
-    path = np.linspace(0.0, 1.0, n_nodes)[:, None] * endpoint.vfield.v
+    path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint.vfield.v
     inv_mc = 1.0 / mc_symbol(spec, abs(c), grid)
 
     def J_of(vs):
@@ -272,7 +274,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         moving = 1 + np.flatnonzero(~(Js[1:-1] <= endpoint.J))
         if moving.size:
             dvec = apply_symbol(grad_J(Vfield.make(grid, path[moving]), c, spec), inv_mc)
-            s = step
+            s = DESCENT_STEP
             for _ in range(12):  # reject and halve on NV escape (J = +inf) or J increase
                 vn = path[moving] - s * dvec
                 ok = J_of(vn) <= Js[moving]
@@ -284,7 +286,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         path = _reparameterize(grid, path)
         Js[1:-1] = J_of(path[1:-1])
         history.append(min(history[-1], float(Js.max())))
-    w = np.linspace(0.0, 1.0, subdivisions + 2)[1:-1, None]
+    w = np.linspace(0.0, 1.0, SUBDIVISIONS + 2)[1:-1, None]
     upper = max([Js.max()] + [J_of((1.0 - w) * a + w * b).max(initial=-math.inf)
                               for a, b in zip(path[:-1], path[1:])])
     return MountainPassBracket(c=c, lower=lower, upper=float(upper), path=path,

@@ -24,13 +24,13 @@ MOMENTUM_CONDITIONING_FLOOR = 0.05
 
 @dataclass(frozen=True)
 class WaveFields:
-    """One traveling-wave profile at speed c in hydrodynamic variables.
+    """One traveling-wave profile at speed c under the kernel spec, in hydrodynamic variables.
 
     theta is the cumulative phase on [-L, x] (not periodic; the mismatch
     theta(L) - theta(-L) is the physical phase jump).  theta_prime is stored
     separately because it *is* periodic and carries the spectral accuracy.
-    The periodic derivatives rho' and eta' are taken once, here, and every
-    diagnostic reads them from the profile.
+    The periodic derivatives rho' and eta' and the nonlocal field W*eta are
+    taken once, here, and every diagnostic reads them from the profile.
     """
 
     grid: Grid
@@ -38,9 +38,11 @@ class WaveFields:
     rho: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
+    spec: PotentialSpec
     eta: np.ndarray = field(init=False, repr=False, compare=False)
     rho_x: np.ndarray = field(init=False, repr=False, compare=False)
     eta_x: np.ndarray = field(init=False, repr=False, compare=False)
+    weta: np.ndarray = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,6 +52,7 @@ class WaveFields:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "rho_x", rho_x)
         object.__setattr__(self, "eta_x", derivative(self.grid, eta))
+        object.__setattr__(self, "weta", convolve(self.spec, self.grid, eta))
         object.__setattr__(self, "K", rho_x ** 2 + (rho * thp) ** 2)
 
     @property
@@ -75,28 +78,28 @@ def phase_from_rho(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -
     return cumulative_integral(grid, thp, anchor)
 
 
-def assemble(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -> WaveFields:
-    """Build the full field set from an amplitude profile."""
-    theta = phase_from_rho(grid, rho, c, anchor)
+def assemble(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> WaveFields:
+    """Build the full field set of an amplitude profile under the kernel spec."""
+    theta = phase_from_rho(grid, rho, c)
     thp = 0.5 * c * (1.0 / rho ** 2 - 1.0)
-    return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp)
+    return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp, spec=spec)
 
 
-def plane_wave(grid: Grid, r: float, mode: int, c: float) -> WaveFields:
+def plane_wave(grid: Grid, r: float, mode: int, c: float, spec: PotentialSpec) -> WaveFields:
     """Constant-amplitude wave r e^{i k x} with k = pi * mode / L on the lattice."""
     k = np.pi * mode / grid.half_length
     rho = np.full(grid.size, float(r))
     return WaveFields(grid=grid, c=c, rho=rho, theta=k * grid.x,
-                      theta_prime=np.full(grid.size, k))
+                      theta_prime=np.full(grid.size, k), spec=spec)
 
 
-def residual_tw(fields: WaveFields, spec: PotentialSpec):
+def residual_tw(fields: WaveFields):
     """(sup, L2) norms of i c u' + u'' + u (W * (1 - |u|^2))."""
     g = fields.grid
     rho, rho_x, thp = fields.rho, fields.rho_x, fields.theta_prime
     upp = (derivative(g, rho, 2) - rho * thp ** 2
            + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp))) * np.exp(1j * fields.theta)
-    res = 1j * fields.c * fields.u_x + upp + fields.u * convolve(spec, g, fields.eta)
+    res = 1j * fields.c * fields.u_x + upp + fields.u * fields.weta
     sup = float(np.abs(res).max())
     l2 = float(np.sqrt(integrate(g, np.abs(res) ** 2)))
     return sup, l2
@@ -190,8 +193,7 @@ def _entry(name, lhs, rhs, tol, scale=None):
     return IdentityEntry(name, ln, rn, rel, rel <= tol)
 
 
-def identity_suite(fields: WaveFields, spec: PotentialSpec,
-                   tol: float = 1e-6) -> IdentityReport:
+def identity_suite(fields: WaveFields, tol: float = 1e-6) -> IdentityReport:
     """Evaluate the seven conserved identities of a traveling profile.
 
     For a converged solution every residual should sit below ``tol``
@@ -199,9 +201,8 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
     diagnostics.  The two spectral-density identities need the symbol
     derivative and are marked skipped when it is unavailable.
     """
-    g = fields.grid
-    c, rho, eta, eta_x, K = fields.c, fields.rho, fields.eta, fields.eta_x, fields.K
-    weta = convolve(spec, g, eta)
+    g, spec = fields.grid, fields.spec
+    c, eta, eta_x, weta, K = fields.c, fields.eta, fields.eta_x, fields.weta, fields.K
     scale = max(float(np.abs(eta).max()) * max(1.0, c) ** 2, 1e-30)
 
     entries = []
@@ -229,9 +230,8 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
         rhs = 0.5 * spectral_density_integral(g, wk - xwp, eta)
         entries.append(_entry("pohozaev", lhs, rhs, tol))
         # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
-        jc = action_parts(g, c, rho, fields.rho_x, eta, weta).J
         rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eta)
-        entries.append(_entry("action_identity", jc, rhs, tol))
+        entries.append(_entry("action_identity", action(fields), rhs, tol))
     else:
         entries.append(IdentityEntry("pohozaev", np.nan, np.nan, np.nan, False, skipped=True))
         entries.append(IdentityEntry("action_identity", np.nan, np.nan, np.nan, False, skipped=True))
@@ -242,16 +242,14 @@ def identity_suite(fields: WaveFields, spec: PotentialSpec,
 # energy, momentum, action
 
 
-def energy(fields: WaveFields, spec: PotentialSpec):
+def energy(fields: WaveFields):
     """Energy in its two algebraically distinct forms (gradient and density).
 
     The forms agree on solutions; their difference is a diagnostic for
     arbitrary fields.  The density form requires min rho > 0.
     """
-    g = fields.grid
-    eta, K = fields.eta, fields.K
-    weta = convolve(spec, g, eta)
-    pot = 0.25 * integrate(g, weta * eta)
+    g, eta, K = fields.grid, fields.eta, fields.K
+    pot = 0.25 * integrate(g, fields.weta * eta)
     e_grad = 0.5 * integrate(g, K) + pot
     if fields.min_rho <= 0.0:
         raise VortexError("density form of the energy needs min rho > 0")
@@ -295,11 +293,10 @@ def action_parts(grid: Grid, c: float, rho: np.ndarray, rho_x: np.ndarray,
     return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
 
 
-def action(fields: WaveFields, spec: PotentialSpec) -> float:
+def action(fields: WaveFields) -> float:
     """J_c(1 - rho) = A - c^2 B evaluated directly from the amplitude."""
-    g, rho, eta = fields.grid, fields.rho, fields.eta
-    return action_parts(g, fields.c, rho, fields.rho_x, eta,
-                        convolve(spec, g, eta)).J
+    return action_parts(fields.grid, fields.c, fields.rho, fields.rho_x,
+                        fields.eta, fields.weta).J
 
 
 def momentum_conditioning_warning(fields: WaveFields) -> Optional[str]:
@@ -317,9 +314,8 @@ class NonvanishingReport:
     passed: bool
 
 
-def nonvanishing_check(fields: WaveFields, spec: PotentialSpec) -> NonvanishingReport:
+def nonvanishing_check(fields: WaveFields) -> NonvanishingReport:
     """Check ||W * eta||_inf >= (2 - c^2)/4, satisfied by nontrivial solutions."""
-    weta = convolve(spec, fields.grid, fields.eta)
-    sup = float(np.abs(weta).max())
+    sup = float(np.abs(fields.weta).max())
     bound = (2.0 - fields.c ** 2) / 4.0
     return NonvanishingReport(weta_sup=sup, bound=bound, passed=sup >= bound)

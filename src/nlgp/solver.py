@@ -9,7 +9,7 @@ M_c(xi) = xi^2 + 2 W_hat - c^2 in the far field, so 1/M_c is used as the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,7 +50,6 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolitonSolution:
-    spec: PotentialSpec
     fields: WaveFields
     converged: bool
     status: str                       # converged | newton_failed | trivialized | vanishing_amplitude
@@ -61,6 +60,10 @@ class SolitonSolution:
     E: float = math.nan
     p: float = math.nan
     J: float = math.nan
+
+    @property
+    def spec(self) -> PotentialSpec:
+        return self.fields.spec
 
     @property
     def c(self) -> float:
@@ -142,17 +145,15 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         rho = _gauge_shift(grid, rho)
         sup = float(np.abs(res).max())
         l2 = float(math.sqrt(grid.spacing * np.sum(res ** 2)))
-        fields = assemble(grid, rho, c)
+        fields = assemble(grid, rho, c, spec)
         converged = status == "converged"
         if converged and fields.eta.max() < opts.trivial_eta_tol:
             status, converged = "trivialized", False
-        report = identity_suite(fields, spec, tol=opts.identity_tol)
-        e1, _ = energy(fields, spec)
-        p1, _ = momentum(fields)
         return SolitonSolution(
-            spec=spec, fields=fields, converged=converged, status=status,
+            fields=fields, converged=converged, status=status,
             newton_iters=iters, residual_sup=sup, residual_l2=l2,
-            identity_report=report, E=e1, p=p1, J=action(fields, spec))
+            identity_report=identity_suite(fields, tol=opts.identity_tol),
+            E=energy(fields)[0], p=momentum(fields)[0], J=action(fields))
 
     res = residual(rho)
     for it in range(opts.max_iter):
@@ -338,7 +339,7 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
         if not sol.converged:
             failed.append(float(gap))
             continue
-        nv = nonvanishing_check(sol.fields, spec)
+        nv = nonvanishing_check(sol.fields)
         rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, nv.weta_sup - nv.bound))
     if len(rows) < 2:
         raise NlgpError(

@@ -81,7 +81,7 @@ def test_algebraic_envelope_check(fit_grid):
 
 
 def test_phase_limits_trivial(fit_grid):
-    f = assemble(fit_grid, np.ones(fit_grid.size), 1.0)
+    f = assemble(fit_grid, np.ones(fit_grid.size), 1.0, delta())
     pl = phase_limits(f)
     assert pl.theta_minus == pl.theta_plus == pl.jump == 0.0
     assert pl.zero_jump
@@ -115,7 +115,7 @@ def test_symmetry_contact(fit_grid, contact_solution):
 
 def test_symmetry_detects_shift(fit_grid, contact_solution):
     shifted = np.roll(contact_solution.fields.rho, 37)
-    f = assemble(fit_grid, shifted, 1.0)
+    f = assemble(fit_grid, shifted, 1.0, delta())
     rho_asym, _ = symmetry_metrics(f)
     assert rho_asym > 1e-2
 
@@ -143,7 +143,7 @@ def test_analyticity_proxy_contact(fit_grid, contact_solution):
 def test_analyticity_proxy_noise(fit_grid):
     rng = np.random.default_rng(0)
     rho = 1.0 + 1e-3 * rng.standard_normal(fit_grid.size)
-    f = assemble(fit_grid, rho, 1.0)
+    f = assemble(fit_grid, rho, 1.0, delta())
     _, radius = analyticity_proxy(f, np.linspace(0.0, 2.0, 21))
     assert radius <= 0.2
 

@@ -47,8 +47,8 @@ def test_J_equals_energy_minus_cp_on_soliton(grid):
     from nlgp import assemble, energy, momentum
     rho = initial_guess(grid, 1.0)
     parts = functional_J(vfield(grid, 1.0 - rho), 1.0, delta())
-    f = assemble(grid, rho, 1.0)
-    e1, _ = energy(f, delta())
+    f = assemble(grid, rho, 1.0, delta())
+    e1, _ = energy(f)
     p1, _ = momentum(f)
     assert parts.J == pytest.approx(e1 - p1, abs=1e-8)
 

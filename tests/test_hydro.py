@@ -30,7 +30,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def contact_fields(grid):
-    return assemble(grid, contact_amplitude(grid.x, 1.0), 1.0)
+    return assemble(grid, contact_amplitude(grid.x, 1.0), 1.0, delta())
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +72,17 @@ def test_phase_vortex_error(grid):
 
 
 def test_assemble_trivial(grid):
-    f = assemble(grid, np.ones(grid.size), 0.9)
+    f = assemble(grid, np.ones(grid.size), 0.9, delta())
     np.testing.assert_allclose(f.u, 1.0, atol=1e-14)
     np.testing.assert_allclose(f.eta, 0.0, atol=1e-14)
     np.testing.assert_allclose(f.K, 0.0, atol=1e-14)
 
 
 def test_u_formed_on_read_not_stored(grid):
-    # a profile stores seven real arrays; u is built from rho and theta
-    f = assemble(grid, contact_amplitude(grid.x, 0.8), 0.8)
+    # a profile stores eight real arrays; u is built from rho and theta
+    f = assemble(grid, contact_amplitude(grid.x, 0.8), 0.8, delta())
     assert "u" not in vars(f)
-    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 7
+    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 8
     assert np.array_equal(f.u, f.rho * np.exp(1j * f.theta))
 
 
@@ -110,13 +110,13 @@ def test_invariants_eta_and_positivity(grid, contact_fields):
 
 
 def test_residual_tw_contact(grid, contact_fields):
-    sup, l2 = residual_tw(contact_fields, delta())
+    sup, l2 = residual_tw(contact_fields)
     assert sup < 1e-8 and l2 < 1e-8
 
 
 def test_residual_tw_trivial(grid):
-    f = assemble(grid, np.ones(grid.size), 1.2)
-    sup, _ = residual_tw(f, exp_repulsive(1.0, 3.0))
+    f = assemble(grid, np.ones(grid.size), 1.2, exp_repulsive(1.0, 3.0))
+    sup, _ = residual_tw(f)
     assert sup < 1e-14
 
 
@@ -125,8 +125,8 @@ def test_residual_tw_plane_wave(grid):
     c, mode = 1.0, 16
     k = math.pi * mode / grid.half_length
     r = math.sqrt(1.0 - k ** 2 - c * k)
-    f = plane_wave(grid, r, mode, c)
-    sup, _ = residual_tw(f, delta())
+    f = plane_wave(grid, r, mode, c, delta())
+    sup, _ = residual_tw(f)
     assert sup < 1e-12
 
 
@@ -147,14 +147,14 @@ def test_residual_rho_trivial_and_perturbed(grid):
 
 
 def test_identity_suite_contact(grid, contact_fields):
-    report = identity_suite(contact_fields, delta())
+    report = identity_suite(contact_fields)
     assert report.passed
     assert report.max_residual < 1e-7
 
 
 def test_identity_suite_trivial(grid):
-    f = assemble(grid, np.ones(grid.size), 1.0)
-    report = identity_suite(f, delta())
+    f = assemble(grid, np.ones(grid.size), 1.0, delta())
+    report = identity_suite(f)
     assert report.max_residual < 1e-13
 
 
@@ -164,7 +164,7 @@ def test_identity_pohozaev_contact_value(grid, contact_fields):
     rhs = 0.5 * grid.spacing * np.sum(contact_fields.eta ** 2)
     assert lhs == pytest.approx(1.0 / 3.0, abs=1e-8)
     assert rhs == pytest.approx(1.0 / 3.0, abs=1e-8)
-    e = identity_suite(contact_fields, delta())["pohozaev"]
+    e = identity_suite(contact_fields)["pohozaev"]
     assert not e.skipped and e.residual_rel < 1e-10
 
 
@@ -173,7 +173,7 @@ def test_identity_skipped_without_deriv(grid, contact_fields):
     xs = np.linspace(0.0, 110.0, 4096)
     spec = tabulated(xs, np.ones_like(xs))
     object.__setattr__(spec, "_deriv", None)
-    report = identity_suite(contact_fields, spec)
+    report = identity_suite(assemble(grid, contact_fields.rho, 1.0, spec))
     assert report["pohozaev"].skipped and report["action_identity"].skipped
 
 
@@ -182,15 +182,15 @@ def test_identity_skipped_without_deriv(grid, contact_fields):
 
 
 def test_energy_momentum_trivial(grid):
-    f = assemble(grid, np.ones(grid.size), 0.8)
-    e1, e2 = energy(f, delta())
+    f = assemble(grid, np.ones(grid.size), 0.8, delta())
+    e1, e2 = energy(f)
     p1, p2 = momentum(f)
     assert e1 == e2 == 0.0
     assert p1 == p2 == 0.0
 
 
 def test_energy_contact_closed_form(grid, contact_fields):
-    e1, e2 = energy(contact_fields, delta())
+    e1, e2 = energy(contact_fields)
     assert e1 == pytest.approx(1.0 / 3.0, abs=1e-8)
     assert e2 == pytest.approx(1.0 / 3.0, abs=1e-8)
 
@@ -211,8 +211,8 @@ def test_energy_forms_disagree_off_solutions(grid):
     # an independent phase slope breaks the closure and separates them
     rho = 1.0 - 0.4 * sech(grid.x) ** 2
     f = WaveFields(grid=grid, c=1.0, rho=rho, theta=np.zeros(grid.size),
-                   theta_prime=0.3 * sech(grid.x))
-    e1, e2 = energy(f, delta())
+                   theta_prime=0.3 * sech(grid.x), spec=delta())
+    e1, e2 = energy(f)
     assert abs(e1 - e2) > 1e-4
 
 
@@ -221,46 +221,47 @@ def test_energy_forms_disagree_off_solutions(grid):
 
 
 def test_nonvanishing_contact(grid, contact_fields):
-    rep = nonvanishing_check(contact_fields, delta())
+    rep = nonvanishing_check(contact_fields)
     assert rep.bound == pytest.approx(0.25)
     assert rep.weta_sup == pytest.approx(0.5, abs=1e-12)
     assert rep.passed
 
 
 def test_nonvanishing_trivial_fails(grid):
-    f = assemble(grid, np.ones(grid.size), 1.0)
-    assert not nonvanishing_check(f, delta()).passed
+    f = assemble(grid, np.ones(grid.size), 1.0, delta())
+    assert not nonvanishing_check(f).passed
 
 
 def test_conjugation_speed_sign(grid):
     rho = contact_amplitude(grid.x, 0.8)
-    fp = assemble(grid, rho, 0.8)
-    fm = assemble(grid, rho, -0.8)
+    fp = assemble(grid, rho, 0.8, delta())
+    fm = assemble(grid, rho, -0.8, delta())
     np.testing.assert_allclose(fm.u, np.conj(fp.u), atol=1e-12)
-    sup, _ = residual_tw(fm, delta())
+    sup, _ = residual_tw(fm)
     assert sup < 1e-8  # the conjugate solves the reversed-speed equation
 
 
 def test_gauge_invariance(grid, contact_fields):
     shifted = WaveFields(grid=grid, c=contact_fields.c, rho=contact_fields.rho,
                          theta=contact_fields.theta + 1.234,
-                         theta_prime=contact_fields.theta_prime)
-    s0 = residual_tw(contact_fields, delta())
-    s1 = residual_tw(shifted, delta())
+                         theta_prime=contact_fields.theta_prime, spec=delta())
+    s0 = residual_tw(contact_fields)
+    s1 = residual_tw(shifted)
     assert s0 == pytest.approx(s1, rel=1e-12)
-    assert energy(shifted, delta()) == pytest.approx(energy(contact_fields, delta()))
+    assert energy(shifted) == pytest.approx(energy(contact_fields))
     assert momentum(shifted) == pytest.approx(momentum(contact_fields))
 
 
 def test_action_equals_energy_minus_cp(grid, contact_fields):
-    e1, _ = energy(contact_fields, delta())
+    e1, _ = energy(contact_fields)
     p1, _ = momentum(contact_fields)
-    assert action(contact_fields, delta()) == pytest.approx(e1 - 1.0 * p1, abs=1e-10)
+    assert action(contact_fields) == pytest.approx(e1 - 1.0 * p1, abs=1e-10)
 
 
 def test_profile_derivatives_taken_once(grid, contact_fields, monkeypatch):
-    # rho' and eta' belong to the profile: the finalize stage and the verify
-    # path transform only what no earlier step has (eta'', K', rho'')
+    # rho', eta' and W*eta belong to the profile: the finalize stage and the
+    # verify path transform only what no earlier step has (eta'', K', rho'')
+    # and convolve only where the profile is built and in the amplitude residual
     from nlgp import hydro, spectral
     calls = []
     real = spectral.derivative
@@ -270,19 +271,30 @@ def test_profile_derivatives_taken_once(grid, contact_fields, monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(spectral, "derivative", counted)
     monkeypatch.setattr(hydro, "derivative", counted)
+    convolutions = []
+    real_convolve = spectral.convolve
+
+    def counted_convolve(*args, **kwargs):
+        convolutions.append(args)
+        return real_convolve(*args, **kwargs)
+    monkeypatch.setattr(spectral, "convolve", counted_convolve)
+    monkeypatch.setattr(hydro, "convolve", counted_convolve)
     spec, rho = exp_repulsive(1.0, 3.0), contact_fields.rho
-    f = assemble(grid, rho, 1.0)
-    identity_suite(f, spec)
-    energy(f, spec)
+    f = assemble(grid, rho, 1.0, spec)
+    identity_suite(f)
+    energy(f)
     momentum(f)
-    action(f, spec)
+    action(f)
     assert len(calls) <= 4
+    assert len(convolutions) <= 1
     calls.clear()
-    f = assemble(grid, rho, 1.0)
-    identity_suite(f, spec)
+    convolutions.clear()
+    f = assemble(grid, rho, 1.0, spec)
+    identity_suite(f)
     residual_rho(grid, rho, 1.0, spec)
-    nonvanishing_check(f, spec)
+    nonvanishing_check(f)
     assert len(calls) <= 5
+    assert len(convolutions) <= 2
 
 
 def test_catalog_invariant_battery(catalog_solutions):
@@ -290,7 +302,7 @@ def test_catalog_invariant_battery(catalog_solutions):
     # both momentum forms agreeing at 1e-8 relative
     for name, sol in catalog_solutions.items():
         assert sol.identity_report.max_residual <= 1e-6, name
-        e1, e2 = energy(sol.fields, sol.spec)
+        e1, e2 = energy(sol.fields)
         assert abs(e1 - e2) <= 1e-8 * max(1.0, abs(e1)), name
         p1, p2 = momentum(sol.fields)
         assert abs(p1 - p2) <= 1e-8 * max(1.0, abs(p1)), name
@@ -299,7 +311,7 @@ def test_catalog_invariant_battery(catalog_solutions):
 def test_momentum_conditioning_warning(grid):
     from nlgp.hydro import momentum_conditioning_warning
     from nlgp import initial_guess
-    slow = assemble(grid, initial_guess(grid, 0.05), 0.05)  # near-black
+    slow = assemble(grid, initial_guess(grid, 0.05), 0.05, delta())  # near-black
     assert momentum_conditioning_warning(slow) is not None
-    fast = assemble(grid, initial_guess(grid, 1.0), 1.0)
+    fast = assemble(grid, initial_guess(grid, 1.0), 1.0, delta())
     assert momentum_conditioning_warning(fast) is None

@@ -25,8 +25,8 @@ def test_solution_file_roundtrip(spec, tmp_path):
     grid = Grid(16.0, 512)
     c = 0.7
     rho = np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2)
-    f = assemble(grid, rho, c)
-    sol = SolitonSolution(spec=spec, fields=f, converged=True, status="converged",
+    f = assemble(grid, rho, c, spec)
+    sol = SolitonSolution(fields=f, converged=True, status="converged",
                           newton_iters=0, residual_sup=1e-12, residual_l2=1e-12)
     path = tmp_path / "sol.json"
     write_solution(path, sol)
