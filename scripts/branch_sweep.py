@@ -10,23 +10,17 @@ Usage: python scripts/branch_sweep.py [outdir]
 import sys
 from pathlib import Path
 
-from nlgp import (Grid, UnderresolvedTailError, continue_branch, delta,
-                  exp_repulsive, fit_exponential, gaussian, shifted_deltas)
+from nlgp import Grid, UnderresolvedTailError, continue_branch, fit_exponential
 from nlgp.io import write_branch_csv
-
-KERNELS = [
-    ("delta", delta()),
-    ("exp_repulsive_1_3", exp_repulsive(1.0, 3.0)),
-    ("shifted_deltas_0.5", shifted_deltas(0.5)),
-    ("gaussian_0.3", gaussian(0.3)),
-]
+from nlgp.potentials import reference_cases
 
 
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/branches")
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(128.0, 4096)
-    for name, spec in KERNELS:
+    # the first four reference kernels, each on its default grid
+    for name, spec, L, N in reference_cases()[:4]:
+        grid = Grid(L, N)
         branch = continue_branch(spec, grid, 0.2, 1.35)
         rates = {}
         for s in branch.solutions:

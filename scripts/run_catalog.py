@@ -7,27 +7,16 @@ Usage: python scripts/run_catalog.py [outdir] [c]
 import sys
 from pathlib import Path
 
-from nlgp import (Grid, bochner_riesz, delta, exp_repulsive, gaussian,
-                  initial_guess, newton_solve, shifted_deltas, soft_core)
+from nlgp import Grid, initial_guess, newton_solve
 from nlgp.io import write_solution
-from nlgp.potentials import kink_aligned_half_length
-
-CATALOG = [
-    ("delta", delta(), 128.0, 4096),
-    ("exp_repulsive_1_3", exp_repulsive(1.0, 3.0), 128.0, 4096),
-    ("shifted_deltas_0.5", shifted_deltas(0.5), 128.0, 4096),
-    ("gaussian_0.3", gaussian(0.3), 128.0, 4096),
-    ("soft_core_1.0", soft_core(1.0), 128.0, 4096),
-    ("bochner_riesz_0.4", bochner_riesz(0.4),
-     kink_aligned_half_length(bochner_riesz(0.4), 2048.0), 65536),
-]
+from nlgp.potentials import reference_cases
 
 
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/catalog")
     c = float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, spec, L, N in CATALOG:
+    for name, spec, L, N in reference_cases():
         grid = Grid(L, N)
         sol = newton_solve(spec, grid, c, initial_guess(grid, c))
         status = "ok" if sol.converged and sol.identity_report.passed else "FAIL"

@@ -17,6 +17,9 @@ MIN_FIT_POINTS = 20
 # both models fit far-field log-data with r^2 > 0.99; the measured gap for
 # textbook members of either class is ~3e-3, so the tie margin sits below that
 R2_SELECT_MARGIN = 0.002
+ENVELOPE_BLOCKS = 6        # most blocks of the algebraic envelope check
+GROWTH_CAP = 1e3           # weighted-sum growth that ends the analyticity strip
+PHASE_TAIL_TOL = 1e-8      # |eta| at the edges above which phase limits warn
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def select_model(grid: Grid, eta: np.ndarray):
 
 
 def algebraic_envelope_check(grid: Grid, eta: np.ndarray, power: float,
-                             oscillation_period: float, n_blocks: int = 6):
+                             oscillation_period: float):
     """Block maxima of |x|^power |eta| over the fit window, and whether they decrease.
 
     The inverse-multiplier kernel of a truncated-parabola symbol oscillates,
@@ -119,7 +122,7 @@ def algebraic_envelope_check(grid: Grid, eta: np.ndarray, power: float,
     """
     L = grid.half_length
     lo, hi = 0.55 * L, 0.85 * L
-    n_blocks = min(n_blocks, max(2, int((hi - lo) / oscillation_period)))
+    n_blocks = min(ENVELOPE_BLOCKS, max(2, int((hi - lo) / oscillation_period)))
     edges = np.linspace(lo, hi, n_blocks + 1)
     maxima = []
     ax = np.abs(grid.x)
@@ -142,7 +145,7 @@ class PhaseLimits:
     tail_warning: bool
 
 
-def phase_limits(fields: WaveFields, tail_tol: float = 1e-8) -> PhaseLimits:
+def phase_limits(fields: WaveFields) -> PhaseLimits:
     """theta(+-inf) = theta(0) + (c/2) int_0^{+-inf} eta/(1-eta), by quadrature."""
     g = fields.grid
     eta = fields.eta
@@ -156,7 +159,7 @@ def phase_limits(fields: WaveFields, tail_tol: float = 1e-8) -> PhaseLimits:
     minus = theta0 - 0.5 * fields.c * h * (np.sum(integrand[neg]) + 0.5 * integrand[j0])
     jump = plus - minus
     total = 0.5 * fields.c * h * np.sum(integrand)
-    warn = max(abs(eta[0]), abs(eta[-1])) > tail_tol
+    warn = max(abs(eta[0]), abs(eta[-1])) > PHASE_TAIL_TOL
     return PhaseLimits(theta_minus=float(minus), theta_plus=float(plus),
                        jump=float(jump),
                        u_plus=complex(np.exp(1j * plus)),
@@ -178,10 +181,10 @@ def symmetry_metrics(fields: WaveFields):
     return rho_asym, theta_asym
 
 
-def analyticity_proxy(fields: WaveFields, mu_list, growth_cap: float = 1e3):
+def analyticity_proxy(fields: WaveFields, mu_list):
     """Weighted spectral sums sum |eta_hat|^2 e^{2 mu |xi|} and the empirical radius.
 
-    The largest mu whose sum stays below ``growth_cap`` times the mu = 0
+    The largest mu whose sum stays below GROWTH_CAP times the mu = 0
     value is reported as the empirical strip radius of analyticity.  Spectral
     samples at the roundoff floor are excluded: amplified by e^{2 mu |xi|}
     they would swamp the signal and drive the radius to zero.
@@ -198,7 +201,7 @@ def analyticity_proxy(fields: WaveFields, mu_list, growth_cap: float = 1e3):
     for mu in mu_list:
         s = float(np.sum(eta_hat2 * np.exp(2.0 * mu * axi)) * dxi)
         table.append((float(mu), s))
-        if s <= growth_cap * base:
+        if s <= GROWTH_CAP * base:
             radius = max(radius, float(mu))
     return table, radius
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -17,7 +16,8 @@ from . import analysis, config, functionals, io as nio, potentials, solver
 from .errors import (CertificationError, ConfigError, NlgpError,
                      NoSoundSpeedError, OutOfRegimeError,
                      SupersonicMultiplierError, VortexError)
-from .hydro import assemble, identity_suite, nonvanishing_check, residual_rho
+from .hydro import (IDENTITY_TOL, assemble, identity_suite, nonvanishing_check,
+                    residual_rho)
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def _build_parser():
     sp.add_argument("--c-to", type=float, default=None)
     sp = sub.add_parser("verify", help="re-run the identity suite on a saved solution")
     sp.add_argument("input")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=IDENTITY_TOL)
     sp = sub.add_parser("dispersion", help="dispersion curve, multiplier, critical points")
     common(sp)
     sp.add_argument("--xi-max", type=float, default=None)
@@ -88,7 +88,7 @@ def _load_config(args) -> config.RunConfig:
     for f in _PARAM_FLAGS:
         v = getattr(args, f, None)
         if v is not None:
-            pot[f] = v if f == "file" else float(v)
+            pot[f] = v if f == "file" else config.parse_value(f"--{f}", v, float)
     cfg.potential = pot
     if getattr(args, "L", None) is not None:
         cfg.grid.half_length = args.L
@@ -272,8 +272,6 @@ def _cmd_mpass(args, cfg):
     if c is None:
         raise ConfigError("mpass needs --c")
     cert = potentials.certify(spec)
-    if c >= math.sqrt(2.0 * cert.sigma):
-        raise OutOfRegimeError(f"c = {c:g} outside the certified interval")
     grid = Grid(cfg.grid.half_length, cfg.grid.size)
     bracket = functionals.mountain_pass_bracket(
         c, spec, cert, grid, refine_steps=cfg.command.get("refine_steps", 200))

@@ -1,8 +1,10 @@
 """Run configuration: a single human-editable key-value file (INI sections).
 
 The schema is strict: unknown sections or keys are rejected so that a typo
-never silently falls back to a default.  ``serialize`` followed by ``parse``
-is the identity on RunConfig values.  Environment variables NLGP_GRID_L and
+never silently falls back to a default, and a value that does not parse as
+its key's type is rejected naming the section and key.  Comments start with
+``;``, on a line of their own or after a value.  ``serialize`` followed by
+``parse`` is the identity on RunConfig values.  Environment variables NLGP_GRID_L and
 NLGP_GRID_N override the grid size only (batch sweeps on shared machines).
 Precedence, highest first: command-line flags, environment, config file,
 defaults.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
 from .errors import ConfigError
 from .solver import SolverOptions
@@ -35,7 +37,7 @@ class RunConfig:
     seed: int = 0
 
 
-_SOLVER_FIELDS = {f.name: f.type for f in dc_fields(SolverOptions)}
+_SOLVER_FIELDS = {f.name: type(f.default) for f in dc_fields(SolverOptions)}
 _GRID_FIELDS = {"half_length": float, "size": int, "auto_refine": bool}
 _RUN_KEYS = {"seed": int}
 COMMAND_KEYS = {
@@ -44,23 +46,30 @@ COMMAND_KEYS = {
 }
 
 
-def _parse_value(raw: str, typ):
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def parse_value(where: str, raw: str, typ):
+    """``raw`` as a ``typ``; ConfigError naming ``where`` it came from if it
+    does not parse."""
     raw = raw.strip()
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+    try:
+        return _BOOLEANS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: expected {typ.__name__}, got {raw!r}") from None
+
+
+def _typed(section: str, items: dict, schema: dict) -> dict:
+    """The section's values parsed to the schema's types; unknown keys rejected."""
+    for k in items:
+        if k not in schema:
+            raise ConfigError(f"unknown key [{section}] {k}")
+    return {k: parse_value(f"[{section}] {k}", v, schema[k]) for k, v in items.items()}
 
 
 def parse(text: str) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -74,66 +83,44 @@ def parse(text: str) -> RunConfig:
                 raise ConfigError("[potential] needs a 'kind' key")
             pot = {"kind": items.pop("kind").strip()}
             for k, v in items.items():
-                pot[k] = _parse_value(v, str if k == "file" else float)
+                pot[k] = parse_value(f"[{section}] {k}", v, str if k == "file" else float)
             cfg.potential = pot
         elif section == "grid":
-            for k, v in items.items():
-                if k not in _GRID_FIELDS:
-                    raise ConfigError(f"unknown key [grid] {k}")
-                setattr(cfg.grid, k, _parse_value(v, _GRID_FIELDS[k]))
+            cfg.grid = replace(cfg.grid, **_typed(section, items, _GRID_FIELDS))
         elif section == "solver":
-            kwargs = {}
-            for k, v in items.items():
-                if k not in _SOLVER_FIELDS:
-                    raise ConfigError(f"unknown key [solver] {k}")
-                typ = type(getattr(SolverOptions(), k))
-                kwargs[k] = _parse_value(v, typ)
             try:
-                cfg.solver = SolverOptions(**{**_solver_as_dict(cfg.solver), **kwargs})
+                cfg.solver = replace(cfg.solver, **_typed(section, items, _SOLVER_FIELDS))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         elif section == "run":
-            for k, v in items.items():
-                if k not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key [run] {k}")
-                setattr(cfg, k, _parse_value(v, _RUN_KEYS[k]))
+            cfg.seed = _typed(section, items, _RUN_KEYS).get("seed", cfg.seed)
         elif section == "command":
-            for k, v in items.items():
-                if k not in COMMAND_KEYS:
-                    raise ConfigError(f"unknown key [command] {k}")
-                cfg.command[k] = _parse_value(v, COMMAND_KEYS[k])
+            cfg.command.update(_typed(section, items, COMMAND_KEYS))
         else:
             raise ConfigError(f"unknown section [{section}]")
     _apply_env_overrides(cfg)
     return cfg
 
 
-def _solver_as_dict(opts: SolverOptions) -> dict:
-    return {f.name: getattr(opts, f.name) for f in dc_fields(SolverOptions)}
-
-
 def _apply_env_overrides(cfg: RunConfig):
     L = os.environ.get("NLGP_GRID_L")
     N = os.environ.get("NLGP_GRID_N")
     if L is not None:
-        cfg.grid.half_length = float(L)
+        cfg.grid.half_length = parse_value("NLGP_GRID_L", L, float)
     if N is not None:
-        cfg.grid.size = int(N)
+        cfg.grid.size = parse_value("NLGP_GRID_N", N, int)
 
 
 def serialize(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp["potential"] = {k: repr(v) if isinstance(v, float) else str(v)
-                       for k, v in cfg.potential.items()}
-    cp["grid"] = {k: repr(getattr(cfg.grid, k)) if isinstance(getattr(cfg.grid, k), float)
-                  else str(getattr(cfg.grid, k)) for k in _GRID_FIELDS}
-    cp["solver"] = {k: repr(v) if isinstance(v, float) else str(v)
-                    for k, v in _solver_as_dict(cfg.solver).items()}
-    cp["run"] = {"seed": str(cfg.seed)}
-    if cfg.command:
-        cp["command"] = {k: repr(v) if isinstance(v, float) else str(v)
-                         for k, v in cfg.command.items()}
+    sections = {"potential": cfg.potential, "grid": asdict(cfg.grid),
+                "solver": asdict(cfg.solver), "run": {"seed": cfg.seed},
+                "command": cfg.command}
+    for name, values in sections.items():
+        if values:
+            cp[name] = {k: repr(v) if isinstance(v, float) else str(v)
+                        for k, v in values.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

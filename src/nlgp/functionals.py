@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, rho_equation,
                     rho_jacobian)
-from .potentials import HypothesisCertificate, PotentialSpec, mc_symbol
+from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
 from .spectral import (Grid, apply_symbol, convolve, derivative, integrate,
                        per_row)
 
@@ -34,9 +34,9 @@ class Vfield:
     in_nv: bool | np.ndarray
 
     @classmethod
-    def make(cls, grid: Grid, v: np.ndarray, floor: float = POSITIVITY_FLOOR) -> "Vfield":
+    def make(cls, grid: Grid, v: np.ndarray) -> "Vfield":
         return cls(grid=grid, v=np.asarray(v, dtype=float),
-                   in_nv=per_row(np.max(v, axis=-1) < 1.0 - floor))
+                   in_nv=per_row(np.max(v, axis=-1) < 1.0 - POSITIVITY_FLOOR))
 
 
 def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
@@ -99,6 +99,7 @@ def pairing_identity(vf: Vfield, c: float, spec: PotentialSpec):
 PATH_NODES = 33       # string-method nodes, endpoints included
 DESCENT_STEP = 0.5    # first trial step of each node's line search
 SUBDIVISIONS = 8      # interior points per segment in the final path maximum
+SAMPLE_BANDWIDTH = 2.0  # Gaussian frequency envelope of the sphere-bound samples
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,6 @@ def sphere_bound(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
     Sampling only checks the analytic bound; it never claims an infimum.
     Raises OutOfRegimeError when c is outside the certified interval.
     """
-    if c >= math.sqrt(2.0 * cert.sigma):
-        raise OutOfRegimeError(f"c = {c:g} >= sqrt(2 sigma) = "
-                               f"{math.sqrt(2 * cert.sigma):g}")
     r_sup = _r_sup(cert, c)
     if not (0 < r <= r_sup):
         raise OutOfRegimeError(f"radius r = {r:g} outside (0, {r_sup:g}]")
@@ -208,9 +206,9 @@ def sphere_bound(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
                        min_margin=float(min_margin))
 
 
-def _random_band_limited(grid: Grid, rng, bandwidth: float = 2.0) -> np.ndarray:
+def _random_band_limited(grid: Grid, rng) -> np.ndarray:
     coef = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    coef *= np.exp(-(grid.xi / bandwidth) ** 2)
+    coef *= np.exp(-(grid.xi / SAMPLE_BANDWIDTH) ** 2)
     return np.fft.ifft(coef).real
 
 
@@ -254,11 +252,11 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     nodes still pending share the step, which every round halves.
     Each node's action is evaluated once per position and kept beside it.
     """
-    endpoint = build_phi_c(c, spec, grid)
     r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
+    endpoint = build_phi_c(c, spec, grid)
     lower = float(sphere_ell(cert, c, r) * r ** 2)
     path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint.vfield.v
-    inv_mc = 1.0 / mc_symbol(spec, abs(c), grid)
+    inv_mc = inverse_mc(spec, c, grid)
 
     def J_of(vs):
         # a path through the boundary is inadmissible: +inf, never a bound

@@ -18,7 +18,8 @@ from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
                        integrate, per_row, spectral_density_integral)
 
-POSITIVITY_FLOOR = 1e-3
+POSITIVITY_FLOOR = 1e-3      # least amplitude a solve, flow or path may reach
+IDENTITY_TOL = 1e-6          # relative residual each identity must meet
 MOMENTUM_CONDITIONING_FLOOR = 0.05
 
 
@@ -193,7 +194,7 @@ def _entry(name, lhs, rhs, tol, scale=None):
     return IdentityEntry(name, ln, rn, rel, rel <= tol)
 
 
-def identity_suite(fields: WaveFields, tol: float = 1e-6) -> IdentityReport:
+def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityReport:
     """Evaluate the seven conserved identities of a traveling profile.
 
     For a converged solution every residual should sit below ``tol``

@@ -21,6 +21,14 @@ from .errors import (CertificationError, NoSoundSpeedError, OutOfRangeError,
 from .spectral import Grid
 
 POSITIVITY_TOL = 1e-12
+CERT_LINEAR_SAMPLES = 8192   # certification lattice: dense part on [0, 8 c*]
+CERT_TAIL_SAMPLES = 2048     # and logarithmic part out to 10^3 c*
+KAPPA_STEP = 0.01            # kappa sweep of the quadratic-bound certificate
+KAPPA_TOL = 1e-9             # relative sigma slack of the smallest kappa
+H3_CROSS_CHECK_TOL = 1e-12   # slack of the implied bound W_hat >= 1 - m xi^2/2
+STRIP_W_MAX = 4.0            # strip search box [0, 4 c*] x (0, STRIP_W_MAX]
+STRIP_NXI = 1024             # samples along the real axis
+STRIP_NW = 256               # samples along the imaginary axis
 
 
 @dataclass(frozen=True)
@@ -356,12 +364,11 @@ def sound_speed(spec: PotentialSpec) -> float:
     return math.sqrt(2.0 * w0)
 
 
-def certification_lattice(spec: PotentialSpec, n_linear: int = 8192,
-                          n_tail: int = 2048) -> np.ndarray:
+def certification_lattice(spec: PotentialSpec) -> np.ndarray:
     """Default sample lattice: dense on [0, 8 c*], logarithmic out to 10^3 c*."""
     cs = sound_speed(spec)
-    lin = np.linspace(0.0, 8.0 * cs, n_linear)
-    tail = np.geomspace(8.0 * cs, 1e3 * cs, n_tail)[1:]
+    lin = np.linspace(0.0, 8.0 * cs, CERT_LINEAR_SAMPLES)
+    tail = np.geomspace(8.0 * cs, 1e3 * cs, CERT_TAIL_SAMPLES)[1:]
     return np.concatenate([lin, tail])
 
 
@@ -397,13 +404,13 @@ class HypothesisCertificate:
         return self.sigma
 
 
-def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None,
-               kappa_step: float = 0.01, tol: float = 1e-9):
+def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     """Largest sampled sigma with the smallest kappa realizing it.
 
     sigma(kappa) = min over the lattice of W_hat + kappa xi^2 is nondecreasing
-    in kappa; the sweep runs kappa over {0, step, ..., 1/2 - step}, takes the
-    best sigma, and bisects for the smallest kappa attaining it (within tol).
+    in kappa; the sweep runs kappa over {0, KAPPA_STEP, ..., 1/2 - KAPPA_STEP},
+    takes the best sigma, and bisects for the smallest kappa attaining it
+    (within KAPPA_TOL).
     When the symbol is nonnegative the critical case kappa = 1/2 is recorded
     separately.  Raises CertificationError when no positive sigma exists.
     """
@@ -415,13 +422,13 @@ def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None,
     def sigma_of(kappa):
         return float(np.min(wl + kappa * lat2))
 
-    kappas = np.arange(0.0, 0.5, kappa_step)
+    kappas = np.arange(0.0, 0.5, KAPPA_STEP)
     sigmas = np.array([sigma_of(k) for k in kappas])
     best = sigmas.max()
     if best <= POSITIVITY_TOL:
         raise CertificationError(
             f"{spec.label()}: no sampled sigma > 0 for kappa < 1/2")
-    target = best - tol * max(1.0, abs(best))
+    target = best - KAPPA_TOL * max(1.0, abs(best))
     i_first = int(np.argmax(sigmas >= target))
     if i_first == 0:
         kappa_star = 0.0
@@ -444,8 +451,7 @@ def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None,
     return sigma_star, kappa_star, critical
 
 
-def certify_h3(spec: PotentialSpec, lattice: Optional[np.ndarray] = None,
-               cross_check_tol: float = 1e-12):
+def certify_h3(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     """Smallest sampled m in [0, 1) with (W_hat)'(xi) >= -m xi for xi > 0.
 
     Also cross-checks the implied bound W_hat >= 1 - m xi^2 / 2 on the
@@ -460,7 +466,7 @@ def certify_h3(spec: PotentialSpec, lattice: Optional[np.ndarray] = None,
         raise CertificationError(
             f"{spec.label()}: derivative bound needs m = {m:g} >= 1")
     implied = spec.symbol(lattice) - (1.0 - 0.5 * m * lattice ** 2)
-    if implied.min() < -cross_check_tol * max(1.0, 0.5 * m * lattice.max() ** 2):
+    if implied.min() < -H3_CROSS_CHECK_TOL * max(1.0, 0.5 * m * lattice.max() ** 2):
         raise CertificationError(
             f"{spec.label()}: implied bound W_hat >= 1 - m xi^2/2 fails on lattice")
     return m
@@ -576,6 +582,17 @@ def mc_symbol(spec: PotentialSpec, c: float, xi):
     return xi ** 2 + 2.0 * w - c ** 2
 
 
+def inverse_mc(spec: PotentialSpec, c: float, grid: Grid) -> np.ndarray:
+    """1/M_c on the grid's half lattice; the one check that M_c > 0 there,
+    raising SupersonicMultiplierError otherwise."""
+    mc = mc_symbol(spec, c, grid)
+    if np.min(mc) <= 0.0:
+        raise SupersonicMultiplierError(
+            f"{spec.label()}: M_c has a nonpositive value {np.min(mc):g} "
+            f"on the lattice at c = {c:g}; speed outside the subsonic range")
+    return 1.0 / mc
+
+
 def kink_aligned_half_length(spec: PotentialSpec, target: float) -> float:
     """Half-length near ``target`` putting the symbol's kink at a frequency-cell
     midpoint.
@@ -589,6 +606,22 @@ def kink_aligned_half_length(spec: PotentialSpec, target: float) -> float:
     xistar = 1.0 / math.sqrt(spec.params["kappa"])
     k = max(1, round(target * xistar / math.pi - 0.5))
     return (k + 0.5) * math.pi / xistar
+
+
+def reference_cases():
+    """(name, kernel, L, N) of the six reference kernels, fresh on each call.
+
+    The truncated parabola gets a wide, kink-aligned domain: its algebraic
+    tail and symbol kink limit the dilation identities to O(1/L) on a generic
+    lattice, O(1/L^2) when the kink sits at a frequency-cell midpoint.  The
+    other five use the default grid."""
+    br = bochner_riesz(0.4)
+    return (("delta", delta(), 128.0, 4096),
+            ("exp_repulsive_1_3", exp_repulsive(1.0, 3.0), 128.0, 4096),
+            ("shifted_deltas_0.5", shifted_deltas(0.5), 128.0, 4096),
+            ("gaussian_0.3", gaussian(0.3), 128.0, 4096),
+            ("soft_core_1.0", soft_core(1.0), 128.0, 4096),
+            ("bochner_riesz_0.4", br, kink_aligned_half_length(br, 2048.0), 65536))
 
 
 def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
@@ -607,15 +640,11 @@ def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
     DFT, so the exact round-trip DFT -> 1/M_c holds only for the uncorrected
     output.
     """
-    mc = mc_symbol(spec, c, grid)
-    if np.min(mc) <= 0.0:
-        raise SupersonicMultiplierError(
-            f"{spec.label()}: M_c has a nonpositive value {np.min(mc):g} "
-            f"on the lattice at c = {c:g}")
+    inv_mc = inverse_mc(spec, c, grid)
     N, xi = grid.size, grid.xi_half
     signs = np.where(np.arange(xi.size) % 2 == 0, 1.0, -1.0)
     if not corrected:
-        return np.fft.irfft(signs / mc, n=N) / grid.spacing
+        return np.fft.irfft(signs * inv_mc, n=N) / grid.spacing
     B2 = 2.0 * float(spec.lattice_symbol(grid)[-1]) - c ** 2
     if B2 < 1e-8:
         B2 = 1.0
@@ -624,7 +653,7 @@ def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
     L = grid.half_length
     base = (np.exp(-B * ax) + np.exp(-B * (2 * L - ax))
             + np.exp(-B * (2 * L + ax))) / (2.0 * B)
-    remainder = 1.0 / mc - 1.0 / (xi ** 2 + B2)
+    remainder = inv_mc - 1.0 / (xi ** 2 + B2)
     return base + np.fft.irfft(signs * remainder, n=N) / grid.spacing
 
 
@@ -686,13 +715,13 @@ def _strip_zeros(fz, xi_max: float, w_max: float, nxi: int, nw: int):
     return zeros
 
 
-def decay_prediction(spec: PotentialSpec, c: float, w_max: float = 4.0,
-                     nxi: int = 1024, nw: int = 256) -> DecayPrediction:
+def decay_prediction(spec: PotentialSpec, c: float) -> DecayPrediction:
     """Predict the tail model of eta from the multiplier symbol.
 
     Analytic symbols: exponential decay at the rate set by the lowest zero of
     M_c in the upper half-strip, located by rectangle sampling on
-    [0, 4 c*] x (0, w_max] plus Newton polishing.  The truncated-parabola
+    [0, 4 c*] x (0, STRIP_W_MAX] plus Newton polishing; with no zero there
+    the rate is reported as STRIP_W_MAX, censored.  The truncated-parabola
     kernel only admits algebraic decay (every power below 1); tabulated
     symbols give no prediction.
     """
@@ -702,9 +731,9 @@ def decay_prediction(spec: PotentialSpec, c: float, w_max: float = 4.0,
         return DecayPrediction(model="unknown")
     cs = sound_speed(spec)
     zeros = _strip_zeros(lambda z: mc_symbol(spec, c, z), xi_max=4.0 * cs,
-                         w_max=w_max, nxi=nxi, nw=nw)
+                         w_max=STRIP_W_MAX, nxi=STRIP_NXI, nw=STRIP_NW)
     if not zeros:
-        return DecayPrediction(model="exponential", value=w_max, censored=True)
+        return DecayPrediction(model="exponential", value=STRIP_W_MAX, censored=True)
     zlow = min(zeros, key=lambda z: z.imag)
     return DecayPrediction(model="exponential", value=float(zlow.imag), zero=zlow)
 

@@ -15,37 +15,36 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import (NlgpError, OutOfRegimeError, SupersonicMultiplierError,
-                     VortexError)
-from .hydro import (WaveFields, action, assemble, energy, identity_suite,
-                    momentum, nonvanishing_check, rho_equation, rho_jacobian)
+from .errors import NlgpError, OutOfRegimeError, VortexError
+from .hydro import (POSITIVITY_FLOOR, WaveFields, action, assemble, energy,
+                    identity_suite, momentum, nonvanishing_check, rho_equation,
+                    rho_jacobian)
 from .functionals import Vfield, functional_J, grad_J
-from .potentials import PotentialSpec, mc_symbol
+from .potentials import PotentialSpec, inverse_mc, mc_symbol
 from .spectral import Grid, apply_symbol, sech, tail_magnitude
+
+DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
+MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
+KRYLOV_MAXITER = 400     # GMRES iterations per Newton step
+TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
+DC_MIN = 1e-5            # continuation step below which a branch stops
+TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
+MAX_REFINEMENTS = 3      # domain doublings solve_auto may make
+FLOW_STEP = 1e-2         # first trial step of the gradient flow
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_newton: float = 1e-10        # on sup |F(rho)|
     max_iter: int = 50
-    damping_factor: float = 0.5
-    max_dampings: int = 20
-    positivity_floor: float = 1e-3
-    symmetry_mode: str = "even_subspace"   # or "full_grid"
-    dc_init: float = 0.05
-    dc_min: float = 1e-5
+    dc_init: float = 0.05            # first continuation step
     krylov_tol: float = 1e-8
-    krylov_maxiter: int = 400
-    trivial_eta_tol: float = 1e-8
-    identity_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tol_newton <= 0 or self.dc_min <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.dc_min >= self.dc_init:
-            raise ValueError("dc_min must be below dc_init")
-        if self.symmetry_mode not in ("even_subspace", "full_grid"):
-            raise ValueError(f"unknown symmetry mode {self.symmetry_mode!r}")
+        if self.tol_newton <= 0:
+            raise ValueError("tol_newton must be positive")
+        if self.dc_init <= DC_MIN:
+            raise ValueError(f"dc_init must exceed {DC_MIN:g}")
 
 
 @dataclass(frozen=True)
@@ -109,87 +108,69 @@ def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 0.5 * (f + grid.reflect(f))
 
 
-def _gauge_shift(grid: Grid, rho: np.ndarray) -> np.ndarray:
-    """Circular shift placing the density trough (argmax eta) at x = 0."""
-    j = int(np.argmin(rho))
-    return np.roll(rho, grid.size // 2 - j)
-
-
 def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
                  opts: SolverOptions = SolverOptions()) -> SolitonSolution:
-    """Damped Newton iteration on the amplitude equation.
+    """Damped Newton iteration on the amplitude equation, in the even subspace.
 
+    The seed, the residual and each accepted step are symmetrized, so the
+    iterate stays even about x = 0, where the trough of a dark soliton sits.
     Linear solves are matrix-free GMRES preconditioned by 1/M_c; steps that
     would push the amplitude through the positivity floor are rejected and
-    halved.  Convergence to a flat profile is flagged ``trivialized`` rather
+    shrunk.  Convergence to a flat profile is flagged ``trivialized`` rather
     than treated as a soliton.
     """
-    if np.min(rho0) <= opts.positivity_floor:
+    if np.min(rho0) <= POSITIVITY_FLOOR:
         raise VortexError("seed amplitude at or below the positivity floor")
-    mc = mc_symbol(spec, abs(c), grid)
-    if np.min(mc) <= 0.0:
-        raise SupersonicMultiplierError(
-            f"M_c nonpositive on the lattice at c = {c:g}; "
-            "speed outside the certified subsonic range")
-    n, inv_mc = grid.size, 1.0 / mc
+    n, inv_mc = grid.size, inverse_mc(spec, c, grid)
     P = LinearOperator((n, n), dtype=float, matvec=lambda r: apply_symbol(r, inv_mc))
-    even = opts.symmetry_mode == "even_subspace"
-    rho = np.array(rho0, dtype=float)
-    if even:
-        rho = _symmetrize(grid, rho)
+    rho = _symmetrize(grid, np.array(rho0, dtype=float))
 
     def residual(r):
         return rho_equation(grid, r, c, spec)
 
     def finalize(rho, status, iters, res):
-        rho = _gauge_shift(grid, rho)
         sup = float(np.abs(res).max())
         l2 = float(math.sqrt(grid.spacing * np.sum(res ** 2)))
         fields = assemble(grid, rho, c, spec)
         converged = status == "converged"
-        if converged and fields.eta.max() < opts.trivial_eta_tol:
+        if converged and fields.eta.max() < TRIVIAL_ETA_TOL:
             status, converged = "trivialized", False
         return SolitonSolution(
             fields=fields, converged=converged, status=status,
             newton_iters=iters, residual_sup=sup, residual_l2=l2,
-            identity_report=identity_suite(fields, tol=opts.identity_tol),
+            identity_report=identity_suite(fields),
             E=energy(fields)[0], p=momentum(fields)[0], J=action(fields))
 
     res = residual(rho)
     for it in range(opts.max_iter):
-        if even:
-            res = _symmetrize(grid, res)
+        res = _symmetrize(grid, res)
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
         A = LinearOperator((n, n), matvec=rho_jacobian(grid, rho, c, spec), dtype=float)
         d, info = gmres(A, res, M=P, rtol=opts.krylov_tol, atol=0.0,
-                        maxiter=opts.krylov_maxiter)
+                        maxiter=KRYLOV_MAXITER)
         if info != 0:
             return finalize(rho, "newton_failed", it, res)
         t = 1.0
-        accepted = False
-        for _ in range(opts.max_dampings):
+        for _ in range(MAX_DAMPINGS):
             trial = rho - t * d
-            if np.min(trial) > opts.positivity_floor:
+            if np.min(trial) > POSITIVITY_FLOOR:
                 trial_res = residual(trial)
                 if float(np.abs(trial_res).max()) < nrm:
-                    rho, res = trial, trial_res
-                    if even:
-                        rho = _symmetrize(grid, rho)
-                    accepted = True
+                    rho, res = _symmetrize(grid, trial), trial_res
                     break
-            t *= opts.damping_factor
-        if not accepted:
+            t *= DAMPING_FACTOR
+        else:
             return finalize(rho, "vanishing_amplitude", it, res)
     return finalize(rho, "newton_failed", opts.max_iter, res)
 
 
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
                half_length: float = 128.0, size: int = 4096,
-               tail_tol: float = 1e-10, max_refinements: int = 3,
                auto_refine: bool = True):
-    """Solve on the default grid, doubling the domain until the tail resolves.
+    """Solve on the default grid, doubling the domain (at most MAX_REFINEMENTS
+    times) until the tail falls below TAIL_TOL.
 
     Kernels with an algebraic tail (``PotentialSpec.algebraic_tail``) never
     meet an exponential tail tolerance, so refinement is skipped for them and
@@ -200,7 +181,7 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
     tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
     n = 0
-    while refine and sol.converged and tail > tail_tol and n < max_refinements:
+    while refine and sol.converged and tail > TAIL_TOL and n < MAX_REFINEMENTS:
         grid = grid.refined()
         sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
         tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
@@ -212,22 +193,16 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
                     opts: SolverOptions = SolverOptions()) -> SolitonBranch:
     """March the branch in speed with adaptive steps, previous-solution seeding.
 
-    The step halves on failure (down to dc_min, then the partial branch is
-    returned) and grows by 1.3x after an easy solve.  Marching stops at the
-    sonic point when c_to lies beyond it.
+    The step halves on failure (down to DC_MIN, then the partial branch is
+    returned) and grows by 1.3x after an easy solve.  Marching stops just
+    below the lattice sonic speed when c_to lies beyond it: M_c = M_0 - c^2
+    is positive on the lattice iff c^2 < min M_0.
     """
     sols = []
-    mc0 = mc_symbol(spec, c_to, grid)
-    c_stop, sonic_capped = c_to, False
-    if np.min(mc0) <= 0.0:  # locate the largest admissible speed on the lattice
-        lo, hi = c_from, c_to
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if np.min(mc_symbol(spec, mid, grid)) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        c_stop, sonic_capped = lo * (1.0 - 1e-9), True
+    m0 = float(np.min(mc_symbol(spec, 0.0, grid)))
+    sonic_capped = c_to ** 2 >= m0
+    # min M_0 <= 0 admits no speed: the first solve raises
+    c_stop = math.sqrt(max(m0, 0.0)) * (1.0 - 1e-9) if sonic_capped else c_to
     c = c_from
     rho_seed = initial_guess(grid, c_from)
     dc = opts.dc_init
@@ -236,7 +211,7 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
         if sol.status == "trivialized":
             return SolitonBranch(spec, sols, "trivialized")
         if not sol.converged:
-            while not sol.converged and dc > opts.dc_min and sols:
+            while not sol.converged and dc > DC_MIN and sols:
                 dc *= 0.5
                 c = min(sols[-1].c + dc, c_stop)
                 sol = newton_solve(spec, grid, c, sols[-1].fields.rho, opts)
@@ -253,8 +228,7 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
 
 
 def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
-                  opts: SolverOptions = SolverOptions(), tol: float = 1e-8,
-                  max_steps: int = 5000, step: float = 1e-2) -> np.ndarray:
+                  tol: float = 1e-8, max_steps: int = 5000) -> np.ndarray:
     """Backtracked descent on the action; local relaxation near a seed.
 
     The raw spectral gradient is Nyquist-stiff (the Laplacian eigenvalue
@@ -267,16 +241,13 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
     gradient norm seen.
     """
     v = np.array(v0, dtype=float)
-    vf = Vfield.make(grid, v, opts.positivity_floor)
+    vf = Vfield.make(grid, v)
     if not vf.in_nv:
         raise VortexError("gradient flow seed outside the nonvanishing set")
-    mc = mc_symbol(spec, abs(c), grid)
-    if np.min(mc) <= 0.0:
-        raise SupersonicMultiplierError("preconditioned flow needs M_c > 0")
-    inv_mc = 1.0 / mc
+    inv_mc = inverse_mc(spec, c, grid)
     J = functional_J(vf, c, spec).J
     best_v, best_g = v, math.inf
-    s = step
+    s = FLOW_STEP
     for _ in range(max_steps):
         g = grad_J(vf, c, spec)
         gnorm = float(np.abs(g).max())
@@ -285,19 +256,17 @@ def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
         if gnorm <= tol:
             break
         d = apply_symbol(g, inv_mc)
-        accepted = False
         for _ in range(30):
             trial = v - s * d
-            tf = Vfield.make(grid, trial, opts.positivity_floor)
+            tf = Vfield.make(grid, trial)
             if tf.in_nv:
                 Jt = functional_J(tf, c, spec).J
                 if Jt < J:
                     v, vf, J = trial, tf, Jt
-                    accepted = True
                     s = min(s * 1.5, 1.0)  # warm-start the next line search
                     break
             s *= 0.5
-        if not accepted:
+        else:
             break
     return best_v
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+TAIL_FRACTION = 0.05   # share of nodes on each side that tail_magnitude reads
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -192,9 +194,9 @@ def _eval_series(grid: Grid, coef: np.ndarray, a: float) -> float:
     return float(np.sum(grid.hermitian_weights * (coef * phase).real) / grid.size)
 
 
-def tail_magnitude(grid: Grid, f: np.ndarray, fraction: float = 0.05) -> float:
-    """max |f| over the outermost ``fraction`` of nodes on each side."""
-    n = max(1, int(fraction * grid.size))
+def tail_magnitude(grid: Grid, f: np.ndarray) -> float:
+    """max |f| over the outermost TAIL_FRACTION of nodes on each side."""
+    n = max(1, int(TAIL_FRACTION * grid.size))
     return float(max(np.abs(f[:n]).max(), np.abs(f[-n:]).max()))
 
 

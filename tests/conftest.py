@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from nlgp import (Grid, SolverOptions, berloff, bochner_riesz, delta,
-                  exp_repulsive, gaussian, initial_guess, newton_solve,
-                  shifted_deltas, soft_core)
+from nlgp import Grid, SolverOptions, berloff, initial_guess, newton_solve
+from nlgp.potentials import reference_cases
 
 
 @pytest.fixture(scope="session")
@@ -25,32 +24,11 @@ def _solve(spec, grid, c, seed_rho=None, opts=SolverOptions()):
     return sol
 
 
-def _bochner_L():
-    # truncated parabola: kink-aligned wide domain; the algebraic tail and
-    # the symbol kink limit the dilation identities to O(1/L) on a generic
-    # lattice, O(1/L^2) when the kink sits at a frequency-cell midpoint
-    from nlgp.potentials import kink_aligned_half_length
-    return kink_aligned_half_length(bochner_riesz(0.4), 2048.0)
-
-
-CATALOG_C1 = {
-    "delta": (delta, (), lambda: 128.0, 4096),
-    "exp_repulsive": (exp_repulsive, (1.0, 3.0), lambda: 128.0, 4096),
-    "shifted_deltas": (shifted_deltas, (0.5,), lambda: 128.0, 4096),
-    "gaussian": (gaussian, (0.3,), lambda: 128.0, 4096),
-    "soft_core": (soft_core, (1.0,), lambda: 128.0, 4096),
-    "bochner_riesz": (bochner_riesz, (0.4,), _bochner_L, 65536),
-}
-
-
 @pytest.fixture(scope="session")
 def catalog_solutions():
-    """The six catalog kernels solved at c = 1."""
-    out = {}
-    for name, (ctor, params, L, N) in CATALOG_C1.items():
-        spec = ctor(*params)
-        out[name] = _solve(spec, Grid(L(), N), 1.0)
-    return out
+    """The six reference kernels solved at c = 1 on their grids, keyed by kind."""
+    return {spec.kind: _solve(spec, Grid(L, N), 1.0)
+            for _, spec, L, N in reference_cases()}
 
 
 @pytest.fixture(scope="session")

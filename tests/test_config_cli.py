@@ -4,6 +4,8 @@ import base64
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,38 @@ def test_config_command_keys_without_a_reader_rejected(key):
     # verify's input and report's dir are required arguments, never config keys
     with pytest.raises(ConfigError):
         config.parse(f"[command]\n{key}\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[solver]\nmax_iter = 5.5\n", "[solver] max_iter"),
+    ("[potential]\nkind = gaussian\nlambda = abc\n", "[potential] lambda"),
+], ids=["solver_max_iter", "potential_lambda"])
+def test_config_unparsable_value_exit_2_naming_key(text, where, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        config.parse(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), "certify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_config_inline_comment_after_value():
+    assert config.parse("[grid]\nsize = 4096 ; note\n").grid.size == 4096
+
+
+def test_config_readme_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = config.parse(block)
+    assert cfg.potential == {"kind": "gaussian", "lambda": 0.3}
+    assert cfg.command == {"c": 1.0, "out": "sol.json"}
+
+
+def test_config_env_override_unparsable(monkeypatch):
+    monkeypatch.setenv("NLGP_GRID_N", "abc")
+    with pytest.raises(ConfigError, match="NLGP_GRID_N"):
+        config.parse("")
 
 
 def test_config_env_overrides_grid_only(monkeypatch):
@@ -101,6 +135,12 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
     assert run_cli("solve", "--potential", "nosuchkernel", "--c", "1.0") == 2
     capsys.readouterr()
+
+
+def test_cli_unparsable_kernel_flag_exit_2_one_line(capsys):
+    assert run_cli("solve", "--potential", "gaussian", "--lam", "abc", "--c", "1.0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --lam") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_certify_berloff_json(capsys):
@@ -303,6 +343,12 @@ def test_cli_mpass(capsys, tmp_path):
     assert doc["phi_params"]["delta"] > 0
     saved = json.loads(out.read_text())
     assert saved["upper"] == doc["upper"]
+
+
+def test_cli_mpass_out_of_regime_exit_5(capsys):
+    assert run_cli("mpass", "--potential", "delta", "--c", "1.45") == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of regime: ") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_sonic(capsys, tmp_path):

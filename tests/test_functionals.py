@@ -263,6 +263,15 @@ def test_mountain_pass_out_of_regime(grid):
         mountain_pass_bracket(1.5, delta(), certify(delta()), grid, refine_steps=0)
 
 
+def test_mountain_pass_checks_regime_before_building_endpoint(grid, monkeypatch):
+    # c = 1.45 lies past sqrt(2 sigma) = sqrt(2) for the contact kernel
+    calls = []
+    monkeypatch.setattr(functionals, "build_phi_c", lambda *args: calls.append(args))
+    with pytest.raises(OutOfRegimeError):
+        mountain_pass_bracket(1.45, delta(), certify(delta()), grid, refine_steps=0)
+    assert calls == []
+
+
 def test_mountain_pass_bracket_pinned(grid):
     # exact values of the node-by-node string method: batching reorders no arithmetic
     bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)

@@ -10,6 +10,7 @@ from nlgp import (Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   continue_branch, delta, exp_repulsive, gaussian, gradient_flow,
                   initial_guess, newton_solve, potentials, residual_rho,
                   shifted_deltas, solve_auto, sonic_sweep)
+from nlgp.solver import DC_MIN
 from nlgp.spectral import sech
 
 
@@ -89,19 +90,24 @@ def test_newton_quadratic_convergence(grid):
     assert all(r < 50.0 for r in ratios[-3:])
 
 
-def test_full_grid_mode(grid):
-    opts = SolverOptions(symmetry_mode="full_grid")
-    sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0), opts)
-    assert sol.converged
-    # gauge shift puts the trough at the origin
-    assert abs(grid.x[int(np.argmin(sol.fields.rho))]) < 2 * grid.spacing
+def test_solve_never_leaves_even_subspace():
+    # near the sonic speed the profile is flat and its minimum sits off
+    # x = 0; the returned amplitude is still exactly even, not rolled
+    grid = Grid(2048.0, 65536)
+    c = math.sqrt(2.0) - 1e-9
+    rho = newton_solve(delta(), grid, c, initial_guess(grid, c)).fields.rho
+    assert np.array_equal(rho, grid.reflect(rho))
+
+
+def test_solver_options_keep_dc_init_above_dc_min():
+    with pytest.raises(ValueError, match="dc_init"):
+        SolverOptions(dc_init=DC_MIN)
 
 
 def test_solve_auto_refines_for_slow_decay():
     # at c close to sonic the seed tail is fat on L = 32; the domain doubles
     spec = delta()
-    sol, tail = solve_auto(spec, 1.3, half_length=32.0, size=1024,
-                           max_refinements=3)
+    sol, tail = solve_auto(spec, 1.3, half_length=32.0, size=1024)
     assert sol.converged
     assert sol.grid.half_length > 32.0
     assert tail < 1e-10
