@@ -171,13 +171,19 @@ def _cmd_branch(args, cfg):
     out = cfg.command.get("out")
     if out:
         nio.write_branch_csv(out, branch)
-    failures = branch.identity_failures
+    failures, rejected = branch.identity_failures, branch.rejected_steps
     doc = {"spec": spec.label(), "members": len(branch.solutions),
            "termination": branch.termination,
            "rows": branch.table().tolist(),
-           "identity_failures": [{"c": c, "max_residual": r} for c, r in failures]}
+           "identity_failures": [{"c": c, "max_residual": r} for c, r in failures],
+           "rejected_steps": [{"c": c, "status": st, "newton_iters": it}
+                              for c, st, it in rejected]}
     lines = [f"{spec.label()}: branch of {len(branch.solutions)} members, "
              f"terminated: {branch.termination}"]
+    if rejected:
+        lines.append(f"  {len(rejected)} rejected steps, each halving the step:")
+        lines += [f"    c = {c:g}: {st} after {it} Newton iterations"
+                  for c, st, it in rejected]
     if failures:
         lines.append(f"  {len(failures)} of {len(branch.solutions)} members "
                      "fail the identity suite:")

@@ -9,13 +9,13 @@ M_c(xi) = xi^2 + 2 W_hat - c^2 in the far field, so 1/M_c is used as the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import NlgpError, OutOfRegimeError, VortexError
+from .errors import ConfigError, NlgpError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, WaveFields, action, assemble, energy,
                     identity_suite, momentum, nonvanishing_check, rho_equation,
                     rho_jacobian)
@@ -82,6 +82,7 @@ class SolitonBranch:
     spec: PotentialSpec
     solutions: list
     termination: str                  # reached_cmax | trivialized | newton_failed | sonic_limit
+    rejected_steps: list = field(default_factory=list)  # (c, status, newton_iters) per halving
 
     @property
     def identity_failures(self) -> list:
@@ -189,41 +190,60 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     return sol, tail
 
 
+def _predict(grid: Grid, sols: list, c: float) -> np.ndarray:
+    """Seed for the member at speed c: the secant through the last two
+    members, extrapolated in c.  With one member that member, with none the
+    contact seed; an extrapolation that reaches the positivity floor falls
+    back to the last member."""
+    if not sols:
+        return initial_guess(grid, c)
+    b = sols[-1]
+    if len(sols) == 1:
+        return b.fields.rho
+    a = sols[-2]
+    seed = b.fields.rho + (c - b.c) / (b.c - a.c) * (b.fields.rho - a.fields.rho)
+    return seed if np.min(seed) > POSITIVITY_FLOOR else b.fields.rho
+
+
 def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
                     opts: SolverOptions = SolverOptions()) -> SolitonBranch:
-    """March the branch in speed with adaptive steps, previous-solution seeding.
+    """March the branch in speed with adaptive steps and a secant predictor.
 
-    The step halves on failure (down to DC_MIN, then the partial branch is
-    returned) and grows by 1.3x after an easy solve.  Marching stops just
-    below the lattice sonic speed when c_to lies beyond it: M_c = M_0 - c^2
-    is positive on the lattice iff c^2 < min M_0.
+    Members are seeded by ``_predict``.  The step halves on failure (down
+    to DC_MIN, then the partial branch is returned), each halving is recorded
+    in ``rejected_steps``, and the step grows by 1.3x after a solve of at
+    most two Newton iterations.  Marching stops just below the lattice sonic
+    speed when c_to lies beyond it: M_c = M_0 - c^2 is positive on the
+    lattice iff c^2 < min M_0.
     """
-    sols = []
+    if c_to < c_from:
+        raise ConfigError(f"speed range reversed: c_to = {c_to:g} "
+                          f"< c_from = {c_from:g}")
+    sols, rejected = [], []
     m0 = float(np.min(mc_symbol(spec, 0.0, grid)))
     sonic_capped = c_to ** 2 >= m0
     # min M_0 <= 0 admits no speed: the first solve raises
     c_stop = math.sqrt(max(m0, 0.0)) * (1.0 - 1e-9) if sonic_capped else c_to
     c = c_from
-    rho_seed = initial_guess(grid, c_from)
     dc = opts.dc_init
     while True:
-        sol = newton_solve(spec, grid, c, rho_seed, opts)
+        sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
         if sol.status == "trivialized":
-            return SolitonBranch(spec, sols, "trivialized")
+            return SolitonBranch(spec, sols, "trivialized", rejected)
+        while not sol.converged and dc > DC_MIN and sols:
+            rejected.append((c, sol.status, sol.newton_iters))
+            dc *= 0.5
+            c = min(sols[-1].c + dc, c_stop)
+            sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
         if not sol.converged:
-            while not sol.converged and dc > DC_MIN and sols:
-                dc *= 0.5
-                c = min(sols[-1].c + dc, c_stop)
-                sol = newton_solve(spec, grid, c, sols[-1].fields.rho, opts)
-            if not sol.converged:
-                return SolitonBranch(spec, sols, "newton_failed")
+            return SolitonBranch(spec, sols, "newton_failed", rejected)
         sols.append(sol)
         if c >= c_stop:
             return SolitonBranch(spec, sols,
-                                 "sonic_limit" if sonic_capped else "reached_cmax")
-        if sol.newton_iters <= 4:
+                                 "sonic_limit" if sonic_capped else "reached_cmax",
+                                 rejected)
+        if sol.newton_iters <= 2:
             dc = min(dc * 1.3, opts.dc_init * 4.0)
-        rho_seed = sol.fields.rho
         c = min(c + dc, c_stop)
 
 

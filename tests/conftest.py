@@ -1,9 +1,12 @@
 """Shared fixtures: grids and converged solutions reused across test modules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nlgp import Grid, SolverOptions, berloff, initial_guess, newton_solve
+from nlgp import (Grid, SolverOptions, berloff, initial_guess, newton_solve,
+                  solver)
 from nlgp.potentials import reference_cases
 
 
@@ -43,3 +46,25 @@ def berloff_solution():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fail_nth_solve(monkeypatch):
+    """fail_nth_solve(n) makes the n-th ``solver.newton_solve`` call report
+    newton_failed and returns the list of (c, status, newton_iters) of every
+    call; the patch is undone at the end of the test."""
+    solve = solver.newton_solve
+
+    def install(n):
+        calls = []
+
+        def failing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            if len(calls) + 1 == n:
+                sol = dataclasses.replace(sol, converged=False, status="newton_failed")
+            calls.append((sol.c, sol.status, sol.newton_iters))
+            return sol
+
+        monkeypatch.setattr(solver, "newton_solve", failing)
+        return calls
+    return install

@@ -210,6 +210,33 @@ def test_cli_branch_text_names_failing_members(capsys):
     assert "c = 0.1:" in out
 
 
+def test_cli_branch_reversed_range_exits_2(capsys):
+    code = run_cli("branch", "--potential", "delta", "--c-from", "0.5",
+                   "--c-to", "0.3")
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "reversed" in captured.err
+
+
+def test_cli_branch_reports_rejected_steps(fail_nth_solve, capsys):
+    argv = ("branch", "--potential", "delta", "--c-from", "0.6", "--c-to", "0.9",
+            "--L", "64", "--N", "2048")
+    assert run_cli("--json", *argv) == 0
+    assert json.loads(capsys.readouterr().out)["rejected_steps"] == []
+    fail_nth_solve(3)
+    assert run_cli("--json", *argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    [step] = doc["rejected_steps"]
+    assert step["status"] == "newton_failed"
+    assert step["c"] not in [r[0] for r in doc["rows"]]
+    fail_nth_solve(3)
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert "1 rejected steps, each halving the step:" in out
+    assert f"c = {step['c']:g}: newton_failed after" in out
+
+
 def test_cli_decay_command(capsys):
     code = run_cli("--json", "decay", "--potential", "delta", "--c", "1.0")
     assert code == 0

@@ -1,15 +1,18 @@
 """Newton solves, branch continuation, gradient flow, sonic sweep."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlgp import (Grid, NlgpError, OutOfRegimeError, SolverOptions,
+from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   SupersonicMultiplierError, VortexError, bochner_riesz,
                   continue_branch, delta, exp_repulsive, gaussian, gradient_flow,
                   initial_guess, newton_solve, potentials, residual_rho,
                   shifted_deltas, solve_auto, sonic_sweep)
+from nlgp import solver
+from nlgp.hydro import POSITIVITY_FLOOR
 from nlgp.solver import DC_MIN
 from nlgp.spectral import sech
 
@@ -152,6 +155,59 @@ def test_branch_stops_at_sonic(grid):
                              SolverOptions(dc_init=0.02))
     assert branch.termination == "sonic_limit"
     assert branch.solutions[-1].c < math.sqrt(2.0)
+
+
+def test_branch_reversed_range_refused(grid):
+    with pytest.raises(ConfigError, match="reversed"):
+        continue_branch(delta(), grid, 0.5, 0.3)
+    branch = continue_branch(delta(), grid, 0.5, 0.5)
+    assert [s.c for s in branch.solutions] == [0.5]
+    assert branch.termination == "reached_cmax"
+
+
+def test_branch_records_rejected_steps(fail_nth_solve, grid):
+    calls = fail_nth_solve(3)
+    branch = continue_branch(delta(), grid, 0.6, 0.9)
+    assert branch.termination == "reached_cmax"
+    c_failed = calls[2][0]
+    assert branch.rejected_steps == [(c_failed, "newton_failed", calls[2][2])]
+    # the retry lies halfway from the last member to the failed speed
+    c_prev = branch.solutions[1].c
+    assert calls[3][0] == pytest.approx(c_prev + 0.5 * (c_failed - c_prev), abs=1e-14)
+    assert c_failed not in [s.c for s in branch.solutions]
+
+
+def test_branch_secant_predictor_work(monkeypatch):
+    # the secant predictor takes 58 Newton iterations here; seeding with the
+    # last member alone took 121, with a 50-iteration failed corrector
+    solve, calls = solver.newton_solve, []
+
+    def spy(spec, grid, c, rho0, opts):
+        sol = solve(spec, grid, c, rho0, opts)
+        calls.append((np.array(rho0), sol))
+        return sol
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    branch = continue_branch(delta(), Grid(64.0, 4096), 0.22, 1.35)
+    assert branch.termination == "reached_cmax"
+    assert all(sol.converged for _, sol in calls)
+    assert sum(sol.newton_iters for _, sol in calls) <= 70
+    assert branch.rejected_steps == []
+    (_, a), (seed_b, b), (seed_3, third) = calls[:3]
+    assert np.array_equal(seed_b, a.fields.rho)  # one member: seeded with it
+    s = (third.c - b.c) / (b.c - a.c)
+    assert np.array_equal(seed_3, b.fields.rho + s * (b.fields.rho - a.fields.rho))
+
+
+def test_predictor_falls_back_at_the_floor(grid):
+    a = SimpleNamespace(c=1.0, fields=SimpleNamespace(rho=np.full(grid.size, 0.9)))
+    b = SimpleNamespace(c=1.1, fields=SimpleNamespace(rho=np.full(grid.size, 0.5)))
+    # 0.5 + 3 (0.5 - 0.9) < 0: the secant reaches the floor
+    assert np.min(b.fields.rho + 3.0 * (b.fields.rho - a.fields.rho)) <= POSITIVITY_FLOOR
+    assert solver._predict(grid, [a, b], 1.4) is b.fields.rho
+    assert np.allclose(solver._predict(grid, [a, b], 1.2), 0.1)
+    assert solver._predict(grid, [b], 1.2) is b.fields.rho
+    assert np.array_equal(solver._predict(grid, [], 1.2), initial_guess(grid, 1.2))
 
 
 # ---------------------------------------------------------------------------
