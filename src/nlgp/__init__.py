@@ -25,12 +25,12 @@ from .spectral import Grid, convolve, derivative, integrate
 from .hydro import (WaveFields, assemble, energy, identity_suite, momentum,
                     nonvanishing_check, phase_from_rho, plane_wave,
                     residual_rho, residual_tw)
-from .functionals import (Vfield, build_phi_c, functional_J, grad_J,
+from .functionals import (build_phi_c, functional_J, grad_J, gradient_flow,
                           hess_J_apply, mountain_pass_bracket,
                           pairing_identity, sphere_bound)
 from .solver import (SolitonBranch, SolitonSolution, SolverOptions,
-                     continue_branch, gradient_flow, initial_guess,
-                     newton_solve, solve_auto, sonic_sweep)
+                     continue_branch, initial_guess, newton_solve, solve_auto,
+                     sonic_sweep)
 from .analysis import (DecayFit, analyticity_proxy, fit_algebraic,
                        fit_exponential, phase_limits, symmetry_metrics)
 

@@ -143,7 +143,7 @@ def _cmd_solve(args, cfg):
         raise ConfigError("solve needs --c")
     _check_subsonic(spec, c)
     sol, tail = solver.solve_auto(spec, c, cfg.solver, cfg.grid.half_length,
-                                  cfg.grid.size, auto_refine=cfg.grid.auto_refine)
+                                  cfg.grid.size)
     if not sol.converged:
         print(f"solver failure: {sol.status} (residual {sol.residual_sup:.3e})",
               file=sys.stderr)

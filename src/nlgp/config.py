@@ -25,7 +25,6 @@ from .solver import SolverOptions
 class GridConfig:
     half_length: float = 128.0
     size: int = 4096
-    auto_refine: bool = True
 
 
 @dataclass
@@ -38,7 +37,7 @@ class RunConfig:
 
 
 _SOLVER_FIELDS = {f.name: type(f.default) for f in dc_fields(SolverOptions)}
-_GRID_FIELDS = {"half_length": float, "size": int, "auto_refine": bool}
+_GRID_FIELDS = {"half_length": float, "size": int}
 _RUN_KEYS = {"seed": int}
 COMMAND_KEYS = {
     "c": float, "c_from": float, "c_to": float, "out": str,
@@ -46,17 +45,13 @@ COMMAND_KEYS = {
 }
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
 def parse_value(where: str, raw: str, typ):
     """``raw`` as a ``typ``; ConfigError naming ``where`` it came from if it
     does not parse."""
     raw = raw.strip()
     try:
-        return _BOOLEANS[raw.lower()] if typ is bool else typ(raw)
-    except (KeyError, ValueError):
+        return typ(raw)
+    except ValueError:
         raise ConfigError(f"{where}: expected {typ.__name__}, got {raw!r}") from None
 
 

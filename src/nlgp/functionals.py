@@ -1,12 +1,12 @@
-"""Variational layer: the action functional, its derivatives, and the
-numerical mountain-pass geometry.
+"""Variational layer: the action functional, its derivatives, the gradient
+flow that descends it, and the numerical mountain-pass geometry.
 
-The unknown is v = 1 - rho, constrained to the nonvanishing set (sup v < 1).
-Critical points of J_c(v) = A(v) - c^2 B(v) are exactly the zeros of the
-amplitude equation; the gradient returned here is the L2 representative, so
-grad_J(v) = -F(rho) with rho = 1 - v.  A stack of candidates, one per row,
-goes through the same functions and gets one value, or one membership flag,
-per row.
+The unknown is v = 1 - rho, constrained to the nonvanishing set (sup v < 1,
+tested as ``hydro.admissible(1 - v)``).  Critical points of
+J_c(v) = A(v) - c^2 B(v) are exactly the zeros of the amplitude equation; the
+gradient returned here is the L2 representative, so grad_J(v) = -F(rho) with
+rho = 1 - v.  A stack of candidates, one per row, goes through the same
+functions and gets one value per row.
 """
 
 from __future__ import annotations
@@ -17,26 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
-from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, rho_equation,
-                    rho_jacobian)
+from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
+                    rho_equation, rho_jacobian)
 from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
 from .spectral import (Grid, apply_symbol, convolve, derivative, integrate,
                        per_row)
 
-
-@dataclass(frozen=True)
-class Vfield:
-    """A candidate v = 1 - rho with its nonvanishing-set membership flag
-    (for a stack of candidates, one flag per row)."""
-
-    grid: Grid
-    v: np.ndarray
-    in_nv: bool | np.ndarray
-
-    @classmethod
-    def make(cls, grid: Grid, v: np.ndarray) -> "Vfield":
-        return cls(grid=grid, v=np.asarray(v, dtype=float),
-                   in_nv=per_row(np.max(v, axis=-1) < 1.0 - POSITIVITY_FLOOR))
+FLOW_STEP = 1e-2         # first trial step of the gradient flow
 
 
 def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
@@ -49,48 +36,92 @@ def _f(s):
     return s * (2.0 - s)
 
 
-def functional_J(vf: Vfield, c: float, spec: PotentialSpec) -> ActionParts:
+def functional_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> ActionParts:
     """J_c = A - c^2 B.  Outside the nonvanishing set B = +inf and J = -inf."""
-    g, v = vf.grid, vf.v
-    eta = _f(v)
-    parts = action_parts(g, c, 1.0 - v, derivative(g, v), eta, convolve(spec, g, eta))
-    if np.all(vf.in_nv):
+    rho, eta = 1.0 - v, _f(v)
+    parts = action_parts(grid, c, rho, derivative(grid, v), eta, convolve(spec, grid, eta))
+    inside = admissible(rho)
+    if np.all(inside):
         return parts
-    return replace(parts, J=per_row(np.where(vf.in_nv, parts.J, -math.inf)),
-                   B=per_row(np.where(vf.in_nv, parts.B, math.inf)))
+    return replace(parts, J=per_row(np.where(inside, parts.J, -math.inf)),
+                   B=per_row(np.where(inside, parts.B, math.inf)))
 
 
-def grad_J(vf: Vfield, c: float, spec: PotentialSpec) -> np.ndarray:
+def grad_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarray:
     """L2 representative of the first derivative: -F(1 - v)."""
-    if not np.all(vf.in_nv):
+    rho = 1.0 - v
+    if not np.all(admissible(rho)):
         raise VortexError("gradient undefined outside the nonvanishing set")
-    return -rho_equation(vf.grid, 1.0 - vf.v, c, spec)
+    return -rho_equation(grid, rho, c, spec)
 
 
-def hess_J_apply(vf: Vfield, c: float, spec: PotentialSpec, psi: np.ndarray) -> np.ndarray:
+def hess_J_apply(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec,
+                 psi: np.ndarray) -> np.ndarray:
     """Second derivative applied to a direction psi: F'(1 - v) psi (symmetric)."""
-    if not np.all(vf.in_nv):
+    rho = 1.0 - v
+    if not np.all(admissible(rho)):
         raise VortexError("Hessian undefined outside the nonvanishing set")
-    return rho_jacobian(vf.grid, 1.0 - vf.v, c, spec)(psi)
+    return rho_jacobian(grid, rho, c, spec)(psi)
 
 
-def pairing_identity(vf: Vfield, c: float, spec: PotentialSpec):
+def pairing_identity(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec):
     """Both sides of 2 J_c(v) - J_c'(v)(v) = (1/2) int (W*f(v)) v^2 + (c^2/4) int f(v) v^2/(1-v)^3.
 
     The left side combines the functional and the gradient; the right side is
     direct quadrature.  Returns (lhs, rhs, relative residual); the identity
     holds for any v in the nonvanishing set, critical or not.
     """
-    if not vf.in_nv:
+    if not admissible(1.0 - v):
         raise VortexError("pairing identity needs v in the nonvanishing set")
-    g, v = vf.grid, vf.v
-    parts = functional_J(vf, c, spec)
-    lhs = 2.0 * parts.J - integrate(g, grad_J(vf, c, spec) * v)
+    parts = functional_J(grid, v, c, spec)
+    lhs = 2.0 * parts.J - integrate(grid, grad_J(grid, v, c, spec) * v)
     eta = _f(v)
-    rhs = 0.5 * integrate(g, convolve(spec, g, eta) * v ** 2) \
-        + 0.25 * c ** 2 * integrate(g, eta * v ** 2 / (1.0 - v) ** 3)
+    rhs = 0.5 * integrate(grid, convolve(spec, grid, eta) * v ** 2) \
+        + 0.25 * c ** 2 * integrate(grid, eta * v ** 2 / (1.0 - v) ** 3)
     resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(resid)
+
+
+def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
+                  tol: float = 1e-8, max_steps: int = 5000) -> np.ndarray:
+    """Backtracked descent on the action; local relaxation near a seed.
+
+    The raw spectral gradient is Nyquist-stiff (the Laplacian eigenvalue
+    (pi/h)^2 forces explicit steps below ~1e-4), so the descent direction is
+    preconditioned by 1/M_c; the operator is positive on the lattice, so the
+    direction still strictly decreases J under backtracking.
+    The action is unbounded below and its soliton critical points are
+    saddles, so this is only a local relaxation; it stops at the gradient
+    tolerance or the step budget and returns the iterate with the smallest
+    gradient norm seen.
+    """
+    v = np.array(v0, dtype=float)
+    if not admissible(1.0 - v):
+        raise VortexError("gradient flow seed outside the nonvanishing set")
+    inv_mc = inverse_mc(spec, c, grid)
+    J = functional_J(grid, v, c, spec).J
+    best_v, best_g = v, math.inf
+    s = FLOW_STEP
+    for _ in range(max_steps):
+        g = grad_J(grid, v, c, spec)
+        gnorm = float(np.abs(g).max())
+        if gnorm < best_g:
+            best_v, best_g = v, gnorm
+        if gnorm <= tol:
+            break
+        d = apply_symbol(g, inv_mc)
+        for _ in range(30):
+            trial = v - s * d
+            if admissible(1.0 - trial):
+                Jt = functional_J(grid, trial, c, spec).J
+                if Jt < J:
+                    v, J = trial, Jt
+                    s = min(s * 1.5, 1.0)  # warm-start the next line search
+                    break
+            s *= 0.5
+        else:
+            break
+    return best_v
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +135,7 @@ SAMPLE_BANDWIDTH = 2.0  # Gaussian frequency envelope of the sphere-bound sample
 
 @dataclass(frozen=True)
 class PhiEndpoint:
-    vfield: Vfield
+    v: np.ndarray
     delta: float
     r: float
     J: float
@@ -132,10 +163,10 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid) -> PhiEndpoint:
         phi2[core] = delta
         t = ax[ramp] - r
         phi2[ramp] = delta + (1.0 - delta) * 0.5 * (1.0 - np.cos(np.pi * t))
-        vf = Vfield.make(grid, 1.0 - np.sqrt(phi2))
-        J = functional_J(vf, c, spec).J
+        v = 1.0 - np.sqrt(phi2)
+        J = functional_J(grid, v, c, spec).J
         if J < 0.0:
-            return PhiEndpoint(vfield=vf, delta=float(delta), r=float(r), J=float(J))
+            return PhiEndpoint(v=v, delta=float(delta), r=float(r), J=float(J))
         r *= 2.0
 
 
@@ -196,9 +227,9 @@ def sphere_bound(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
     while checked < n_samples:
         v = _random_band_limited(grid, rng)
         v *= r / sobolev_norm(grid, v)
-        if np.max(v) >= 1.0 - POSITIVITY_FLOOR:  # resample on NV violation
+        if not admissible(1.0 - v):  # resample on NV violation
             continue
-        J = functional_J(Vfield.make(grid, v), c, spec).J
+        J = functional_J(grid, v, c, spec).J
         min_margin = min(min_margin, J - lower * (1.0 - 1e-6))
         checked += 1
     return SphereBound(ell=float(ell), lower=float(lower), r=float(r),
@@ -255,13 +286,13 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
     endpoint = build_phi_c(c, spec, grid)
     lower = float(sphere_ell(cert, c, r) * r ** 2)
-    path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint.vfield.v
+    path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint.v
     inv_mc = inverse_mc(spec, c, grid)
 
     def J_of(vs):
-        # a path through the boundary is inadmissible: +inf, never a bound
-        vf = Vfield.make(grid, vs)
-        return np.where(vf.in_nv, functional_J(vf, c, spec).J, math.inf)
+        # a path through the boundary (B = +inf) is inadmissible: +inf, never a bound
+        parts = functional_J(grid, vs, c, spec)
+        return np.where(parts.B == math.inf, math.inf, parts.J)
 
     Js = J_of(path)
     history = [float(Js.max())]
@@ -271,7 +302,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         # reparameterization drags nodes off the barrier
         moving = 1 + np.flatnonzero(~(Js[1:-1] <= endpoint.J))
         if moving.size:
-            dvec = apply_symbol(grad_J(Vfield.make(grid, path[moving]), c, spec), inv_mc)
+            dvec = apply_symbol(grad_J(grid, path[moving], c, spec), inv_mc)
             s = DESCENT_STEP
             for _ in range(12):  # reject and halve on NV escape (J = +inf) or J increase
                 vn = path[moving] - s * dvec

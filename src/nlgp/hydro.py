@@ -23,6 +23,12 @@ IDENTITY_TOL = 1e-6          # relative residual each identity must meet
 MOMENTUM_CONDITIONING_FLOOR = 0.05
 
 
+def admissible(rho: np.ndarray) -> bool | np.ndarray:
+    """Membership in the nonvanishing set, min rho > POSITIVITY_FLOOR: a
+    Python bool for one field, one flag per row for a stack."""
+    return per_row(np.min(rho, axis=-1) > POSITIVITY_FLOOR)
+
+
 @dataclass(frozen=True)
 class WaveFields:
     """One traveling-wave profile at speed c under the kernel spec, in hydrodynamic variables.
@@ -71,18 +77,22 @@ class WaveFields:
         return (self.rho_x + 1j * self.rho * self.theta_prime) * np.exp(1j * self.theta)
 
 
-def phase_from_rho(grid: Grid, rho: np.ndarray, c: float, anchor: float = 0.0) -> np.ndarray:
-    """Phase theta with theta(anchor) = 0 from theta' = (c/2)(rho^-2 - 1)."""
+def _phase(grid: Grid, rho: np.ndarray, c: float):
+    """(theta, theta') from theta' = (c/2)(rho^-2 - 1), with theta(0) = 0."""
     if rho.min() <= 0.0:
         raise VortexError(f"min rho = {rho.min():g} <= 0: phase lifting impossible")
     thp = 0.5 * c * (1.0 / rho ** 2 - 1.0)
-    return cumulative_integral(grid, thp, anchor)
+    return cumulative_integral(grid, thp), thp
+
+
+def phase_from_rho(grid: Grid, rho: np.ndarray, c: float) -> np.ndarray:
+    """Phase theta with theta(0) = 0 from theta' = (c/2)(rho^-2 - 1)."""
+    return _phase(grid, rho, c)[0]
 
 
 def assemble(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> WaveFields:
     """Build the full field set of an amplitude profile under the kernel spec."""
-    theta = phase_from_rho(grid, rho, c)
-    thp = 0.5 * c * (1.0 / rho ** 2 - 1.0)
+    theta, thp = _phase(grid, rho, c)
     return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp, spec=spec)
 
 
@@ -100,16 +110,20 @@ def residual_tw(fields: WaveFields):
     rho, rho_x, thp = fields.rho, fields.rho_x, fields.theta_prime
     upp = (derivative(g, rho, 2) - rho * thp ** 2
            + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp))) * np.exp(1j * fields.theta)
-    res = 1j * fields.c * fields.u_x + upp + fields.u * fields.weta
-    sup = float(np.abs(res).max())
-    l2 = float(np.sqrt(integrate(g, np.abs(res) ** 2)))
-    return sup, l2
+    return residual_norms(g, 1j * fields.c * fields.u_x + upp + fields.u * fields.weta)
 
 
 def residual_rho(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
     """(sup, L2) norms of the scalar amplitude equation; the solver's F(rho)."""
-    res = rho_equation(grid, rho, c, spec)
-    return float(np.abs(res).max()), float(np.sqrt(integrate(grid, res ** 2)))
+    return residual_norms(grid, rho_equation(grid, rho, c, spec))
+
+
+def residual_norms(grid: Grid, res: np.ndarray):
+    """(sup, L2) norms of a real or complex residual."""
+    a = np.abs(res)
+    sup = float(a.max())
+    a *= a
+    return sup, float(np.sqrt(integrate(grid, a)))
 
 
 def rho_equation(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarray:

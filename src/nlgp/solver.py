@@ -1,5 +1,5 @@
 """Soliton computation: preconditioned Newton-Krylov on the amplitude
-equation, speed continuation, gradient-flow relaxation, and the sonic sweep.
+equation, speed continuation, and the sonic sweep.
 
 The linearization of the amplitude equation equals the vacuum multiplier
 M_c(xi) = xi^2 + 2 W_hat - c^2 in the far field, so 1/M_c is used as the
@@ -16,10 +16,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, NlgpError, OutOfRegimeError, VortexError
-from .hydro import (POSITIVITY_FLOOR, WaveFields, action, assemble, energy,
-                    identity_suite, momentum, nonvanishing_check, rho_equation,
-                    rho_jacobian)
-from .functionals import Vfield, functional_J, grad_J
+from .hydro import (WaveFields, action, admissible, assemble, energy,
+                    identity_suite, momentum, nonvanishing_check,
+                    residual_norms, rho_equation, rho_jacobian)
 from .potentials import PotentialSpec, inverse_mc, mc_symbol
 from .spectral import Grid, apply_symbol, sech, tail_magnitude
 
@@ -30,7 +29,6 @@ TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
 MAX_REFINEMENTS = 3      # domain doublings solve_auto may make
-FLOW_STEP = 1e-2         # first trial step of the gradient flow
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     shrunk.  Convergence to a flat profile is flagged ``trivialized`` rather
     than treated as a soliton.
     """
-    if np.min(rho0) <= POSITIVITY_FLOOR:
+    if not admissible(rho0):
         raise VortexError("seed amplitude at or below the positivity floor")
     n, inv_mc = grid.size, inverse_mc(spec, c, grid)
     P = LinearOperator((n, n), dtype=float, matvec=lambda r: apply_symbol(r, inv_mc))
@@ -130,8 +128,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         return rho_equation(grid, r, c, spec)
 
     def finalize(rho, status, iters, res):
-        sup = float(np.abs(res).max())
-        l2 = float(math.sqrt(grid.spacing * np.sum(res ** 2)))
+        sup, l2 = residual_norms(grid, res)
         fields = assemble(grid, rho, c, spec)
         converged = status == "converged"
         if converged and fields.eta.max() < TRIVIAL_ETA_TOL:
@@ -156,7 +153,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         t = 1.0
         for _ in range(MAX_DAMPINGS):
             trial = rho - t * d
-            if np.min(trial) > POSITIVITY_FLOOR:
+            if admissible(trial):
                 trial_res = residual(trial)
                 if float(np.abs(trial_res).max()) < nrm:
                     rho, res = _symmetrize(grid, trial), trial_res
@@ -168,8 +165,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
 
 
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
-               half_length: float = 128.0, size: int = 4096,
-               auto_refine: bool = True):
+               half_length: float = 128.0, size: int = 4096):
     """Solve on the default grid, doubling the domain (at most MAX_REFINEMENTS
     times) until the tail falls below TAIL_TOL.
 
@@ -178,7 +174,7 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     the periodization is only monitored.
     """
     grid = Grid(half_length, size)
-    refine = auto_refine and not spec.algebraic_tail
+    refine = not spec.algebraic_tail
     sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
     tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
     n = 0
@@ -202,7 +198,7 @@ def _predict(grid: Grid, sols: list, c: float) -> np.ndarray:
         return b.fields.rho
     a = sols[-2]
     seed = b.fields.rho + (c - b.c) / (b.c - a.c) * (b.fields.rho - a.fields.rho)
-    return seed if np.min(seed) > POSITIVITY_FLOOR else b.fields.rho
+    return seed if admissible(seed) else b.fields.rho
 
 
 def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
@@ -211,7 +207,8 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
 
     Members are seeded by ``_predict``.  The step halves on failure (down
     to DC_MIN, then the partial branch is returned), each halving is recorded
-    in ``rejected_steps``, and the step grows by 1.3x after a solve of at
+    in ``rejected_steps``, a halved step that the sonic cap clamps back onto
+    the rejected speed halves again without a solve, and the step grows by 1.3x after a solve of at
     most two Newton iterations.  Marching stops just below the lattice sonic
     speed when c_to lies beyond it: M_c = M_0 - c^2 is positive on the
     lattice iff c^2 < min M_0.
@@ -232,9 +229,12 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
             return SolitonBranch(spec, sols, "trivialized", rejected)
         while not sol.converged and dc > DC_MIN and sols:
             rejected.append((c, sol.status, sol.newton_iters))
-            dc *= 0.5
-            c = min(sols[-1].c + dc, c_stop)
-            sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
+            c_rejected = c
+            while c == c_rejected and dc > DC_MIN:  # the sonic cap clamps c
+                dc *= 0.5
+                c = min(sols[-1].c + dc, c_stop)
+            if c != c_rejected:
+                sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
         if not sol.converged:
             return SolitonBranch(spec, sols, "newton_failed", rejected)
         sols.append(sol)
@@ -245,50 +245,6 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
         if sol.newton_iters <= 2:
             dc = min(dc * 1.3, opts.dc_init * 4.0)
         c = min(c + dc, c_stop)
-
-
-def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
-                  tol: float = 1e-8, max_steps: int = 5000) -> np.ndarray:
-    """Backtracked descent on the action; local relaxation near a seed.
-
-    The raw spectral gradient is Nyquist-stiff (the Laplacian eigenvalue
-    (pi/h)^2 forces explicit steps below ~1e-4), so the descent direction is
-    preconditioned by 1/M_c; the operator is positive on the lattice, so the
-    direction still strictly decreases J under backtracking.
-    The action is unbounded below and its soliton critical points are
-    saddles, so this is only a local relaxation; it stops at the gradient
-    tolerance or the step budget and returns the iterate with the smallest
-    gradient norm seen.
-    """
-    v = np.array(v0, dtype=float)
-    vf = Vfield.make(grid, v)
-    if not vf.in_nv:
-        raise VortexError("gradient flow seed outside the nonvanishing set")
-    inv_mc = inverse_mc(spec, c, grid)
-    J = functional_J(vf, c, spec).J
-    best_v, best_g = v, math.inf
-    s = FLOW_STEP
-    for _ in range(max_steps):
-        g = grad_J(vf, c, spec)
-        gnorm = float(np.abs(g).max())
-        if gnorm < best_g:
-            best_v, best_g = v, gnorm
-        if gnorm <= tol:
-            break
-        d = apply_symbol(g, inv_mc)
-        for _ in range(30):
-            trial = v - s * d
-            tf = Vfield.make(grid, trial)
-            if tf.in_nv:
-                Jt = functional_J(tf, c, spec).J
-                if Jt < J:
-                    v, vf, J = trial, tf, Jt
-                    s = min(s * 1.5, 1.0)  # warm-start the next line search
-                    break
-            s *= 0.5
-        else:
-            break
-    return best_v
 
 
 @dataclass(frozen=True)

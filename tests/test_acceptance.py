@@ -17,7 +17,7 @@ from nlgp import (Grid, berloff, bochner_riesz, certify, continue_branch,
                   mountain_pass_bracket, newton_solve, pairing_identity,
                   shifted_deltas, sonic_sweep, symmetry_metrics)
 from nlgp.analysis import algebraic_envelope_check
-from nlgp.functionals import Vfield, _random_band_limited
+from nlgp.functionals import _random_band_limited
 from nlgp.potentials import certify_h1
 from nlgp.spectral import convolve, integrate
 
@@ -91,17 +91,16 @@ def test_criterion_4_variational_consistency():
         v *= 0.35 / np.abs(v).max()
         psi = _random_band_limited(grid, rng)
         psi *= 0.5 / np.abs(psi).max()
-        vf = Vfield.make(grid, v)
-        exact = integrate(grid, grad_J(vf, 1.0, spec) * psi)
-        jp = functional_J(Vfield.make(grid, v + eps * psi), 1.0, spec).J
-        jm = functional_J(Vfield.make(grid, v - eps * psi), 1.0, spec).J
+        exact = integrate(grid, grad_J(grid, v, 1.0, spec) * psi)
+        jp = functional_J(grid, v + eps * psi, 1.0, spec).J
+        jm = functional_J(grid, v - eps * psi, 1.0, spec).J
         fd = (jp - jm) / (2 * eps)
         worst_fd = max(worst_fd, abs(fd - exact) / max(1.0, abs(exact)))
     worst_pair = 0.0
     for _ in range(20):
         v = _random_band_limited(grid, rng)
         v *= rng.uniform(0.1, 0.8) / np.abs(v).max()
-        _, _, resid = pairing_identity(Vfield.make(grid, v), 1.1, spec)
+        _, _, resid = pairing_identity(grid, v, 1.1, spec)
         worst_pair = max(worst_pair, resid)
     report(4, worst_fd <= 1e-6 and worst_pair <= 1e-8,
            f"gradient check {worst_fd:.2e} (<= 1e-6), pairing {worst_pair:.2e} (<= 1e-8)")

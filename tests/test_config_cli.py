@@ -137,6 +137,16 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_auto_refine_is_an_unknown_key(tmp_path, capsys):
+    # solve_auto always refines exponential tails; there is no switch
+    bad = tmp_path / "old.ini"
+    bad.write_text("[grid]\nauto_refine = true\n")
+    with pytest.raises(ConfigError, match=re.escape("unknown key [grid] auto_refine")):
+        config.parse(bad.read_text())
+    assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
+    capsys.readouterr()
+
+
 def test_cli_unparsable_kernel_flag_exit_2_one_line(capsys):
     assert run_cli("solve", "--potential", "gaussian", "--lam", "abc", "--c", "1.0") == 2
     err = capsys.readouterr().err

@@ -9,19 +9,15 @@ from nlgp import (Grid, OutOfRegimeError, VortexError, build_phi_c, delta,
                   functional_J, functionals, gaussian, grad_J, hess_J_apply,
                   initial_guess, mountain_pass_bracket, pairing_identity,
                   residual_rho, sphere_bound)
-from nlgp.functionals import Vfield, sobolev_norm, _random_band_limited, _r_sup
-from nlgp.hydro import rho_equation
+from nlgp.functionals import sobolev_norm, _random_band_limited, _r_sup
+from nlgp.hydro import action_parts, admissible, rho_equation
 from nlgp.potentials import certify
-from nlgp.spectral import integrate, sech
+from nlgp.spectral import convolve, derivative, integrate, sech
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid(64.0, 2048)
-
-
-def vfield(grid, arr):
-    return Vfield.make(grid, arr)
 
 
 def random_smooth(grid, rng, amplitude):
@@ -34,19 +30,19 @@ def random_smooth(grid, rng, amplitude):
 
 
 def test_J_zero(grid):
-    parts = functional_J(vfield(grid, np.zeros(grid.size)), 1.0, delta())
+    parts = functional_J(grid, np.zeros(grid.size), 1.0, delta())
     assert parts.J == 0.0 and parts.A == 0.0 and parts.B == 0.0
 
 
 def test_J_out_of_nv_sentinels(grid):
-    parts = functional_J(vfield(grid, 1.1 * sech(grid.x)), 1.0, delta())
+    parts = functional_J(grid, 1.1 * sech(grid.x), 1.0, delta())
     assert parts.J == -math.inf and parts.B == math.inf
 
 
 def test_J_equals_energy_minus_cp_on_soliton(grid):
     from nlgp import assemble, energy, momentum
     rho = initial_guess(grid, 1.0)
-    parts = functional_J(vfield(grid, 1.0 - rho), 1.0, delta())
+    parts = functional_J(grid, 1.0 - rho, 1.0, delta())
     f = assemble(grid, rho, 1.0, delta())
     e1, _ = energy(f)
     p1, _ = momentum(f)
@@ -58,13 +54,13 @@ def test_J_equals_energy_minus_cp_on_soliton(grid):
 
 
 def test_grad_zero_at_vacuum(grid):
-    g = grad_J(vfield(grid, np.zeros(grid.size)), 1.0, delta())
+    g = grad_J(grid, np.zeros(grid.size), 1.0, delta())
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
 def test_grad_zero_at_soliton(grid):
     v = 1.0 - initial_guess(grid, 1.0)
-    g = grad_J(vfield(grid, v), 1.0, delta())
+    g = grad_J(grid, v, 1.0, delta())
     assert np.abs(g).max() < 1e-7
 
 
@@ -72,7 +68,7 @@ def test_grad_is_negative_amplitude_residual(grid):
     # critical-point equivalence: grad_J(v) = -F(1 - v) pointwise
     rng = np.random.default_rng(7)
     v = random_smooth(grid, rng, 0.4)
-    g = grad_J(vfield(grid, v), 1.0, gaussian(0.3))
+    g = grad_J(grid, v, 1.0, gaussian(0.3))
     F = rho_equation(grid, 1.0 - v, 1.0, gaussian(0.3))
     np.testing.assert_allclose(g, -F, atol=1e-12)
 
@@ -83,13 +79,12 @@ def test_grad_finite_difference_order(grid):
     # strong fields keep the eps = 1e-5 error above cancellation noise
     v = random_smooth(grid, rng, 0.45)
     psi = random_smooth(grid, rng, 0.8)
-    vf = vfield(grid, v)
-    exact = integrate(grid, grad_J(vf, 1.0, spec) * psi)
+    exact = integrate(grid, grad_J(grid, v, 1.0, spec) * psi)
     errs = []
     eps_list = (1e-3, 1e-4, 1e-5)
     for eps in eps_list:
-        jp = functional_J(vfield(grid, v + eps * psi), 1.0, spec).J
-        jm = functional_J(vfield(grid, v - eps * psi), 1.0, spec).J
+        jp = functional_J(grid, v + eps * psi, 1.0, spec).J
+        jm = functional_J(grid, v - eps * psi, 1.0, spec).J
         errs.append(abs((jp - jm) / (2 * eps) - exact))
     order = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert order >= 1.9
@@ -103,10 +98,9 @@ def test_grad_consistency_many_fields(grid):
     for _ in range(50):
         v = random_smooth(grid, rng, 0.35)
         psi = random_smooth(grid, rng, 0.5)
-        vf = vfield(grid, v)
-        exact = integrate(grid, grad_J(vf, 1.0, spec) * psi)
-        jp = functional_J(vfield(grid, v + eps * psi), 1.0, spec).J
-        jm = functional_J(vfield(grid, v - eps * psi), 1.0, spec).J
+        exact = integrate(grid, grad_J(grid, v, 1.0, spec) * psi)
+        jp = functional_J(grid, v + eps * psi, 1.0, spec).J
+        jm = functional_J(grid, v - eps * psi, 1.0, spec).J
         fd = (jp - jm) / (2 * eps)
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
@@ -118,7 +112,7 @@ def test_grad_consistency_many_fields(grid):
 def test_hess_vacuum_linearization(grid):
     # at the vacuum with the contact kernel and c = 0: H psi = -psi'' + 2 psi
     psi = sech(grid.x) ** 2
-    out = hess_J_apply(vfield(grid, np.zeros(grid.size)), 0.0, delta(), psi)
+    out = hess_J_apply(grid, np.zeros(grid.size), 0.0, delta(), psi)
     from nlgp.spectral import derivative
     np.testing.assert_allclose(out, -derivative(grid, psi, 2) + 2 * psi, atol=1e-10)
 
@@ -127,11 +121,10 @@ def test_hess_symmetry(grid):
     rng = np.random.default_rng(5)
     spec = gaussian(0.3)
     v = random_smooth(grid, rng, 0.3)
-    vf = vfield(grid, v)
     phi = random_smooth(grid, rng, 1.0)
     psi = random_smooth(grid, rng, 1.0)
-    a = integrate(grid, hess_J_apply(vf, 1.0, spec, psi) * phi)
-    b = integrate(grid, hess_J_apply(vf, 1.0, spec, phi) * psi)
+    a = integrate(grid, hess_J_apply(grid, v, 1.0, spec, psi) * phi)
+    b = integrate(grid, hess_J_apply(grid, v, 1.0, spec, phi) * psi)
     assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
 
@@ -140,13 +133,17 @@ def test_hess_matches_gradient_differences(grid):
     spec = delta()
     v = random_smooth(grid, rng, 0.3)
     psi = random_smooth(grid, rng, 0.5)
-    vf = vfield(grid, v)
-    H = hess_J_apply(vf, 1.0, spec, psi)
+    H = hess_J_apply(grid, v, 1.0, spec, psi)
     eps = 1e-5
-    gp = grad_J(vfield(grid, v + eps * psi), 1.0, spec)
-    gm = grad_J(vfield(grid, v - eps * psi), 1.0, spec)
+    gp = grad_J(grid, v + eps * psi, 1.0, spec)
+    gm = grad_J(grid, v - eps * psi, 1.0, spec)
     fd = (gp - gm) / (2 * eps)
     assert np.abs(fd - H).max() <= 1e-4 * np.abs(H).max()
+
+
+def test_hess_vortex_error(grid):
+    with pytest.raises(VortexError):
+        hess_J_apply(grid, 1.2 * sech(grid.x), 1.0, delta(), sech(grid.x))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +151,20 @@ def test_hess_matches_gradient_differences(grid):
 
 
 def test_pairing_trivial(grid):
-    lhs, rhs, resid = pairing_identity(vfield(grid, np.zeros(grid.size)), 1.0, delta())
+    lhs, rhs, resid = pairing_identity(grid, np.zeros(grid.size), 1.0, delta())
     assert lhs == rhs == 0.0
 
 
 def test_pairing_sech(grid):
-    lhs, rhs, resid = pairing_identity(vfield(grid, 0.3 * sech(grid.x)), 1.0, delta())
+    lhs, rhs, resid = pairing_identity(grid, 0.3 * sech(grid.x), 1.0, delta())
     assert resid < 1e-9
 
 
 def test_pairing_at_critical_point(grid):
     # at a critical point J'(v)(v) = 0, so 2 J = rhs
     v = 1.0 - initial_guess(grid, 1.0)
-    lhs, rhs, resid = pairing_identity(vfield(grid, v), 1.0, delta())
-    J = functional_J(vfield(grid, v), 1.0, delta()).J
+    lhs, rhs, resid = pairing_identity(grid, v, 1.0, delta())
+    J = functional_J(grid, v, 1.0, delta()).J
     assert lhs == pytest.approx(2 * J, abs=1e-7)
     assert resid < 1e-8
 
@@ -176,13 +173,13 @@ def test_pairing_random_fields(grid):
     rng = np.random.default_rng(13)
     for _ in range(10):
         v = random_smooth(grid, rng, 0.5)
-        _, _, resid = pairing_identity(vfield(grid, v), 1.1, gaussian(0.3))
+        _, _, resid = pairing_identity(grid, v, 1.1, gaussian(0.3))
         assert resid < 1e-8
 
 
 def test_pairing_vortex_error(grid):
     with pytest.raises(VortexError):
-        pairing_identity(vfield(grid, 1.2 * sech(grid.x)), 1.0, delta())
+        pairing_identity(grid, 1.2 * sech(grid.x), 1.0, delta())
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +187,14 @@ def test_pairing_vortex_error(grid):
 
 
 def test_B_diverges_toward_boundary(grid):
+    # rows up to 1 - 1e-6 lie beyond the positivity floor, where functional_J
+    # reports B = +inf, so B is read from the action itself
     vals = []
     for k in range(1, 7):
-        v = (1.0 - 10.0 ** (-k)) * sech(grid.x)
-        parts = functional_J(Vfield(grid=grid, v=v, in_nv=True), 1.0, delta())
+        rho = 1.0 - (1.0 - 10.0 ** (-k)) * sech(grid.x)
+        eta = 1.0 - rho ** 2
+        parts = action_parts(grid, 1.0, rho, derivative(grid, rho), eta,
+                             convolve(delta(), grid, eta))
         vals.append(parts.B)
     assert all(b2 > b1 for b1, b2 in zip(vals, vals[1:]))
     assert vals[-1] > 100 * vals[0]
@@ -208,7 +209,7 @@ def test_build_phi_c_negative_endpoint(grid):
         ep = build_phi_c(c, spec, grid)
         assert ep.J < 0.0
         assert ep.r <= grid.half_length / 2
-        assert ep.vfield.in_nv
+        assert admissible(1.0 - ep.v)
 
 
 def test_build_phi_c_grid_too_small():
@@ -245,9 +246,9 @@ def test_mountain_pass_evaluates_each_array_once(grid, monkeypatch):
     seen = []
     inner = functionals.functional_J
 
-    def spy(vf, c, spec):
-        seen.append(vf.v)  # held, so no id is reused
-        return inner(vf, c, spec)
+    def spy(grid, v, c, spec):
+        seen.append(v)  # held, so no id is reused
+        return inner(grid, v, c, spec)
 
     monkeypatch.setattr(functionals, "functional_J", spy)
     cert = certify(delta())
@@ -296,27 +297,26 @@ def stack(grid):
 
 
 def test_stack_membership_per_row(grid, stack):
-    vf = Vfield.make(grid, stack)
-    assert vf.in_nv.tolist() == [True, False, True]
-    assert [Vfield.make(grid, v).in_nv for v in stack] == [True, False, True]
+    assert admissible(1.0 - stack).tolist() == [True, False, True]
+    assert [admissible(1.0 - v) for v in stack] == [True, False, True]
 
 
 def test_stack_functional_J_matches_rows(grid, stack):
     spec = gaussian(0.3)
-    parts = functional_J(Vfield.make(grid, stack), 1.0, spec)
+    parts = functional_J(grid, stack, 1.0, spec)
     for k, v in enumerate(stack):
-        one = functional_J(Vfield.make(grid, v), 1.0, spec)
+        one = functional_J(grid, v, 1.0, spec)
         assert (parts.J[k], parts.A[k], parts.B[k]) == (one.J, one.A, one.B)
     assert parts.J[1] == -math.inf and parts.B[1] == math.inf
 
 
 def test_stack_grad_J_matches_rows(grid, stack):
     inside = stack[[0, 2]]
-    g = grad_J(Vfield.make(grid, inside), 1.0, gaussian(0.3))
+    g = grad_J(grid, inside, 1.0, gaussian(0.3))
     for row, v in zip(g, inside):
-        assert np.array_equal(row, grad_J(Vfield.make(grid, v), 1.0, gaussian(0.3)))
+        assert np.array_equal(row, grad_J(grid, v, 1.0, gaussian(0.3)))
     with pytest.raises(VortexError):
-        grad_J(Vfield.make(grid, stack), 1.0, gaussian(0.3))
+        grad_J(grid, stack, 1.0, gaussian(0.3))
 
 
 def test_stack_sobolev_norm_and_integrate_match_rows(grid, stack):

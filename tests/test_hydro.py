@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from nlgp import (Grid, VortexError, assemble, delta, energy, exp_repulsive,
                   identity_suite, initial_guess, momentum, nonvanishing_check,
                   phase_from_rho, plane_wave, residual_rho, residual_tw)
-from nlgp.hydro import WaveFields, action
+from nlgp.hydro import POSITIVITY_FLOOR, WaveFields, action, admissible
 from nlgp.spectral import sech
 
 
@@ -35,6 +35,16 @@ def contact_fields(grid):
 
 # ---------------------------------------------------------------------------
 # phase
+
+
+def test_admissible_per_row(grid):
+    # min rho > POSITIVITY_FLOOR: a Python bool for one field, a flag per row
+    rows = np.array([np.ones(grid.size), 1.0 - sech(grid.x),
+                     np.full(grid.size, POSITIVITY_FLOOR),
+                     np.full(grid.size, 2.0 * POSITIVITY_FLOOR)])
+    assert admissible(rows).tolist() == [True, False, False, True]
+    assert [admissible(r) for r in rows] == [True, False, False, True]
+    assert all(type(admissible(r)) is bool for r in rows)
 
 
 def test_phase_trivial(grid):

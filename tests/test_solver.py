@@ -157,6 +157,24 @@ def test_branch_stops_at_sonic(grid):
     assert branch.solutions[-1].c < math.sqrt(2.0)
 
 
+def test_branch_leaves_the_sonic_cap_after_a_rejection(monkeypatch):
+    # on this grid the solve at the sonic cap fails; the halved step still
+    # reaches the cap, so it halves again rather than re-solve the same speed
+    solve, speeds = solver.newton_solve, []
+
+    def spy(spec, grid, c, rho0, opts):
+        speeds.append(c)
+        return solve(spec, grid, c, rho0, opts)
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    branch = continue_branch(delta(), Grid(64.0, 4096), 1.30, 1.6,
+                             SolverOptions(dc_init=0.02))
+    assert branch.termination == "sonic_limit"
+    assert len(branch.solutions) == 8
+    assert all(a != b for a, b in zip(speeds, speeds[1:])), speeds
+    assert len(branch.rejected_steps) == 2
+
+
 def test_branch_reversed_range_refused(grid):
     with pytest.raises(ConfigError, match="reversed"):
         continue_branch(delta(), grid, 0.5, 0.3)
@@ -228,9 +246,9 @@ def test_gradient_flow_relaxes_to_soliton(grid):
     seed = exact_v + noise
     v = gradient_flow(spec, grid, 1.0, seed, tol=1e-12, max_steps=500)
     assert np.abs(v - exact_v).max() < 1e-5
-    from nlgp.functionals import Vfield, grad_J
-    g_seed = np.abs(grad_J(Vfield.make(grid, seed), 1.0, spec)).max()
-    g_out = np.abs(grad_J(Vfield.make(grid, v), 1.0, spec)).max()
+    from nlgp.functionals import grad_J
+    g_seed = np.abs(grad_J(grid, seed, 1.0, spec)).max()
+    g_out = np.abs(grad_J(grid, v, 1.0, spec)).max()
     assert g_out < g_seed
     sol = newton_solve(spec, grid, 1.0, 1.0 - v)
     assert sol.converged and sol.newton_iters <= 3
@@ -242,14 +260,18 @@ def test_gradient_flow_fixed_at_vacuum(grid):
     np.testing.assert_allclose(v, 0.0, atol=1e-14)
 
 
+def test_gradient_flow_vortex_error(grid):
+    with pytest.raises(VortexError):
+        gradient_flow(delta(), grid, 1.0, 1.2 * sech(grid.x), max_steps=1)
+
+
 def test_gradient_flow_decreases_J(grid):
     from nlgp import build_phi_c, functional_J
-    from nlgp.functionals import Vfield
     spec = delta()
-    v0 = build_phi_c(1.0, spec, grid).vfield.v
-    J0 = functional_J(Vfield.make(grid, v0), 1.0, spec).J
+    v0 = build_phi_c(1.0, spec, grid).v
+    J0 = functional_J(grid, v0, 1.0, spec).J
     v = gradient_flow(spec, grid, 1.0, v0, max_steps=25)
-    J1 = functional_J(Vfield.make(grid, v), 1.0, spec).J
+    J1 = functional_J(grid, v, 1.0, spec).J
     assert J1 < J0
 
 
