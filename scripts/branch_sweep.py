@@ -10,7 +10,7 @@ Usage: python scripts/branch_sweep.py [outdir]
 import sys
 from pathlib import Path
 
-from nlgp import Grid, UnderresolvedTailError, continue_branch, fit_exponential
+from nlgp import Grid, continue_branch
 from nlgp.io import write_branch_csv
 from nlgp.potentials import reference_cases
 
@@ -22,14 +22,8 @@ def main():
     for name, spec, L, N in reference_cases()[:4]:
         grid = Grid(L, N)
         branch = continue_branch(spec, grid, 0.2, 1.35)
-        rates = {}
-        for s in branch.solutions:
-            try:
-                rates[s.c] = fit_exponential(grid, s.fields.eta).rate_or_power
-            except UnderresolvedTailError:
-                pass
         path = outdir / f"{name}.csv"
-        write_branch_csv(path, branch, decay_rates=rates)
+        write_branch_csv(path, branch)
         print(f"{name:22s} {len(branch.solutions):3d} members, "
               f"terminated: {branch.termination}; wrote {path}")
 

@@ -18,16 +18,15 @@ from .errors import (CertificationError, ConfigError, GridTooSmallError,
 from .potentials import (CATALOG, HypothesisCertificate, PotentialSpec,
                          berloff, bochner_riesz, certify, certify_h1,
                          certify_h3, decay_prediction, delta, dispersion,
-                         exp_repulsive, gaussian, lc_kernel, make_potential,
-                         mc_symbol, measure_combo, roton_maxon, shifted_deltas,
-                         soft_core, sound_speed, tabulated)
+                         exp_repulsive, gaussian, make_potential, mc_symbol,
+                         measure_combo, roton_maxon, shifted_deltas, soft_core,
+                         sound_speed, tabulated)
 from .spectral import Grid, convolve, derivative, integrate
 from .hydro import (WaveFields, assemble, energy, identity_suite, momentum,
-                    nonvanishing_check, phase_from_rho, plane_wave,
-                    residual_rho, residual_tw)
-from .functionals import (build_phi_c, functional_J, grad_J, gradient_flow,
-                          hess_J_apply, mountain_pass_bracket,
-                          pairing_identity, sphere_bound)
+                    nonvanishing_check, residual_rho, residual_tw)
+from .functionals import (build_phi_c, functional_J, grad_J, hess_J_apply,
+                          mountain_pass_bracket, pairing_identity,
+                          sphere_bound)
 from .solver import (SolitonBranch, SolitonSolution, SolverOptions,
                      continue_branch, initial_guess, newton_solve, solve_auto,
                      sonic_sweep)

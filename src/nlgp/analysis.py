@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import UnderresolvedTailError
 from .hydro import WaveFields
-from .spectral import Grid, continuous_hat, integrate
+from .spectral import Grid, continuous_hat
 
 FIT_FLOOR_FACTOR = 100.0  # times machine epsilon times the field amplitude
 MIN_FIT_POINTS = 20
@@ -204,8 +204,3 @@ def analyticity_proxy(fields: WaveFields, mu_list):
         if s <= GROWTH_CAP * base:
             radius = max(radius, float(mu))
     return table, radius
-
-
-def mass_proxy(grid: Grid, eta: np.ndarray) -> float:
-    """int |eta|, whose stability under domain growth signals integrability."""
-    return float(integrate(grid, np.abs(eta)))

@@ -16,8 +16,9 @@ from . import analysis, config, functionals, io as nio, potentials, solver
 from .errors import (CertificationError, ConfigError, NlgpError,
                      NoSoundSpeedError, OutOfRegimeError,
                      SupersonicMultiplierError, VortexError)
-from .hydro import (IDENTITY_TOL, assemble, identity_suite, nonvanishing_check,
-                    residual_rho)
+from .hydro import (IDENTITY_TOL, assemble, identity_suite,
+                    momentum_conditioning_warning, nonvanishing_check,
+                    residual_rho, residual_tw)
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -25,6 +26,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 EXIT_REGIME = 5
+
+ANALYTICITY_MU = tuple(k / 5 for k in range(21))   # verify's proxy strip widths 0, 0.2, ..., 4
 
 _PARAM_FLAGS = ("alpha", "beta", "lam", "kappa", "a", "b", "file")
 _ALIASES = {"lambda": "lam"}
@@ -98,6 +101,10 @@ def _load_config(args) -> config.RunConfig:
         cfg.seed = args.seed
     cfg.command.update({k: getattr(args, k) for k in config.COMMAND_KEYS
                         if getattr(args, k, None) is not None})
+    for k, typ in config.COMMAND_KEYS.items():   # the integer keys are counts
+        if typ is int and cfg.command.get(k, 0) < 0:
+            raise ConfigError(f"--{k.replace('_', '-')} ([command] {k}) must be "
+                              f">= 0, got {cfg.command[k]}")
     return cfg
 
 
@@ -201,10 +208,21 @@ def _cmd_verify(args, cfg):
     sup, l2 = residual_rho(grid, arrays["rho"], c, spec)
     nv = nonvanishing_check(fields)
     ok = report.passed and sup <= max(10 * doc["residuals"]["sup"], 1e-9)
+    # report-only checks of the paper's claims; the verdict ignores them
+    tw_sup, tw_l2 = residual_tw(fields)
+    pl = analysis.phase_limits(fields)
+    _, radius = analysis.analyticity_proxy(fields, ANALYTICITY_MU)
+    mom_warn = momentum_conditioning_warning(fields)
     out_doc = {"input": args.input, "residual_sup": sup, "residual_l2": l2,
                "identity": report.as_dict(),
                "nonvanishing": {"weta_sup": nv.weta_sup, "bound": nv.bound,
                                 "pass": nv.passed},
+               "residual_tw": {"sup": tw_sup, "l2": tw_l2},
+               "phase_limits": {"theta_minus": pl.theta_minus,
+                                "theta_plus": pl.theta_plus, "jump": pl.jump,
+                                "tail_warning": pl.tail_warning},
+               "analyticity": {"radius": radius, "mu_max": ANALYTICITY_MU[-1]},
+               "momentum_conditioning_warning": mom_warn,
                "pass": bool(ok)}
     lines = [f"verify {args.input}: residual sup = {sup:.3e}"]
     for e in report.entries:
@@ -212,6 +230,12 @@ def _cmd_verify(args, cfg):
         lines.append(f"  {e.name:18s} {state:4s} residual = {e.residual_rel:.3e}")
     lines.append(f"  nonvanishing bound: {'pass' if nv.passed else 'FAIL'} "
                  f"({nv.weta_sup:.4f} >= {nv.bound:.4f})")
+    lines.append(f"  complex equation residual: sup = {tw_sup:.3e}, L2 = {tw_l2:.3e}")
+    lines.append(f"  phase limits: theta- = {pl.theta_minus:.9f}, theta+ = {pl.theta_plus:.9f}, "
+                 f"jump = {pl.jump:.9f}" + (" (tail warning)" if pl.tail_warning else ""))
+    lines.append(f"  analyticity strip radius (proxy): {radius:g} "
+                 f"(largest sampled {ANALYTICITY_MU[-1]:g})")
+    lines.append(f"  momentum conditioning: {mom_warn or 'ok'}")
     lines.append("verification " + ("passed" if ok else "FAILED"))
     _emit(args, out_doc, lines)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -354,28 +378,43 @@ def _cmd_sonic(args, cfg):
     return EXIT_OK
 
 
+def _report_row(name, doc):
+    """One summary row of a solution document; None for another format."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    if doc.get("format") != nio.SOLUTION_FORMAT:
+        return None
+    spec, ident = doc.get("spec"), doc.get("identity") or {}
+    if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)
+            and isinstance(ident, dict)):
+        raise ValueError("malformed solution file (spec or identity)")
+    return (name, spec["kind"], doc.get("c"), doc.get("E"), doc.get("p"),
+            doc.get("J"), "pass" if ident.get("pass") else "FAIL")
+
+
 def _cmd_report(args, cfg):
     import glob
     import os
-    rows = []
+    rows, skipped = [], []
     for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
+        name = os.path.basename(path)
         try:
             with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                row = _report_row(name, json.load(fh))
+        except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+            skipped.append(f"{name}: {exc}")
             continue
-        if doc.get("format") == nio.SOLUTION_FORMAT:
-            ident = doc.get("identity") or {}
-            rows.append((os.path.basename(path),
-                         f"{doc['spec']['kind']}", doc.get("c"),
-                         doc.get("E"), doc.get("p"), doc.get("J"),
-                         "pass" if ident.get("pass") else "FAIL"))
+        if row is not None:
+            rows.append(row)
     lines = ["# Soliton run summary", "",
              "| file | kernel | c | E | p | J | identities |",
              "|---|---|---|---|---|---|---|"]
     for r in rows:
         lines.append("| " + " | ".join(
             f"{v:.6g}" if isinstance(v, float) else str(v) for v in r) + " |")
+    if skipped:
+        lines += ["", f"Skipped {len(skipped)} unreadable or malformed files:", ""]
+        lines += [f"* {s}" for s in skipped]
     text = "\n".join(lines) + "\n"
     if args.out:
         nio.atomic_write_text(args.out, text)

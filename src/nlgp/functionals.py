@@ -1,5 +1,5 @@
-"""Variational layer: the action functional, its derivatives, the gradient
-flow that descends it, and the numerical mountain-pass geometry.
+"""Variational layer: the action functional, its derivatives, and the
+numerical mountain-pass geometry.
 
 The unknown is v = 1 - rho, constrained to the nonvanishing set (sup v < 1,
 tested as ``hydro.admissible(1 - v)``).  Critical points of
@@ -22,8 +22,6 @@ from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
 from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
 from .spectral import (Grid, apply_symbol, convolve, derivative, integrate,
                        per_row)
-
-FLOW_STEP = 1e-2         # first trial step of the gradient flow
 
 
 def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
@@ -71,57 +69,15 @@ def pairing_identity(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec):
     direct quadrature.  Returns (lhs, rhs, relative residual); the identity
     holds for any v in the nonvanishing set, critical or not.
     """
-    if not admissible(1.0 - v):
-        raise VortexError("pairing identity needs v in the nonvanishing set")
-    parts = functional_J(grid, v, c, spec)
-    lhs = 2.0 * parts.J - integrate(grid, grad_J(grid, v, c, spec) * v)
+    g = grad_J(grid, v, c, spec)   # the one membership test: VortexError outside the set
     eta = _f(v)
-    rhs = 0.5 * integrate(grid, convolve(spec, grid, eta) * v ** 2) \
+    weta = convolve(spec, grid, eta)
+    J = action_parts(grid, c, 1.0 - v, derivative(grid, v), eta, weta).J
+    lhs = 2.0 * J - integrate(grid, g * v)
+    rhs = 0.5 * integrate(grid, weta * v ** 2) \
         + 0.25 * c ** 2 * integrate(grid, eta * v ** 2 / (1.0 - v) ** 3)
     resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return float(lhs), float(rhs), float(resid)
-
-
-def gradient_flow(spec: PotentialSpec, grid: Grid, c: float, v0: np.ndarray,
-                  tol: float = 1e-8, max_steps: int = 5000) -> np.ndarray:
-    """Backtracked descent on the action; local relaxation near a seed.
-
-    The raw spectral gradient is Nyquist-stiff (the Laplacian eigenvalue
-    (pi/h)^2 forces explicit steps below ~1e-4), so the descent direction is
-    preconditioned by 1/M_c; the operator is positive on the lattice, so the
-    direction still strictly decreases J under backtracking.
-    The action is unbounded below and its soliton critical points are
-    saddles, so this is only a local relaxation; it stops at the gradient
-    tolerance or the step budget and returns the iterate with the smallest
-    gradient norm seen.
-    """
-    v = np.array(v0, dtype=float)
-    if not admissible(1.0 - v):
-        raise VortexError("gradient flow seed outside the nonvanishing set")
-    inv_mc = inverse_mc(spec, c, grid)
-    J = functional_J(grid, v, c, spec).J
-    best_v, best_g = v, math.inf
-    s = FLOW_STEP
-    for _ in range(max_steps):
-        g = grad_J(grid, v, c, spec)
-        gnorm = float(np.abs(g).max())
-        if gnorm < best_g:
-            best_v, best_g = v, gnorm
-        if gnorm <= tol:
-            break
-        d = apply_symbol(g, inv_mc)
-        for _ in range(30):
-            trial = v - s * d
-            if admissible(1.0 - trial):
-                Jt = functional_J(grid, trial, c, spec).J
-                if Jt < J:
-                    v, J = trial, Jt
-                    s = min(s * 1.5, 1.0)  # warm-start the next line search
-                    break
-            s *= 0.5
-        else:
-            break
-    return best_v
 
 
 # ---------------------------------------------------------------------------

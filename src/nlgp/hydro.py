@@ -9,7 +9,6 @@ spectral accuracy for profiles whose phase jumps across the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
                        integrate, per_row, spectral_density_integral)
 
-POSITIVITY_FLOOR = 1e-3      # least amplitude a solve, flow or path may reach
+POSITIVITY_FLOOR = 1e-3      # least amplitude a solve or path may reach
 IDENTITY_TOL = 1e-6          # relative residual each identity must meet
 MOMENTUM_CONDITIONING_FLOOR = 0.05
 
@@ -85,32 +84,21 @@ def _phase(grid: Grid, rho: np.ndarray, c: float):
     return cumulative_integral(grid, thp), thp
 
 
-def phase_from_rho(grid: Grid, rho: np.ndarray, c: float) -> np.ndarray:
-    """Phase theta with theta(0) = 0 from theta' = (c/2)(rho^-2 - 1)."""
-    return _phase(grid, rho, c)[0]
-
-
 def assemble(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> WaveFields:
     """Build the full field set of an amplitude profile under the kernel spec."""
     theta, thp = _phase(grid, rho, c)
     return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp, spec=spec)
 
 
-def plane_wave(grid: Grid, r: float, mode: int, c: float, spec: PotentialSpec) -> WaveFields:
-    """Constant-amplitude wave r e^{i k x} with k = pi * mode / L on the lattice."""
-    k = np.pi * mode / grid.half_length
-    rho = np.full(grid.size, float(r))
-    return WaveFields(grid=grid, c=c, rho=rho, theta=k * grid.x,
-                      theta_prime=np.full(grid.size, k), spec=spec)
-
-
 def residual_tw(fields: WaveFields):
-    """(sup, L2) norms of i c u' + u'' + u (W * (1 - |u|^2))."""
-    g = fields.grid
+    """(sup, L2) norms of i c u' + u'' + u (W * (1 - |u|^2)): with u = rho e^{i theta}
+    it is e^{i theta}, of modulus one, times rho'' - rho theta'^2 - c rho theta'
+    + rho (W*eta) + i (2 rho' theta' + rho theta'' + c rho'), whose norms are taken."""
+    g, c = fields.grid, fields.c
     rho, rho_x, thp = fields.rho, fields.rho_x, fields.theta_prime
-    upp = (derivative(g, rho, 2) - rho * thp ** 2
-           + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp))) * np.exp(1j * fields.theta)
-    return residual_norms(g, 1j * fields.c * fields.u_x + upp + fields.u * fields.weta)
+    res = (derivative(g, rho, 2) - rho * thp ** 2 - c * rho * thp + rho * fields.weta
+           + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp) + c * rho_x))
+    return residual_norms(g, res)
 
 
 def residual_rho(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
@@ -314,7 +302,7 @@ def action(fields: WaveFields) -> float:
                         fields.eta, fields.weta).J
 
 
-def momentum_conditioning_warning(fields: WaveFields) -> Optional[str]:
+def momentum_conditioning_warning(fields: WaveFields) -> str | None:
     """Near-vortex profiles make the renormalized momentum ill-conditioned."""
     if fields.min_rho < MOMENTUM_CONDITIONING_FLOOR:
         return (f"min rho = {fields.min_rho:.3g} < {MOMENTUM_CONDITIONING_FLOOR}: "

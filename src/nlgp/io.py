@@ -14,7 +14,8 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .analysis import fit_exponential
+from .errors import ConfigError, UnderresolvedTailError
 from .potentials import make_potential, tabulated
 from .spectral import Grid
 
@@ -128,9 +129,16 @@ def write_csv(path, header: str, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_branch_csv(path, branch, decay_rates=None):
-    rates = decay_rates or {}
+def _decay_rate_fit(fields) -> float:
+    """Fitted exponential tail rate of eta, nan when the tail is underresolved."""
+    try:
+        return fit_exponential(fields.grid, fields.eta).rate_or_power
+    except UnderresolvedTailError:
+        return float("nan")
+
+
+def write_branch_csv(path, branch):
     rows = [(s.c, s.E, s.p, s.J, s.eta_max, s.fields.min_rho,
-             rates.get(s.c, float("nan")), s.newton_iters)
+             _decay_rate_fit(s.fields), s.newton_iters)
             for s in branch.solutions]
     write_csv(path, BRANCH_COLUMNS, rows)

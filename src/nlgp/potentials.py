@@ -624,39 +624,6 @@ def reference_cases():
             ("bochner_riesz_0.4", br, kink_aligned_half_length(br, 2048.0), 65536))
 
 
-def lc_kernel(spec: PotentialSpec, c: float, grid: Grid,
-              corrected: bool = True) -> np.ndarray:
-    """Grid samples of the inverse-multiplier kernel (inverse transform of 1/M_c).
-
-    Raises SupersonicMultiplierError unless M_c > 0 on the whole frequency
-    lattice.  The result is real, even, and absolutely summable.
-
-    The kernel has a kink at the origin, so the bare inverse DFT of 1/M_c
-    carries an O(h) series-truncation error there.  With ``corrected`` the
-    Lorentzian part 1/(xi^2 + B^2) is inverted in closed form and only the
-    faster-decaying remainder goes through the DFT, which recovers the line
-    kernel at the nodes (exactly so for the contact kernel).  The two
-    descriptions cannot coincide: samples of the line kernel alias under the
-    DFT, so the exact round-trip DFT -> 1/M_c holds only for the uncorrected
-    output.
-    """
-    inv_mc = inverse_mc(spec, c, grid)
-    N, xi = grid.size, grid.xi_half
-    signs = np.where(np.arange(xi.size) % 2 == 0, 1.0, -1.0)
-    if not corrected:
-        return np.fft.irfft(signs * inv_mc, n=N) / grid.spacing
-    B2 = 2.0 * float(spec.lattice_symbol(grid)[-1]) - c ** 2
-    if B2 < 1e-8:
-        B2 = 1.0
-    B = math.sqrt(B2)
-    ax = np.abs(grid.x)
-    L = grid.half_length
-    base = (np.exp(-B * ax) + np.exp(-B * (2 * L - ax))
-            + np.exp(-B * (2 * L + ax))) / (2.0 * B)
-    remainder = inv_mc - 1.0 / (xi ** 2 + B2)
-    return base + np.fft.irfft(signs * remainder, n=N) / grid.spacing
-
-
 # ---------------------------------------------------------------------------
 # decay prediction via strip sampling
 

@@ -167,31 +167,19 @@ def spectral_density_integral(grid: Grid, weights: np.ndarray, f: np.ndarray) ->
     return float(s * grid.spacing ** 2 * dxi / (2.0 * np.pi))
 
 
-def cumulative_integral(grid: Grid, g: np.ndarray, anchor: float = 0.0) -> np.ndarray:
-    """Antiderivative G of g with G(anchor) = 0, by spectral quadrature.
+def cumulative_integral(grid: Grid, g: np.ndarray) -> np.ndarray:
+    """Antiderivative G of g with G(0) = 0, by spectral quadrature.
 
     The mean of g produces a linear (non-periodic) part; the rest is
-    integrated by dividing by i xi.  The value at the anchor is evaluated by
-    summing the Fourier series there, so the anchor need not be a node.
+    integrated by dividing by i xi.  The origin is node N/2, where
+    x = -L + (2L/N)(N/2) is exactly 0.0 for a power-of-two N.
     """
     gh = np.fft.rfft(g)
     mean = gh[0].real / grid.size
     coef = np.zeros_like(gh)
     coef[1:] = gh[1:] / (1j * grid.xi_half[1:])
-    periodic = np.fft.irfft(coef, n=grid.size)
-    G = periodic + mean * (grid.x + grid.half_length)
-    G_anchor = _eval_series(grid, coef, anchor) + mean * (anchor + grid.half_length)
-    return G - G_anchor
-
-
-def _eval_series(grid: Grid, coef: np.ndarray, a: float) -> float:
-    """Evaluate (1/N) sum_k coef_k exp(i xi_k (a + L)) at an arbitrary point.
-
-    ``coef`` is the half-lattice transform of a real series; the full sum is
-    real, and each interior term stands for itself and its conjugate.
-    """
-    phase = np.exp(1j * grid.xi_half * (a + grid.half_length))
-    return float(np.sum(grid.hermitian_weights * (coef * phase).real) / grid.size)
+    G = np.fft.irfft(coef, n=grid.size) + mean * (grid.x + grid.half_length)
+    return G - G[grid.size // 2]
 
 
 def tail_magnitude(grid: Grid, f: np.ndarray) -> float:

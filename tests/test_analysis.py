@@ -10,7 +10,7 @@ from nlgp import (Grid, UnderresolvedTailError, assemble, delta,
                   decay_prediction, fit_algebraic, fit_exponential, gaussian,
                   initial_guess, newton_solve, phase_limits, symmetry_metrics)
 from nlgp.analysis import (algebraic_envelope_check, analyticity_proxy,
-                           mass_proxy, select_model)
+                           select_model)
 from nlgp.spectral import continuous_hat, integrate, sech
 
 
@@ -149,7 +149,7 @@ def test_analyticity_proxy_noise(fit_grid):
 
 
 # ---------------------------------------------------------------------------
-# mass proxy
+# mass proxy int |eta|
 
 
 def test_mass_proxy_stable_under_domain_growth():
@@ -157,7 +157,7 @@ def test_mass_proxy_stable_under_domain_growth():
     for L, N in ((64.0, 2048), (128.0, 4096)):
         g = Grid(L, N)
         sol = newton_solve(delta(), g, 1.0, initial_guess(g, 1.0))
-        vals.append(mass_proxy(g, sol.fields.eta))
+        vals.append(integrate(g, np.abs(sol.fields.eta)))
     assert abs(vals[1] - vals[0]) < 1e-8
     # oracle: int eta = (1/2) int sech^2(x/2) = 2
     assert vals[1] == pytest.approx(2.0, abs=1e-9)

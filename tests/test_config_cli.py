@@ -121,7 +121,34 @@ def test_cli_solve_verify_roundtrip(tmp_path, capsys):
     # every emitted verdict is recomputable from the stored payload
     code = run_cli("verify", str(out))
     assert code == 0
-    capsys.readouterr()
+    text = capsys.readouterr().out
+    for label in ("complex equation residual", "phase limits",
+                  "analyticity strip radius", "momentum conditioning: ok"):
+        assert label in text
+    # the report-only checks against the contact soliton at c = 1: phase jump
+    # 2 arctan(sqrt(2 - c^2)/c), eta = (1/2) sech^2(x/2) analytic for |Im x| < pi
+    assert run_cli("--json", "verify", str(out)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residual_tw"]["sup"] < 1e-8 and doc["residual_tw"]["l2"] < 1e-8
+    pl = doc["phase_limits"]
+    assert pl["jump"] == pytest.approx(2.0 * math.atan(1.0), abs=1e-6)
+    assert pl["theta_plus"] == pytest.approx(-pl["theta_minus"], abs=1e-12)
+    assert pl["tail_warning"] is False
+    assert 2.5 < doc["analyticity"]["radius"] < math.pi + 0.2
+    assert doc["analyticity"]["mu_max"] == cli.ANALYTICITY_MU[-1]
+    assert doc["momentum_conditioning_warning"] is None
+
+
+def test_cli_verify_exit_ignores_the_report_only_checks(tmp_path, capsys):
+    # a fat tail on a short domain warns, yet the identities pass and so does verify
+    from nlgp import Grid, delta, initial_guess, newton_solve
+    from nlgp.io import write_solution
+    grid = Grid(8.0, 256)
+    out = tmp_path / "sol.json"
+    write_solution(out, newton_solve(delta(), grid, 0.4, initial_guess(grid, 0.4)))
+    assert run_cli("--json", "verify", str(out)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["phase_limits"]["tail_warning"] is True and doc["pass"] is True
 
 
 def test_cli_solve_supersonic_exit_5(capsys):
@@ -195,6 +222,18 @@ def test_cli_branch_csv(tmp_path, capsys):
     assert header == "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.all(np.diff(data[:, 0]) > 0)
+    # the fit window [0.55 L, 0.85 L] of the c = 0.6 tail lies below roundoff
+    assert math.isnan(data[0, 6])
+    capsys.readouterr()
+
+
+def test_cli_branch_csv_fits_each_member(tmp_path, capsys):
+    # oracle: the contact tail decays at sqrt(2 - c^2)
+    out = tmp_path / "branch.csv"
+    assert run_cli("branch", "--potential", "delta", "--c-from", "0.6",
+                   "--c-to", "1.0", "--L", "16", "--N", "512", "--out", str(out)) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(data[:, 6], np.sqrt(2.0 - data[:, 0] ** 2), rtol=1e-3)
     capsys.readouterr()
 
 
@@ -306,6 +345,26 @@ def test_cli_report(tmp_path, capsys):
     text = md.read_text()
     assert "delta" in text and "| file |" in text.replace("file |", "file |")
     capsys.readouterr()
+
+
+def test_cli_report_names_skipped_files(tmp_path, capsys):
+    # a file that is not a JSON object, a solution file with a malformed spec,
+    # unparsable text and an unreadable path are each skipped and named
+    sol = tmp_path / "sol.json"
+    run_cli("solve", "--potential", "delta", "--c", "1.0",
+            "--L", "64", "--N", "2048", "--out", str(sol))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "badspec.json").write_text(
+        json.dumps({"format": "nlgp-solution-v1", "spec": "delta", "c": 1.0}))
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "dir.json").mkdir()
+    capsys.readouterr()
+    assert run_cli("report", "--dir", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "| sol.json | delta |" in captured.out
+    for name in ("list.json", "badspec.json", "broken.json", "dir.json"):
+        assert f"* {name}: " in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cli_tabulated_from_csv(tmp_path, capsys):
@@ -429,6 +488,22 @@ def test_cli_command_key_n(tmp_path, capsys):
     assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n")) == 17
     assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n", "--n", "9")) == 9
     assert len(_dispersion_csv(tmp_path, "")) == 2048
+
+
+@pytest.mark.parametrize("argv, cfg_text, name", [
+    (("dispersion", "--n", "-1"), "", "--n ([command] n)"),
+    (("dispersion",), "[command]\nn = -1\n", "--n ([command] n)"),
+    (("mpass", "--c", "1.0", "--refine-steps", "-5"), "",
+     "--refine-steps ([command] refine_steps)"),
+    (("mpass", "--c", "1.0"), "[command]\nrefine_steps = -5\n",
+     "--refine-steps ([command] refine_steps)"),
+], ids=["n_flag", "n_key", "refine_steps_flag", "refine_steps_key"])
+def test_cli_negative_count_exit_2(argv, cfg_text, name, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[potential]\nkind = delta\n" + cfg_text)
+    assert run_cli("--config", str(cfg), *argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and name in err[0]
 
 
 def test_cli_command_key_xi_max(tmp_path, capsys):

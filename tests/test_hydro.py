@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from nlgp import (Grid, VortexError, assemble, delta, energy, exp_repulsive,
                   identity_suite, initial_guess, momentum, nonvanishing_check,
-                  phase_from_rho, plane_wave, residual_rho, residual_tw)
+                  residual_rho, residual_tw)
 from nlgp.hydro import POSITIVITY_FLOOR, WaveFields, action, admissible
 from nlgp.spectral import sech
 
@@ -48,7 +48,7 @@ def test_admissible_per_row(grid):
 
 
 def test_phase_trivial(grid):
-    theta = phase_from_rho(grid, np.ones(grid.size), 0.7)
+    theta = assemble(grid, np.ones(grid.size), 0.7, delta()).theta
     np.testing.assert_allclose(theta, 0.0, atol=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_phase_jump_quadrature_oracle(grid):
     c = 1.0
     jump_oracle = quad(lambda y: 0.5 * c * (1.0 / contact_amplitude(y, c) ** 2 - 1.0),
                        -200.0, 200.0, limit=400)[0]
-    theta = phase_from_rho(grid, contact_amplitude(grid.x, c), c)
+    theta = assemble(grid, contact_amplitude(grid.x, c), c, delta()).theta
     jump = theta[-1] - theta[0]
     assert jump == pytest.approx(jump_oracle, abs=1e-8)
     # and the arctan closed form of the contact soliton
@@ -74,7 +74,7 @@ def test_phase_vortex_error(grid):
     rho = np.ones(grid.size)
     rho[5] = -0.1
     with pytest.raises(VortexError):
-        phase_from_rho(grid, rho, 1.0)
+        assemble(grid, rho, 1.0, delta())
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,8 @@ def test_residual_tw_plane_wave(grid):
     c, mode = 1.0, 16
     k = math.pi * mode / grid.half_length
     r = math.sqrt(1.0 - k ** 2 - c * k)
-    f = plane_wave(grid, r, mode, c, delta())
+    f = WaveFields(grid=grid, c=c, rho=np.full(grid.size, r), theta=k * grid.x,
+                   theta_prime=np.full(grid.size, k), spec=delta())
     sup, _ = residual_tw(f)
     assert sup < 1e-12
 

@@ -1,4 +1,4 @@
-"""Kernel catalog: symbols, certificates, dispersion, multiplier kernels."""
+"""Kernel catalog: symbols, certificates, dispersion, decay prediction."""
 
 import math
 
@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgp import (CertificationError, Grid, NoSoundSpeedError, OutOfRangeError,
-                  SupersonicMultiplierError, berloff, bochner_riesz, certify,
-                  certify_h1, certify_h3, convolve, decay_prediction, delta,
-                  dispersion, exp_repulsive, gaussian, lc_kernel, mc_symbol,
-                  measure_combo, roton_maxon, shifted_deltas, soft_core,
-                  sound_speed, tabulated)
+                  berloff, bochner_riesz, certify, certify_h1, certify_h3,
+                  convolve, decay_prediction, delta, dispersion, exp_repulsive,
+                  gaussian, mc_symbol, measure_combo, roton_maxon,
+                  shifted_deltas, soft_core, sound_speed, tabulated)
 from nlgp.potentials import certification_lattice, exp_repulsive_decay_rates
-from nlgp.spectral import continuous_hat
 
 ALL_SPECS = [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5),
              gaussian(0.3), soft_core(1.0), bochner_riesz(0.4),
@@ -324,58 +322,6 @@ def test_mc_positive_under_certificate():
         sigma, kappa, _ = certify_h1(spec, lattice)
         c = 0.9 * math.sqrt(2.0 * sigma)
         assert np.min(mc_symbol(spec, c, lattice)) > 0.0, spec.kind
-
-
-def test_lc_kernel_delta_analytic():
-    # closed form: exp(-sqrt(2 - c^2) |x|) / (2 sqrt(2 - c^2))
-    g = Grid(128.0, 4096)
-    c = 1.0
-    ker = lc_kernel(delta(), c, g)
-    b = math.sqrt(2.0 - c ** 2)
-    exact = np.exp(-b * np.abs(g.x)) / (2.0 * b)
-    assert np.abs(ker - exact).max() < 1e-8
-
-
-def test_lc_kernel_exp_repulsive_two_exponentials():
-    alpha, beta, c = 1.0, 3.0, 1.0
-    b1, b2 = exp_repulsive_decay_rates(alpha, beta, c)
-    a1 = (beta ** 2 - b1 ** 2) / (2 * b1 * (b2 ** 2 - b1 ** 2))
-    a2 = (b2 ** 2 - beta ** 2) / (2 * b2 * (b2 ** 2 - b1 ** 2))
-    g = Grid(128.0, 4096)
-    ker = lc_kernel(exp_repulsive(alpha, beta), c, g)
-    exact = a1 * np.exp(-b1 * np.abs(g.x)) + a2 * np.exp(-b2 * np.abs(g.x))
-    assert np.abs(ker - exact).max() < 1e-8
-
-
-def test_lc_kernel_round_trip():
-    # the uncorrected (periodized-series) kernel inverts the DFT exactly
-    g = Grid(64.0, 1024)
-    for spec in (delta(), gaussian(0.3), shifted_deltas(0.5)):
-        ker = lc_kernel(spec, 1.0, g, corrected=False)
-        mc = mc_symbol(spec, 1.0, g.xi)
-        np.testing.assert_allclose(continuous_hat(g, ker).real, 1.0 / mc,
-                                   rtol=1e-12, atol=1e-15)
-
-
-def test_lc_kernel_even_and_summable():
-    g = Grid(64.0, 1024)
-    for spec in (delta(), gaussian(0.3), bochner_riesz(0.4)):
-        ker = lc_kernel(spec, 1.0, g)
-        np.testing.assert_allclose(ker, g.reflect(ker), atol=1e-12)
-        assert np.sum(np.abs(ker)) * g.spacing < 20.0
-
-
-def test_lc_kernel_bochner_quadratic_weight_bounded():
-    g = Grid(256.0, 8192)
-    ker = lc_kernel(bochner_riesz(0.4), 1.0, g)
-    weighted = (1.0 + g.x ** 2) * np.abs(ker)
-    assert weighted.max() < 10.0 * weighted[len(weighted) // 2]
-
-
-def test_lc_kernel_supersonic_error():
-    g = Grid(64.0, 1024)
-    with pytest.raises(SupersonicMultiplierError):
-        lc_kernel(delta(), 1.5, g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Newton solves, branch continuation, gradient flow, sonic sweep."""
+"""Newton solves, branch continuation, sonic sweep."""
 
 import math
 from types import SimpleNamespace
@@ -8,7 +8,7 @@ import pytest
 
 from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   SupersonicMultiplierError, VortexError, bochner_riesz,
-                  continue_branch, delta, exp_repulsive, gaussian, gradient_flow,
+                  continue_branch, delta, exp_repulsive, gaussian,
                   initial_guess, newton_solve, potentials, residual_rho,
                   shifted_deltas, solve_auto, sonic_sweep)
 from nlgp import solver
@@ -226,53 +226,6 @@ def test_predictor_falls_back_at_the_floor(grid):
     assert np.allclose(solver._predict(grid, [a, b], 1.2), 0.1)
     assert solver._predict(grid, [b], 1.2) is b.fields.rho
     assert np.array_equal(solver._predict(grid, [], 1.2), initial_guess(grid, 1.2))
-
-
-# ---------------------------------------------------------------------------
-# gradient flow
-
-
-def test_gradient_flow_relaxes_to_soliton(grid):
-    # the soliton is an index-1 saddle of the action (branch-direction
-    # curvature p'(c) < 0), so descent approaches it only up to the unstable
-    # component of the seed noise; the contractual job is recovering the
-    # Newton basin, which a one-iteration polish confirms
-    spec = delta()
-    exact_v = 1.0 - initial_guess(grid, 1.0)
-    rng = np.random.default_rng(2)
-    noise = 1e-3 * np.fft.ifft(np.exp(-(grid.xi / 1.5) ** 2)
-                               * (rng.standard_normal(grid.size)
-                                  + 1j * rng.standard_normal(grid.size))).real
-    seed = exact_v + noise
-    v = gradient_flow(spec, grid, 1.0, seed, tol=1e-12, max_steps=500)
-    assert np.abs(v - exact_v).max() < 1e-5
-    from nlgp.functionals import grad_J
-    g_seed = np.abs(grad_J(grid, seed, 1.0, spec)).max()
-    g_out = np.abs(grad_J(grid, v, 1.0, spec)).max()
-    assert g_out < g_seed
-    sol = newton_solve(spec, grid, 1.0, 1.0 - v)
-    assert sol.converged and sol.newton_iters <= 3
-    assert np.abs(sol.fields.rho - (1.0 - exact_v)).max() < 1e-9
-
-
-def test_gradient_flow_fixed_at_vacuum(grid):
-    v = gradient_flow(delta(), grid, 1.0, np.zeros(grid.size), max_steps=50)
-    np.testing.assert_allclose(v, 0.0, atol=1e-14)
-
-
-def test_gradient_flow_vortex_error(grid):
-    with pytest.raises(VortexError):
-        gradient_flow(delta(), grid, 1.0, 1.2 * sech(grid.x), max_steps=1)
-
-
-def test_gradient_flow_decreases_J(grid):
-    from nlgp import build_phi_c, functional_J
-    spec = delta()
-    v0 = build_phi_c(1.0, spec, grid).v
-    J0 = functional_J(grid, v0, 1.0, spec).J
-    v = gradient_flow(spec, grid, 1.0, v0, max_steps=25)
-    J1 = functional_J(grid, v, 1.0, spec).J
-    assert J1 < J0
 
 
 # ---------------------------------------------------------------------------
