@@ -101,10 +101,13 @@ def _load_config(args) -> config.RunConfig:
         cfg.seed = args.seed
     cfg.command.update({k: getattr(args, k) for k in config.COMMAND_KEYS
                         if getattr(args, k, None) is not None})
-    for k, typ in config.COMMAND_KEYS.items():   # the integer keys are counts
-        if typ is int and cfg.command.get(k, 0) < 0:
+    # the integer keys are counts; the dispersion slope needs two positive
+    # frequencies besides xi = 0, so n counts at least three samples
+    for k, typ in config.COMMAND_KEYS.items():
+        least = 3 if k == "n" else 0
+        if typ is int and k in cfg.command and cfg.command[k] < least:
             raise ConfigError(f"--{k.replace('_', '-')} ([command] {k}) must be "
-                              f">= 0, got {cfg.command[k]}")
+                              f">= {least}, got {cfg.command[k]}")
     return cfg
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import VortexError
 from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
-                       integrate, per_row, spectral_density_integral)
+                       from_half_spectrum, half_spectrum, integrate, per_row,
+                       spectral_density_integral)
 
 POSITIVITY_FLOOR = 1e-3      # least amplitude a solve or path may reach
 IDENTITY_TOL = 1e-6          # relative residual each identity must meet
@@ -127,18 +128,51 @@ def rho_equation(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> 
             - rho * convolve(spec, grid, eta))
 
 
+def _jacobian_local(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
+    """d -> F'(rho) d + d'', the part of the linearization without -d''.
+
+    It is diag d + 2 rho (W * (rho d)) with diag = -(c^2/4)(3/rho^4 + 1)
+    - W * (1 - rho^2), which is formed once per linearization point.
+    """
+    diag = -0.25 * c ** 2 * (3.0 / rho ** 4 + 1.0) - convolve(spec, grid, 1.0 - rho ** 2)
+
+    def apply(d):
+        return diag * d + 2.0 * rho * convolve(spec, grid, rho * d)
+    return apply
+
+
 def rho_jacobian(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
     """d -> F'(rho) d, the linearization of ``rho_equation`` at rho.
 
     F'(rho) d = -d'' - (c^2/4)(3/rho^4 + 1) d - (W * (1 - rho^2)) d
     + 2 rho (W * (rho d)).  The operator is symmetric, is the Hessian of J_c
-    at v = 1 - rho, and equals the multiplier M_c at the vacuum rho = 1.  Its
-    multiplication part is formed once per linearization point.
+    at v = 1 - rho, and equals the multiplier M_c at the vacuum rho = 1.
     """
-    diag = -0.25 * c ** 2 * (3.0 / rho ** 4 + 1.0) - convolve(spec, grid, 1.0 - rho ** 2)
+    local = _jacobian_local(grid, rho, c, spec)
 
     def apply(d):
-        return -derivative(grid, d, 2) + diag * d + 2.0 * rho * convolve(spec, grid, rho * d)
+        return -derivative(grid, d, 2) + local(d)
+    return apply
+
+
+def rho_jacobian_preconditioned(grid: Grid, rho: np.ndarray, c: float,
+                                spec: PotentialSpec, inv_mc: np.ndarray):
+    """y -> F'(rho) P in half-spectrum coordinates (``spectral.half_spectrum``),
+    with P the multiplier ``inv_mc`` = 1/M_c applied on the right.
+
+    For the coefficients Y of y and d = irfft(Y / M_c), F'(rho) d has the
+    coefficients xi^2 Y / M_c + rfft(F'(rho) d + d''): the preconditioner and
+    -d'' are multiplications on the lattice, and a product costs four real
+    transforms.  At the vacuum rho = 1 the operator is the identity.
+    """
+    local = _jacobian_local(grid, rho, c, spec)
+    lap = grid.xi_half ** 2 * inv_mc
+
+    def apply(y):
+        out = half_spectrum(grid, local(from_half_spectrum(grid, y, inv_mc)))
+        coef = out.view(complex)
+        coef += y.view(complex) * lap
+        return out
     return apply
 
 

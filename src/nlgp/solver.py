@@ -3,7 +3,10 @@ equation, speed continuation, and the sonic sweep.
 
 The linearization of the amplitude equation equals the vacuum multiplier
 M_c(xi) = xi^2 + 2 W_hat - c^2 in the far field, so 1/M_c is used as the
-(exact-at-vacuum) preconditioner for the matrix-free Krylov solves.
+(exact-at-vacuum) preconditioner for the matrix-free Krylov solves.  It is
+applied on the right, and GMRES runs on the half-lattice coordinates of
+``spectral.half_spectrum``, whose dot product is that of the samples: its
+stopping test is on the unpreconditioned residual.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import ConfigError, NlgpError, OutOfRegimeError, VortexError
 from .hydro import (WaveFields, action, admissible, assemble, energy,
                     identity_suite, momentum, nonvanishing_check,
-                    residual_norms, rho_equation, rho_jacobian)
+                    residual_norms, rho_equation, rho_jacobian_preconditioned)
 from .potentials import PotentialSpec, inverse_mc, mc_symbol
-from .spectral import Grid, apply_symbol, sech, tail_magnitude
+from .spectral import (Grid, from_half_spectrum, half_spectrum, sech,
+                       tail_magnitude)
 
 DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
@@ -113,15 +117,15 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
 
     The seed, the residual and each accepted step are symmetrized, so the
     iterate stays even about x = 0, where the trough of a dark soliton sits.
-    Linear solves are matrix-free GMRES preconditioned by 1/M_c; steps that
+    Linear solves are matrix-free GMRES, right-preconditioned by 1/M_c, on
+    the half-lattice coordinates of the correction's spectrum; steps that
     would push the amplitude through the positivity floor are rejected and
     shrunk.  Convergence to a flat profile is flagged ``trivialized`` rather
     than treated as a soliton.
     """
     if not admissible(rho0):
         raise VortexError("seed amplitude at or below the positivity floor")
-    n, inv_mc = grid.size, inverse_mc(spec, c, grid)
-    P = LinearOperator((n, n), dtype=float, matvec=lambda r: apply_symbol(r, inv_mc))
+    n, inv_mc = grid.size + 2, inverse_mc(spec, c, grid)
     rho = _symmetrize(grid, np.array(rho0, dtype=float))
 
     def residual(r):
@@ -145,11 +149,13 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-        A = LinearOperator((n, n), matvec=rho_jacobian(grid, rho, c, spec), dtype=float)
-        d, info = gmres(A, res, M=P, rtol=opts.krylov_tol, atol=0.0,
+        A = LinearOperator((n, n), dtype=float, matvec=rho_jacobian_preconditioned(
+            grid, rho, c, spec, inv_mc))
+        y, info = gmres(A, half_spectrum(grid, res), rtol=opts.krylov_tol, atol=0.0,
                         maxiter=KRYLOV_MAXITER)
         if info != 0:
             return finalize(rho, "newton_failed", it, res)
+        d = from_half_spectrum(grid, y, inv_mc)
         t = 1.0
         for _ in range(MAX_DAMPINGS):
             trial = rho - t * d

@@ -9,6 +9,8 @@ the quadrature act on the last axis, so a stack of fields, one per row, goes
 through the same code as a single field.  Symbols are given on
 that half lattice and evaluated once per grid: the derivative symbols
 (i xi)^k are kept by the grid, the kernel symbol W_hat by the potential.
+``half_spectrum`` gives a real field N + 2 real coordinates on the half
+lattice with the samples' dot product, the space the Krylov solves run in.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ class Grid:
             return w
         return self.cached("hermitian_weights", make)
 
+    @property
+    def coordinate_scale(self) -> np.ndarray:
+        """sqrt(hermitian_weights / N): the factor on the rfft coefficients
+        that turns them into the isometric coordinates of ``half_spectrum``."""
+        return self.cached("coordinate_scale",
+                           lambda g: np.sqrt(g.hermitian_weights / g.size))
+
     def refined(self) -> "Grid":
         """Domain doubled at fixed spacing."""
         return Grid(2.0 * self.half_length, 2 * self.size)
@@ -98,6 +107,27 @@ def apply_symbol(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     fh = np.fft.rfft(f)
     fh *= symbol
     return np.fft.irfft(fh, n=f.shape[-1])
+
+
+def half_spectrum(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Real coordinates of a real field on the half lattice: rfft(f) scaled
+    by ``grid.coordinate_scale`` and viewed as N + 2 floats, the real and
+    imaginary part of each frequency in turn.
+
+    By Parseval their Euclidean dot product is sum_j f_j g_j, that of the
+    samples.  The imaginary parts at xi = 0 and at the Nyquist frequency are
+    zero.
+    """
+    fh = np.fft.rfft(f)
+    fh *= grid.coordinate_scale
+    return fh.view(float)
+
+
+def from_half_spectrum(grid: Grid, y: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The multiplier ``symbol`` applied to the field whose coordinates
+    (``half_spectrum``) are y: irfft(symbol * rfft(f)) for y = half_spectrum(f)."""
+    return np.fft.irfft(y.view(complex) * (symbol / grid.coordinate_scale),
+                        n=grid.size)
 
 
 def _derivative_symbol(grid: Grid, k: int) -> np.ndarray:

@@ -488,16 +488,23 @@ def test_cli_command_key_n(tmp_path, capsys):
     assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n")) == 17
     assert len(_dispersion_csv(tmp_path, "[command]\nn = 17\n", "--n", "9")) == 9
     assert len(_dispersion_csv(tmp_path, "")) == 2048
+    assert len(_dispersion_csv(tmp_path, "[command]\nn = 3\n")) == 3    # the least
 
 
 @pytest.mark.parametrize("argv, cfg_text, name", [
     (("dispersion", "--n", "-1"), "", "--n ([command] n)"),
     (("dispersion",), "[command]\nn = -1\n", "--n ([command] n)"),
+    # fewer than three dispersion samples leave the slope unsampled, so no
+    # claim about monotonicity or critical points could be made
+    (("dispersion", "--n", "0"), "", "--n ([command] n) must be >= 3"),
+    (("dispersion", "--n", "1"), "", "--n ([command] n) must be >= 3"),
+    (("dispersion",), "[command]\nn = 2\n", "--n ([command] n) must be >= 3"),
     (("mpass", "--c", "1.0", "--refine-steps", "-5"), "",
      "--refine-steps ([command] refine_steps)"),
     (("mpass", "--c", "1.0"), "[command]\nrefine_steps = -5\n",
      "--refine-steps ([command] refine_steps)"),
-], ids=["n_flag", "n_key", "refine_steps_flag", "refine_steps_key"])
+], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
+        "refine_steps_key"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[potential]\nkind = delta\n" + cfg_text)

@@ -157,22 +157,29 @@ def test_branch_stops_at_sonic(grid):
     assert branch.solutions[-1].c < math.sqrt(2.0)
 
 
-def test_branch_leaves_the_sonic_cap_after_a_rejection(monkeypatch):
-    # on this grid the solve at the sonic cap fails; the halved step still
-    # reaches the cap, so it halves again rather than re-solve the same speed
-    solve, speeds = solver.newton_solve, []
-
-    def spy(spec, grid, c, rho0, opts):
-        speeds.append(c)
-        return solve(spec, grid, c, rho0, opts)
-
-    monkeypatch.setattr(solver, "newton_solve", spy)
+def test_branch_leaves_the_sonic_cap_after_a_rejection(fail_nth_solve):
+    # the sixth solve is the one at the sonic cap; after it fails, the halved
+    # step still reaches the cap, so it halves again rather than re-solve the
+    # same speed
+    calls = fail_nth_solve(6)
     branch = continue_branch(delta(), Grid(64.0, 4096), 1.30, 1.6,
                              SolverOptions(dc_init=0.02))
     assert branch.termination == "sonic_limit"
-    assert len(branch.solutions) == 8
+    c_cap = branch.solutions[-1].c
+    assert calls[5][0] == c_cap
+    assert branch.rejected_steps == [(c_cap, "newton_failed", calls[5][2])]
+    speeds = [c for c, _, _ in calls]
     assert all(a != b for a, b in zip(speeds, speeds[1:])), speeds
-    assert len(branch.rejected_steps) == 2
+
+
+def test_branch_solves_the_sonic_cap():
+    # the solve at the cap converges, so the march reaches it without a
+    # rejected step
+    branch = continue_branch(delta(), Grid(64.0, 4096), 1.30, 1.6,
+                             SolverOptions(dc_init=0.02))
+    assert branch.termination == "sonic_limit"
+    assert branch.rejected_steps == []
+    assert branch.solutions[-1].c > 1.4142
 
 
 def test_branch_reversed_range_refused(grid):

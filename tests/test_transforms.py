@@ -6,10 +6,13 @@ import pytest
 import scipy.sparse.linalg
 
 from nlgp import (Grid, berloff, bochner_riesz, delta, derivative,
-                  exp_repulsive, gaussian, initial_guess, measure_combo,
-                  newton_solve, shifted_deltas, soft_core, solver, tabulated)
-from nlgp.potentials import PotentialSpec
-from nlgp.spectral import convolve, cumulative_integral, spectral_density_integral
+                  exp_repulsive, gaussian, hess_J_apply, initial_guess,
+                  measure_combo, newton_solve, shifted_deltas, soft_core,
+                  solver, tabulated)
+from nlgp.hydro import rho_jacobian, rho_jacobian_preconditioned
+from nlgp.potentials import PotentialSpec, inverse_mc, reference_cases
+from nlgp.spectral import (convolve, cumulative_integral, from_half_spectrum,
+                           half_spectrum, sech, spectral_density_integral)
 
 
 def _reference(symbol_full, f):
@@ -76,6 +79,39 @@ def test_cumulative_integral_and_density_match_complex_reference():
     assert half == pytest.approx(full, rel=1e-13)
 
 
+def test_half_spectrum_dot_product_is_the_sample_dot_product():
+    g = Grid(24.0, 512)
+    f, h = _test_field(g, seed=1), _test_field(g, seed=2)
+    yf, yh = half_spectrum(g, f), half_spectrum(g, h)
+    assert yf.shape == (g.size + 2,)
+    assert np.dot(yf, yh) == pytest.approx(np.dot(f, h), rel=1e-13)
+    assert np.dot(yf, yf) == pytest.approx(np.dot(f, f), rel=1e-13)
+    # xi = 0 and the Nyquist frequency carry no imaginary part
+    assert yf[1] == 0.0 and yf[-1] == 0.0
+    ones = np.ones(g.xi_half.size)
+    assert _rel(from_half_spectrum(g, yf, ones), f) <= 1e-14
+
+
+@pytest.mark.parametrize("case", reference_cases(), ids=lambda case: case[0])
+def test_preconditioned_jacobian_is_the_physical_one_in_coordinates(case):
+    _, spec, L, N = case
+    g, c = Grid(L, N), 1.0
+    rng = np.random.default_rng(7)
+
+    def even(f):
+        return 0.5 * (f + g.reflect(f))
+
+    rho = even(1.0 - 0.5 * sech(g.x / 4.0) ** 2
+               + 0.05 * sech(g.x / 8.0) * rng.standard_normal(N))
+    inv_mc = inverse_mc(spec, c, g)
+    y = half_spectrum(g, even(rng.standard_normal(N)))
+    d = from_half_spectrum(g, y, inv_mc)
+    got = rho_jacobian_preconditioned(g, rho, c, spec, inv_mc)(y)
+    assert got[1] == 0.0 and got[-1] == 0.0      # Im at xi = 0 and at Nyquist
+    assert _rel(got, half_spectrum(g, rho_jacobian(g, rho, c, spec)(d))) <= 1e-12
+    assert _rel(got, half_spectrum(g, hess_J_apply(g, 1.0 - rho, c, spec, d))) <= 1e-12
+
+
 def test_half_lattice_has_the_full_lattice_magnitudes():
     g = Grid(24.0, 512)
     assert g.xi_half.size == g.size // 2 + 1
@@ -118,7 +154,7 @@ def test_equal_size_different_length_grids_get_their_own_symbol():
 
 
 def test_newton_and_gmres_iterations_gaussian_n4096(monkeypatch):
-    gmres_iters = []
+    gmres_iters, transforms = [], [0]
 
     def counting(A, b, **kw):
         it = [0]
@@ -130,10 +166,21 @@ def test_newton_and_gmres_iterations_gaussian_n4096(monkeypatch):
         gmres_iters.append(it[0])
         return out
     monkeypatch.setattr(solver, "gmres", counting)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            transforms[0] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     grid = Grid(128.0, 4096)
-    for c, newton, krylov in ((0.6, 4, [9, 8, 8, 8]), (1.0, 4, [9, 8, 8, 8]),
-                              (1.2, 5, [9, 8, 8, 8, 8])):
+    # right preconditioning stops on the unpreconditioned residual, so no
+    # call spends a restart cycle re-checking it, and a Krylov iteration
+    # takes four real transforms
+    for c, newton, krylov, n_transforms in ((0.6, 4, [8, 8, 8, 8], 194),
+                                            (1.0, 4, [8, 8, 8, 8], 194),
+                                            (1.2, 5, [9, 8, 8, 8, 8], 242)):
         gmres_iters.clear()
+        transforms[0] = 0
         sol = newton_solve(gaussian(0.3), grid, c, initial_guess(grid, c))
         assert sol.converged
-        assert (sol.newton_iters, gmres_iters) == (newton, krylov)
+        assert (sol.newton_iters, gmres_iters, transforms[0]) == (newton, krylov,
+                                                                  n_transforms)
