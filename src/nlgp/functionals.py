@@ -18,16 +18,20 @@ import numpy as np
 
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
-                    rho_equation, rho_jacobian)
+                    plus_local_part, rho_equation, rho_jacobian)
 from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
-from .spectral import (Grid, apply_symbol, convolve, derivative, integrate,
-                       per_row)
+from .spectral import (Grid, convolve, from_spectrum, integrate, per_row,
+                       spectral_density_integral, spectrum)
 
 
 def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
-    """Discrete H1 norm: sqrt(int v^2 + int (v')^2)."""
-    return per_row(np.sqrt(integrate(grid, v ** 2)
-                           + integrate(grid, derivative(grid, v) ** 2)))
+    """Discrete H1 norm: sqrt(int v^2 + int (v')^2), by Parseval."""
+    return _h1_norm(grid, spectrum(v))
+
+
+def _h1_norm(grid: Grid, vh: np.ndarray) -> float | np.ndarray:
+    """H1 norm of the fields whose half-lattice spectra are vh."""
+    return per_row(np.sqrt(spectral_density_integral(grid, 1.0 + grid.xi_half ** 2, vh)))
 
 
 def _f(s):
@@ -36,13 +40,26 @@ def _f(s):
 
 def functional_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> ActionParts:
     """J_c = A - c^2 B.  Outside the nonvanishing set B = +inf and J = -inf."""
+    return _action(grid, v, spectrum(v), c, spec)[0]
+
+
+def _action(grid: Grid, v: np.ndarray, vh: np.ndarray, c: float, spec: PotentialSpec):
+    """(J_c parts, spectrum of eta) at fields v given with their spectra vh.
+
+    A is taken by Parseval from vh and from the spectrum of eta = v (2 - v),
+    which is returned for the caller to keep; B is a quadrature.  One
+    transform.  Outside the nonvanishing set B = +inf and J = -inf.
+    """
     rho, eta = 1.0 - v, _f(v)
-    parts = action_parts(grid, c, rho, derivative(grid, v), eta, convolve(spec, grid, eta))
+    eh = spectrum(eta)
+    parts = action_parts(grid, c, rho, eta,
+                         spectral_density_integral(grid, grid.xi_half ** 2, vh),
+                         spectral_density_integral(grid, spec.lattice_symbol(grid), eh))
     inside = admissible(rho)
-    if np.all(inside):
-        return parts
-    return replace(parts, J=per_row(np.where(inside, parts.J, -math.inf)),
-                   B=per_row(np.where(inside, parts.B, math.inf)))
+    if not np.all(inside):
+        parts = replace(parts, J=per_row(np.where(inside, parts.J, -math.inf)),
+                        B=per_row(np.where(inside, parts.B, math.inf)))
+    return parts, eh
 
 
 def grad_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarray:
@@ -51,6 +68,24 @@ def grad_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarr
     if not np.all(admissible(rho)):
         raise VortexError("gradient undefined outside the nonvanishing set")
     return -rho_equation(grid, rho, c, spec)
+
+
+def _descent(grid: Grid, v: np.ndarray, vh: np.ndarray, eh: np.ndarray, c: float,
+             spec: PotentialSpec, inv_mc: np.ndarray):
+    """(d, d_hat): the preconditioned gradient d = (1/M_c) grad_J at fields v
+    with spectra vh and eta spectra eh, as samples and as spectrum.
+
+    grad_J = -v'' - (local part of F) has the spectrum xi^2 vh minus that of
+    the local part, whose W*eta is irfft(W_hat eh): three transforms.  Its
+    temporaries end with the call.
+    """
+    rho = 1.0 - v
+    if not np.all(admissible(rho)):
+        raise VortexError("gradient undefined outside the nonvanishing set")
+    weta = from_spectrum(grid, spec.lattice_symbol(grid) * eh)
+    dh = grid.xi_half ** 2 * vh - spectrum(plus_local_part(0.0, rho, c, weta))
+    dh *= inv_mc
+    return from_spectrum(grid, dh), dh
 
 
 def hess_J_apply(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec,
@@ -72,7 +107,7 @@ def pairing_identity(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec):
     g = grad_J(grid, v, c, spec)   # the one membership test: VortexError outside the set
     eta = _f(v)
     weta = convolve(spec, grid, eta)
-    J = action_parts(grid, c, 1.0 - v, derivative(grid, v), eta, weta).J
+    J = functional_J(grid, v, c, spec).J
     lhs = 2.0 * J - integrate(grid, g * v)
     rhs = 0.5 * integrate(grid, weta * v ** 2) \
         + 0.25 * c ** 2 * integrate(grid, eta * v ** 2 / (1.0 - v) ** 3)
@@ -226,31 +261,36 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     the nonvanishing set; interior nodes then descend along the multiplier-
     preconditioned gradient with fixed endpoints (a string method),
     re-parameterized by H1 arc length after each sweep.  ``upper_history``
-    tracks the running minimum of the nodal path maxima; the reported upper
-    bound re-evaluates the final path on SUBDIVISIONS interior points per
-    segment, since the nodal maximum alone can step over the ridge between
-    nodes.  The lower bound is the sphere constant at radius r_sup / 2.
+    tracks the running minimum of the nodal path maxima.  The reported upper
+    bound is the largest action found on the final path: at the nodes, at
+    SUBDIVISIONS interior points per segment, and by a golden-section
+    search between the neighbours of the best of those samples, since
+    fixed samples can step over the ridge.  The lower bound is the sphere
+    constant at radius r_sup / 2.
 
-    The path is one (PATH_NODES, N) array.  Between reparameterizations the
-    nodes move independently, so each stage acts on a stack of rows at once:
-    the actions after a reparameterization, the gradients and descent
-    directions of the moving nodes, and each line-search round over the
-    nodes not yet accepted.  Each node has its own acceptance test; the
-    nodes still pending share the step, which every round halves.
-    Each node's action is evaluated once per position and kept beside it.
+    The path is one (PATH_NODES, N) array; each node keeps its half-lattice
+    spectrum and that of its eta beside it.  Line-search trials,
+    reparameterized nodes and final samples are linear combinations of
+    nodes, formed on samples and spectra alike, so an action costs one
+    transform, a descent direction three and the H1 arc lengths none.
+    Between reparameterizations the nodes move independently, one stack per
+    stage; each node has its own acceptance test, and the pending nodes
+    share the step, halved every round.  Each node's action is evaluated
+    once per position.
     """
     r = _r_sup(cert, c) / 2.0   # raises OutOfRegimeError for c >= sqrt(2 sigma)
     endpoint = build_phi_c(c, spec, grid)
     lower = float(sphere_ell(cert, c, r) * r ** 2)
     path = np.linspace(0.0, 1.0, PATH_NODES)[:, None] * endpoint.v
+    spectra = spectrum(path)
     inv_mc = inverse_mc(spec, c, grid)
 
-    def J_of(vs):
+    def J_of(vs, vhs):
         # a path through the boundary (B = +inf) is inadmissible: +inf, never a bound
-        parts = functional_J(grid, vs, c, spec)
-        return np.where(parts.B == math.inf, math.inf, parts.J)
+        parts, ehs = _action(grid, vs, vhs, c, spec)
+        return np.where(parts.B == math.inf, math.inf, parts.J), ehs
 
-    Js = J_of(path)
+    Js, eta_spectra = J_of(path, spectra)
     history = [float(Js.max())]
     for _ in range(refine_steps):
         # frozen downhill tail: the action is steeply unbounded below near
@@ -258,35 +298,75 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         # reparameterization drags nodes off the barrier
         moving = 1 + np.flatnonzero(~(Js[1:-1] <= endpoint.J))
         if moving.size:
-            dvec = apply_symbol(grad_J(grid, path[moving], c, spec), inv_mc)
+            d, dh = _descent(grid, path[moving], spectra[moving], eta_spectra[moving],
+                             c, spec, inv_mc)
             s = DESCENT_STEP
             for _ in range(12):  # reject and halve on NV escape (J = +inf) or J increase
-                vn = path[moving] - s * dvec
-                ok = J_of(vn) <= Js[moving]
-                path[moving[ok]] = vn[ok]
-                moving, dvec = moving[~ok], dvec[~ok]
+                vn, vnh = path[moving] - s * d, spectra[moving] - s * dh
+                ok = J_of(vn, vnh)[0] <= Js[moving]
+                path[moving[ok]], spectra[moving[ok]] = vn[ok], vnh[ok]
+                moving, d, dh = moving[~ok], d[~ok], dh[~ok]
                 if not moving.size:
                     break
                 s *= 0.5
-        path = _reparameterize(grid, path)
-        Js[1:-1] = J_of(path[1:-1])
+        path, spectra = _reparameterize(grid, path, spectra)
+        Js[1:-1], eta_spectra[1:-1] = J_of(path[1:-1], spectra[1:-1])
         history.append(min(history[-1], float(Js.max())))
-    w = np.linspace(0.0, 1.0, SUBDIVISIONS + 2)[1:-1, None]
-    upper = max([Js.max()] + [J_of((1.0 - w) * a + w * b).max(initial=-math.inf)
-                              for a, b in zip(path[:-1], path[1:])])
+
+    def J_at(t):
+        # J at the points t of the polyline, node k at t = k
+        k = np.minimum(t.astype(int), len(path) - 2)
+        w = (t - k)[:, None]
+        return J_of((1.0 - w) * path[k] + w * path[k + 1],
+                    (1.0 - w) * spectra[k] + w * spectra[k + 1])[0]
+
+    # the nodes and SUBDIVISIONS interior points per segment, at t = j * step;
+    # the last node is the endpoint, whose J < 0 = J(path[0])
+    step = 1.0 / (SUBDIVISIONS + 1)
+    inner = step * np.arange(1, SUBDIVISIONS + 1)
+    samples = np.column_stack([Js[:-1], [J_at(k + inner) for k in range(len(path) - 1)]]).ravel()
+    t = np.argmax(samples) * step
+    upper = max(samples.max(), _golden_max(lambda x: J_at(np.array([x]))[0],
+                                           max(t - step, 0.0), min(t + step, len(path) - 1.0)))
     return MountainPassBracket(c=c, lower=lower, upper=float(upper), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history)
 
 
-def _reparameterize(grid: Grid, path: np.ndarray) -> np.ndarray:
-    """Redistribute nodes to equal H1 arc length along the polyline."""
+def _golden_max(f, a: float, b: float) -> float:
+    """The largest value of f met by a golden-section search for its maximum
+    on [a, b], narrowed until the bracket is sqrt(eps) wide, where a
+    quadratic peak no longer changes in floating point."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best = max(f1, f2)
+    while b - a > math.sqrt(np.finfo(float).eps):
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+        best = max(best, f1, f2)
+    return best
+
+
+def _reparameterize(grid: Grid, path: np.ndarray, spectra: np.ndarray):
+    """Redistribute nodes to equal H1 arc length along the polyline; the
+    nodes' spectra (rows of ``spectra``) give the lengths by Parseval and
+    move with them."""
     n = len(path)
-    d = np.concatenate(([0.0], np.cumsum(sobolev_norm(grid, np.diff(path, axis=0)))))
+    d = np.concatenate(([0.0], np.cumsum(_h1_norm(grid, np.diff(spectra, axis=0)))))
     if d[-1] == 0.0:
-        return path
+        return path, spectra
     d /= d[-1]
     targets = np.linspace(0.0, 1.0, n)[1:-1]
     i = np.clip(np.searchsorted(d, targets), 1, n - 1)
     w = ((targets - d[i - 1]) / np.maximum(d[i] - d[i - 1], 1e-300))[:, None]
-    return np.vstack([path[:1], (1.0 - w) * path[i - 1] + w * path[i], path[-1:]])
+
+    def moved(rows):
+        return np.vstack([rows[:1], (1.0 - w) * rows[i - 1] + w * rows[i], rows[-1:]])
+    return moved(path), moved(spectra)

@@ -16,7 +16,7 @@ from .errors import VortexError
 from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
                        from_half_spectrum, half_spectrum, integrate, per_row,
-                       spectral_density_integral)
+                       spectral_density_integral, spectrum)
 
 POSITIVITY_FLOOR = 1e-3      # least amplitude a solve or path may reach
 IDENTITY_TOL = 1e-6          # relative residual each identity must meet
@@ -122,10 +122,16 @@ def rho_equation(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> 
     """
     if rho.min() <= 0.0:
         raise VortexError(f"min rho = {rho.min():g} <= 0")
-    eta = 1.0 - rho ** 2
-    return (-derivative(grid, rho, 2)
-            + 0.25 * c ** 2 * (1.0 - rho ** 4) / rho ** 3
-            - rho * convolve(spec, grid, eta))
+    return plus_local_part(-derivative(grid, rho, 2), rho, c,
+                           convolve(spec, grid, 1.0 - rho ** 2))
+
+
+def plus_local_part(f, rho: np.ndarray, c: float, weta: np.ndarray) -> np.ndarray:
+    """f + (c^2/4)(1 - rho^4)/rho^3 - rho (W*eta): F(rho) for f = -rho'', and
+    the local part of F alone for f = 0, which the variational layer
+    transforms to take the gradient of J_c on the half lattice.
+    """
+    return f + 0.25 * c ** 2 * (1.0 - rho ** 4) / rho ** 3 - rho * weta
 
 
 def _jacobian_local(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
@@ -262,12 +268,13 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
     if spec.has_deriv:
         wk = spec.lattice_symbol(g)
         xwp = spec.xi_symbol_deriv(g.xi_half)
+        eh = spectrum(eta)
         # int |u'|^2 = (1/4pi) int (W_hat - xi W_hat') |eta_hat|^2
         lhs = integrate(g, K)
-        rhs = 0.5 * spectral_density_integral(g, wk - xwp, eta)
+        rhs = 0.5 * spectral_density_integral(g, wk - xwp, eh)
         entries.append(_entry("pohozaev", lhs, rhs, tol))
         # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
-        rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eta)
+        rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eh)
         entries.append(_entry("action_identity", action(fields), rhs, tol))
     else:
         entries.append(IdentityEntry("pohozaev", np.nan, np.nan, np.nan, False, skipped=True))
@@ -315,25 +322,29 @@ class ActionParts:
     B: float
 
 
-def action_parts(grid: Grid, c: float, rho: np.ndarray, rho_x: np.ndarray,
-                 eta: np.ndarray, weta: np.ndarray) -> ActionParts:
+def action_parts(grid: Grid, c: float, rho: np.ndarray, eta: np.ndarray,
+                 kinetic, interaction) -> ActionParts:
     """J_c(1 - rho) = A - c^2 B with A = (1/2) int (rho')^2 + (1/4) int (W*eta) eta
     and B = (1/8) int eta^2 / rho^2, where eta = 1 - rho^2.
 
-    Callers pass eta and W*eta in the arithmetic they already hold (the
-    variational layer forms eta = v (2 - v) with rho = 1 - v); rho_x enters
-    only squared, so either sign of the derivative will do.  For a stack of
-    profiles, one per row, each part holds one value per row.
+    The two quadratic integrals of A come from the caller, kinetic =
+    int (rho')^2 and interaction = int (W*eta) eta, in the form it already
+    holds: ``action`` by quadrature of the profile's fields, the variational
+    layer by Parseval from the spectra it keeps.  B is always a quadrature.
+    Callers pass eta in their own arithmetic (the variational layer forms
+    eta = v (2 - v) with rho = 1 - v).  For a stack of profiles, one per row,
+    each part holds one value per row.
     """
-    A = 0.5 * integrate(grid, rho_x ** 2) + 0.25 * integrate(grid, weta * eta)
+    A = 0.5 * kinetic + 0.25 * interaction
     B = 0.125 * integrate(grid, eta ** 2 / rho ** 2)
     return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
 
 
 def action(fields: WaveFields) -> float:
     """J_c(1 - rho) = A - c^2 B evaluated directly from the amplitude."""
-    return action_parts(fields.grid, fields.c, fields.rho, fields.rho_x,
-                        fields.eta, fields.weta).J
+    return action_parts(fields.grid, fields.c, fields.rho, fields.eta,
+                        integrate(fields.grid, fields.rho_x ** 2),
+                        integrate(fields.grid, fields.weta * fields.eta)).J
 
 
 def momentum_conditioning_warning(fields: WaveFields) -> str | None:

@@ -10,7 +10,10 @@ through the same code as a single field.  Symbols are given on
 that half lattice and evaluated once per grid: the derivative symbols
 (i xi)^k are kept by the grid, the kernel symbol W_hat by the potential.
 ``half_spectrum`` gives a real field N + 2 real coordinates on the half
-lattice with the samples' dot product, the space the Krylov solves run in.
+lattice with the samples' dot product, the space the Krylov solves run in;
+``spectrum`` and ``from_spectrum`` are the plain transform pair, for callers
+that keep a field's spectrum beside it, and ``spectral_density_integral`` is
+the one Parseval sum over such spectra.
 """
 
 from __future__ import annotations
@@ -109,6 +112,18 @@ def apply_symbol(f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fh, n=f.shape[-1])
 
 
+def spectrum(f: np.ndarray) -> np.ndarray:
+    """rfft(f): the coefficients of real data on the half lattice, per row
+    for a stack."""
+    return np.fft.rfft(f)
+
+
+def from_spectrum(grid: Grid, fh: np.ndarray) -> np.ndarray:
+    """The real field, or stack of fields, whose half-lattice coefficients
+    are fh: irfft(fh)."""
+    return np.fft.irfft(fh, n=grid.size)
+
+
 def half_spectrum(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Real coordinates of a real field on the half lattice: rfft(f) scaled
     by ``grid.coordinate_scale`` and viewed as N + 2 floats, the real and
@@ -185,16 +200,21 @@ def continuous_hat(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.spacing * signs * np.fft.fft(f)
 
 
-def spectral_density_integral(grid: Grid, weights: np.ndarray, f: np.ndarray) -> float:
-    """(1/2pi) * int weights(xi) |f_hat(xi)|^2 d(xi) on the frequency lattice.
+def spectral_density_integral(grid: Grid, weights: np.ndarray,
+                              fh: np.ndarray) -> float | np.ndarray:
+    """(1/2pi) * int weights(xi) |f_hat(xi)|^2 d(xi) on the frequency lattice,
+    for f with half-lattice coefficients fh = ``spectrum(f)``.
 
     ``weights`` is an even weight given on the half lattice; each interior
-    frequency counts for itself and its mirror image.
+    frequency counts for itself and its mirror image, so the sum is
+    (h/N) sum hermitian_weights * weights * |fh|^2.  With weights = 1 it is
+    int f^2 (Parseval), with W_hat it is int (W*f) f.  Sums over the last
+    axis: a Python float for one field, one value per row for a stack.
     """
-    fh2 = np.abs(np.fft.rfft(f)) ** 2
+    fh2 = np.abs(fh) ** 2
     dxi = np.pi / grid.half_length
-    s = np.sum(weights * grid.hermitian_weights * fh2)
-    return float(s * grid.spacing ** 2 * dxi / (2.0 * np.pi))
+    s = np.sum(weights * grid.hermitian_weights * fh2, axis=-1)
+    return per_row(s * grid.spacing ** 2 * dxi / (2.0 * np.pi))
 
 
 def cumulative_integral(grid: Grid, g: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ import pytest
 from nlgp import (Grid, OutOfRegimeError, VortexError, build_phi_c, delta,
                   functional_J, functionals, gaussian, grad_J, hess_J_apply,
                   initial_guess, mountain_pass_bracket, pairing_identity,
-                  residual_rho, sphere_bound)
-from nlgp.functionals import sobolev_norm, _random_band_limited, _r_sup
+                  newton_solve, residual_rho, sphere_bound)
+from nlgp.functionals import (sobolev_norm, _descent, _random_band_limited,
+                              _r_sup)
 from nlgp.hydro import action_parts, admissible, rho_equation
-from nlgp.potentials import certify
-from nlgp.spectral import convolve, derivative, integrate, sech
+from nlgp.potentials import certify, inverse_mc, reference_cases
+from nlgp.spectral import (apply_symbol, convolve, derivative, integrate, sech,
+                           spectrum)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +195,9 @@ def test_B_diverges_toward_boundary(grid):
     for k in range(1, 7):
         rho = 1.0 - (1.0 - 10.0 ** (-k)) * sech(grid.x)
         eta = 1.0 - rho ** 2
-        parts = action_parts(grid, 1.0, rho, derivative(grid, rho), eta,
-                             convolve(delta(), grid, eta))
+        parts = action_parts(grid, 1.0, rho, eta,
+                             integrate(grid, derivative(grid, rho) ** 2),
+                             integrate(grid, convolve(delta(), grid, eta) * eta))
         vals.append(parts.B)
     assert all(b2 > b1 for b1, b2 in zip(vals, vals[1:]))
     assert vals[-1] > 100 * vals[0]
@@ -242,18 +245,19 @@ def test_sphere_bound_out_of_regime(grid):
 
 def test_mountain_pass_evaluates_each_array_once(grid, monkeypatch):
     # the string method keeps each node's action beside the path, so no
-    # array reaches functional_J twice within one bracket
+    # array reaches the action evaluator twice within one bracket
     seen = []
-    inner = functionals.functional_J
+    inner = functionals._action
 
-    def spy(grid, v, c, spec):
-        seen.append(v)  # held, so no id is reused
-        return inner(grid, v, c, spec)
+    def spy(grid, v, vh, c, spec):
+        seen.append((v, vh))  # held, so no id is reused
+        return inner(grid, v, vh, c, spec)
 
-    monkeypatch.setattr(functionals, "functional_J", spy)
+    monkeypatch.setattr(functionals, "_action", spy)
     cert = certify(delta())
     bracket = mountain_pass_bracket(1.0, delta(), cert, grid, refine_steps=3)
-    assert len({id(v) for v in seen}) == len(seen)
+    assert len(seen) > 3 * 2
+    assert len({id(v) for v, _ in seen}) == len({id(vh) for _, vh in seen}) == len(seen)
     sb = sphere_bound(1.0, delta(), cert, _r_sup(cert, 1.0) / 2, grid, n_samples=0)
     assert bracket.lower == sb.lower
     assert 0.0 < bracket.lower < bracket.upper
@@ -274,14 +278,82 @@ def test_mountain_pass_checks_regime_before_building_endpoint(grid, monkeypatch)
 
 
 def test_mountain_pass_bracket_pinned(grid):
-    # exact values of the node-by-node string method: batching reorders no arithmetic
+    # exact values of the string method in half-lattice coordinates
     bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
     assert repr(bracket.lower) == "0.0016819959113241322"
-    assert repr(bracket.upper) == "0.04960773352832476"
-    assert [repr(h) for h in bracket.upper_history] == [
-        "0.11131831582990781", "0.06833934555558235", "0.05725569572421421",
-        "0.052020833641406944", "0.049710488738114816", "0.04548400001659403"]
+    assert repr(bracket.upper) == "0.04968072294686868"
+    history = [repr(h) for h in bracket.upper_history]
+    assert history == [
+        "0.11131831582990781", "0.06833934555558238", "0.05725569572421427",
+        "0.052020833641406944", "0.04971048873811487", "0.04548400001659392"]
     assert bracket.path.shape == (33, grid.size)
+    # the values of the string method in physical coordinates, with the
+    # upper bound read from the fixed samples only: the same path to
+    # roundoff, and the golden-section search only raises the maximum
+    physical = [0.11131831582990781, 0.06833934555558235, 0.05725569572421421,
+                0.052020833641406944, 0.049710488738114816, 0.04548400001659403]
+    np.testing.assert_allclose(bracket.upper_history, physical, rtol=1e-14, atol=0.0)
+    assert bracket.upper > 0.04960773352832476
+
+
+def test_mountain_pass_transforms_per_bracket(grid, monkeypatch):
+    # an action costs one transform and a descent direction three; the
+    # string method in physical coordinates took 220 for these 5 sweeps
+    count = [0]
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            count[0] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
+    assert count[0] == 99
+
+
+@pytest.mark.parametrize("c", [0.8, 1.0, 1.2])
+def test_mountain_pass_upper_is_above_the_soliton(grid, c):
+    # the soliton is the mountain-pass critical point, so the path maximum
+    # lies above its action, with no slack
+    bracket = mountain_pass_bracket(c, delta(), certify(delta()), grid, refine_steps=200)
+    sol = newton_solve(delta(), grid, c, initial_guess(grid, c))
+    assert sol.converged
+    assert sol.J <= bracket.upper
+
+
+def _kernels():
+    return [spec for _, spec, _, _ in reference_cases()]
+
+
+def test_parseval_action_matches_quadrature(grid, stack):
+    # A by Parseval from the spectra equals A by quadrature of the samples
+    inside = stack[[0, 2]]
+    for spec in _kernels():
+        for c in (0.6, 1.0):
+            parts = functional_J(grid, inside, c, spec)
+            rho, eta = 1.0 - inside, inside * (2.0 - inside)
+            ref = action_parts(grid, c, rho, eta,
+                               integrate(grid, derivative(grid, inside) ** 2),
+                               integrate(grid, convolve(spec, grid, eta) * eta))
+            np.testing.assert_allclose(parts.A, ref.A, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(parts.B, ref.B)
+
+
+def test_spectral_descent_matches_preconditioned_gradient(grid, stack):
+    # (1/M_c) grad_J formed on the half lattice equals the physical gradient
+    # passed through the multiplier
+    inside = stack[[0, 2]]
+    for spec in _kernels():
+        for c in (0.6, 1.0):
+            inv = inverse_mc(spec, c, grid)
+            ref = apply_symbol(grad_J(grid, inside, c, spec), inv)
+            vh = spectrum(inside)
+            eh = spectrum(inside * (2.0 - inside))
+            d, dh = _descent(grid, inside, vh, eh, c, spec, inv)
+            assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+            np.testing.assert_allclose(spectrum(d), dh, rtol=0.0,
+                                       atol=1e-12 * np.abs(dh).max())
+    with pytest.raises(VortexError):
+        _descent(grid, stack, spectrum(stack), spectrum(stack), 1.0, delta(),
+                 inverse_mc(delta(), 1.0, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nlgp import Grid, convolve, delta, derivative, gaussian, integrate
 from nlgp.errors import ConfigError
 from nlgp.spectral import (continuous_hat, cumulative_integral, sech,
-                           spectral_density_integral, tail_magnitude)
+                           spectral_density_integral, spectrum, tail_magnitude)
 
 
 def test_grid_basics():
@@ -98,7 +98,7 @@ def test_parseval_and_symmetry(seed):
     h = np.fft.ifft(band * (rng.standard_normal(256) + 1j * rng.standard_normal(256))).real
     # discrete Plancherel
     lhs = integrate(g, f ** 2)
-    rhs = spectral_density_integral(g, np.ones(g.xi_half.size), f)
+    rhs = spectral_density_integral(g, np.ones(g.xi_half.size), spectrum(f))
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # convolution symmetry and norm bound
     spec = gaussian(0.4)
