@@ -86,7 +86,7 @@ def parse(text: str) -> RunConfig:
             try:
                 cfg.solver = replace(cfg.solver, **_typed(section, items, _SOLVER_FIELDS))
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"[solver] {exc}") from exc
         elif section == "run":
             cfg.seed = _typed(section, items, _RUN_KEYS).get("seed", cfg.seed)
         elif section == "command":

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, NlgpError, OutOfRegimeError, VortexError
 from .hydro import (WaveFields, action, admissible, assemble, energy,
@@ -29,6 +29,7 @@ from .spectral import (Grid, from_half_spectrum, half_spectrum, sech,
 DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
 KRYLOV_MAXITER = 400     # GMRES iterations per Newton step
+KRYLOV_RESTART = 20      # GMRES iterations per restart cycle
 TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
@@ -43,10 +44,17 @@ class SolverOptions:
     krylov_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.tol_newton <= 0:
-            raise ValueError("tol_newton must be positive")
-        if self.dc_init <= DC_MIN:
-            raise ValueError(f"dc_init must exceed {DC_MIN:g}")
+        # each test is written so that NaN fails it
+        if not 0.0 < self.tol_newton < math.inf:
+            raise ValueError(f"tol_newton must be finite and positive, "
+                             f"got {self.tol_newton!r}")
+        if not 0.0 < self.krylov_tol < 1.0:
+            raise ValueError(f"krylov_tol must lie in (0, 1), got {self.krylov_tol!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if not DC_MIN < self.dc_init < math.inf:
+            raise ValueError(f"dc_init must be finite and exceed {DC_MIN:g}, "
+                             f"got {self.dc_init!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,63 @@ def initial_guess(grid: Grid, c: float) -> np.ndarray:
     return np.sqrt(1.0 - ((2.0 - c ** 2) / 2.0) * sech(nu * grid.x) ** 2)
 
 
+def gmres(A, b, *, rtol, atol, maxiter, M=None, callback=None, callback_type=None):
+    """Restarted GMRES(KRYLOV_RESTART) for A x = b from x = 0; returns
+    (x, info), info 0 on convergence, else the iterations made.
+
+    The calling convention is scipy's: ``A`` has ``shape``, ``dtype`` and
+    ``matvec``, and the stop is ||b - A x|| <= max(atol, rtol ||b||).  But
+    ``maxiter`` counts Krylov iterations, ``callback`` receives each
+    iteration's relative residual estimate whatever ``callback_type`` says,
+    and a preconditioner belongs inside ``A``: ``M`` must be None.
+
+    Arnoldi runs classical Gram-Schmidt twice, two matrix products per
+    iteration and as stable as the modified form (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005).  Givens rotations carry the residual
+    estimate, the iteration stops on it, and the true residual is formed
+    only to start a new cycle.
+    """
+    if M is not None:
+        raise ValueError("gmres takes no M: apply the preconditioner inside A")
+    bnorm = float(np.linalg.norm(b))
+    tol = max(atol, rtol * bnorm)
+    x, r, beta, its = np.zeros(b.shape), b, bnorm, 0
+    V = np.empty((min(KRYLOV_RESTART, maxiter) + 1, b.size))
+    while beta > tol and its < maxiter:
+        m = min(KRYLOV_RESTART, maxiter - its)
+        V[0] = r / beta
+        R, g, rotations = np.zeros((m, m)), [beta], []
+        for j in range(m):
+            w = A.matvec(V[j])
+            h = V[:j + 1] @ w
+            w = w - h @ V[:j + 1]
+            h2 = V[:j + 1] @ w
+            w -= h2 @ V[:j + 1]
+            col, hw = (h + h2).tolist(), float(np.linalg.norm(w))
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            d = math.hypot(col[j], hw)
+            cs, sn = col[j] / d, hw / d
+            rotations.append((cs, sn))
+            col[j] = d
+            R[:j + 1, j] = col
+            g.append(-sn * g[j])
+            g[j] *= cs
+            beta = abs(g[-1])
+            its += 1
+            if callback is not None:
+                callback(beta / bnorm)
+            if beta <= tol:
+                break
+            V[j + 1] = w / hw
+        k = len(rotations)
+        x += np.linalg.solve(R[:k, :k], g[:k]) @ V[:k]
+        if beta > tol and its < maxiter:
+            r = b - A.matvec(x)
+            beta = float(np.linalg.norm(r))
+    return x, 0 if beta <= tol else its
+
+
 def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 0.5 * (f + grid.reflect(f))
 
@@ -149,8 +214,8 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-        A = LinearOperator((n, n), dtype=float, matvec=rho_jacobian_preconditioned(
-            grid, rho, c, spec, inv_mc))
+        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
+                            matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
         y, info = gmres(A, half_spectrum(grid, res), rtol=opts.krylov_tol, atol=0.0,
                         maxiter=KRYLOV_MAXITER)
         if info != 0:

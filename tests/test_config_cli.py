@@ -164,6 +164,21 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", [
+    "tol_newton = 0", "tol_newton = nan", "tol_newton = inf",
+    "krylov_tol = 0", "krylov_tol = 1", "krylov_tol = nan",
+    "max_iter = 0", "dc_init = 1e-6", "dc_init = nan", "dc_init = inf",
+])
+def test_cli_solver_value_out_of_range_exit_2_naming_key(line, tmp_path, capsys):
+    # each value reached the solver and came back as its failure, or passed
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[solver]\n{line}\n")
+    assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [solver] {line.split()[0]} ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_auto_refine_is_an_unknown_key(tmp_path, capsys):
     # solve_auto always refines exponential tails; there is no switch
     bad = tmp_path / "old.ini"

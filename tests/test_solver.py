@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   SupersonicMultiplierError, VortexError, bochner_riesz,
@@ -12,9 +13,10 @@ from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   initial_guess, newton_solve, potentials, residual_rho,
                   shifted_deltas, solve_auto, sonic_sweep)
 from nlgp import solver
-from nlgp.hydro import POSITIVITY_FLOOR
-from nlgp.solver import DC_MIN
-from nlgp.spectral import sech
+from nlgp.hydro import POSITIVITY_FLOOR, rho_equation, rho_jacobian_preconditioned
+from nlgp.potentials import inverse_mc
+from nlgp.solver import DC_MIN, KRYLOV_RESTART, gmres
+from nlgp.spectral import half_spectrum, sech
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,87 @@ def test_initial_guess_values(grid):
 def test_initial_guess_out_of_regime(grid):
     with pytest.raises(OutOfRegimeError):
         initial_guess(grid, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# GMRES
+
+
+class CountingOperator:
+    """A matrix as the operator gmres takes, counting its products."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.dtype, self.products = matrix, matrix.shape, float, 0
+
+    def matvec(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+def test_gmres_nonsymmetric_system_meets_rtol():
+    rng = np.random.default_rng(3)
+    a = 4.0 * np.eye(300) + rng.standard_normal((300, 300)) / math.sqrt(300)
+    b = rng.standard_normal(300)
+    for rtol in (1e-6, 1e-12):
+        x, info = gmres(CountingOperator(a), b, rtol=rtol, atol=0.0, maxiter=400)
+        assert info == 0
+        assert np.linalg.norm(b - a @ x) <= rtol * np.linalg.norm(b)
+    with pytest.raises(ValueError, match="M"):
+        gmres(CountingOperator(a), b, rtol=1e-8, atol=0.0, maxiter=400, M=np.eye(300))
+
+
+def test_gmres_matches_scipy_on_newton_operator(grid):
+    spec, c = gaussian(0.3), 1.0
+    rho = initial_guess(grid, c)
+    op = scipy.sparse.linalg.LinearOperator(
+        (grid.size + 2,) * 2, dtype=float,
+        matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inverse_mc(spec, c, grid)))
+    b = half_spectrum(grid, rho_equation(grid, rho, c, spec))
+    x, info = gmres(op, b, rtol=1e-8, atol=0.0, maxiter=400)
+    ref, ref_info = scipy.sparse.linalg.gmres(op, b, rtol=1e-8, atol=0.0)
+    assert info == ref_info == 0
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_gmres_converges_across_restarts_one_callback_per_iteration():
+    # eigenvalues 1..100 need more Krylov iterations than one cycle holds
+    d = np.arange(1.0, 101.0)
+    op, ticks = CountingOperator(np.diag(d)), []
+    x, info = gmres(op, np.ones(100), rtol=1e-10, atol=0.0, maxiter=400,
+                    callback=ticks.append, callback_type="pr_norm")
+    assert info == 0 and len(ticks) > KRYLOV_RESTART
+    assert np.abs(x - 1.0 / d).max() < 1e-8
+    # one product per iteration, plus one true residual per restart
+    assert op.products == len(ticks) + (len(ticks) - 1) // KRYLOV_RESTART
+    assert ticks[-1] <= 1e-10 < ticks[-2]
+
+
+def test_gmres_zero_rhs_makes_no_product():
+    op = CountingOperator(np.eye(5))
+    x, info = gmres(op, np.zeros(5), rtol=1e-8, atol=0.0, maxiter=400)
+    assert info == 0 and op.products == 0
+    assert np.array_equal(x, np.zeros(5))
+
+
+def test_import_nlgp_loads_no_scipy():
+    # only tabulated kernels need scipy, and they import it when built
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    code = ("import sys, nlgp; "
+            "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0
+
+
+def test_newton_fails_when_gmres_runs_out_of_iterations(grid, monkeypatch):
+    # gaussian(0.3) needs eight Krylov iterations per Newton step
+    monkeypatch.setattr(solver, "KRYLOV_MAXITER", 4)
+    sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0))
+    assert sol.status == "newton_failed" and sol.newton_iters == 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +340,8 @@ def test_sonic_sweep_refuses_one_sample():
 
 def test_sonic_sweep_refuses_zero_samples_and_names_them():
     with pytest.raises(NlgpError, match=r"0 of 2.*0\.2, 0\.1"):
-        sonic_sweep(delta(), SolverOptions(max_iter=0), gaps=np.array([0.2, 0.1]),
+        # one Newton step from the contact seed does not converge for gaussian
+        sonic_sweep(gaussian(0.3), SolverOptions(max_iter=1), gaps=np.array([0.2, 0.1]),
                     base_half_length=32.0, base_size=512)
 
 
