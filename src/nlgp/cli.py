@@ -163,7 +163,8 @@ def _cmd_solve(args, cfg):
     if out:
         nio.write_solution(out, sol, seed=cfg.seed, extra={"tail": tail})
     _emit(args, doc, [
-        f"{spec.label()} at c = {c:g}: converged in {sol.newton_iters} iterations",
+        f"{spec.label()} at c = {c:g}: converged in {sol.newton_iters} Newton "
+        f"iterations ({sol.krylov_iters} Krylov)",
         f"  residual sup = {sol.residual_sup:.3e}, tail = {tail:.3e}",
         f"  E = {sol.E!r}, p = {sol.p!r}, J = {sol.J!r}",
         f"  identity suite: {'pass' if sol.identity_report.passed else 'FAIL'} "

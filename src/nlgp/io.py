@@ -59,6 +59,7 @@ def solution_to_dict(sol, seed=None, extra=None) -> dict:
         "converged": sol.converged,
         "status": sol.status,
         "newton_iters": sol.newton_iters,
+        "krylov_iters": sol.krylov_iters,
         "residuals": {"sup": sol.residual_sup, "l2": sol.residual_l2},
         "E": sol.E,
         "p": sol.p,

@@ -30,6 +30,7 @@ DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
 KRYLOV_MAXITER = 400     # GMRES iterations per Newton step
 KRYLOV_RESTART = 20      # GMRES iterations per restart cycle
+FORCING_MAX = 0.1        # loosest relative GMRES tolerance of a Newton step
 TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
@@ -41,7 +42,7 @@ class SolverOptions:
     tol_newton: float = 1e-10        # on sup |F(rho)|
     max_iter: int = 50
     dc_init: float = 0.05            # first continuation step
-    krylov_tol: float = 1e-8
+    krylov_tol: float = 1e-8         # tightest relative GMRES tolerance of a Newton step
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -63,6 +64,7 @@ class SolitonSolution:
     converged: bool
     status: str                       # converged | newton_failed | trivialized | vanishing_amplitude
     newton_iters: int
+    krylov_iters: int                 # GMRES iterations over all Newton steps
     residual_sup: float
     residual_l2: float
     identity_report: object = None
@@ -172,6 +174,13 @@ def gmres(A, b, *, rtol, atol, maxiter, M=None, callback=None, callback_type=Non
     return x, 0 if beta <= tol else its
 
 
+def _gmres_iterations(products: int) -> int:
+    """Iterations of a converged ``gmres`` call that made ``products``
+    operator products: one per iteration, plus one true residual per
+    KRYLOV_RESTART-iteration cycle that ends without convergence."""
+    return products - products // (KRYLOV_RESTART + 1)
+
+
 def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 0.5 * (f + grid.reflect(f))
 
@@ -183,10 +192,13 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     The seed, the residual and each accepted step are symmetrized, so the
     iterate stays even about x = 0, where the trough of a dark soliton sits.
     Linear solves are matrix-free GMRES, right-preconditioned by 1/M_c, on
-    the half-lattice coordinates of the correction's spectrum; steps that
-    would push the amplitude through the positivity floor are rejected and
-    shrunk.  Convergence to a flat profile is flagged ``trivialized`` rather
-    than treated as a soliton.
+    the half-lattice coordinates of the correction's spectrum, each to the
+    relative tolerance max(krylov_tol, min(FORCING_MAX, sup |F|)): an
+    inexact Newton method whose forcing term is O(|F|), so it keeps local
+    quadratic convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+    19, 1982).  Steps that would push the amplitude through the positivity
+    floor are rejected and shrunk.  Convergence to a flat profile is flagged
+    ``trivialized`` rather than treated as a soliton.
     """
     if not admissible(rho0):
         raise VortexError("seed amplitude at or below the positivity floor")
@@ -204,20 +216,26 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
             status, converged = "trivialized", False
         return SolitonSolution(
             fields=fields, converged=converged, status=status,
-            newton_iters=iters, residual_sup=sup, residual_l2=l2,
-            identity_report=identity_suite(fields),
+            newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
+            residual_l2=l2, identity_report=identity_suite(fields),
             E=energy(fields)[0], p=momentum(fields)[0], J=action(fields))
 
-    res = residual(rho)
+    res, krylov = residual(rho), 0
     for it in range(opts.max_iter):
         res = _symmetrize(grid, res)
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
-                            matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
-        y, info = gmres(A, half_spectrum(grid, res), rtol=opts.krylov_tol, atol=0.0,
+        jac, products = rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc), [0]
+
+        def matvec(y):
+            products[0] += 1
+            return jac(y)
+        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float), matvec=matvec)
+        y, info = gmres(A, half_spectrum(grid, res),
+                        rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)), atol=0.0,
                         maxiter=KRYLOV_MAXITER)
+        krylov += info or _gmres_iterations(products[0])
         if info != 0:
             return finalize(rho, "newton_failed", it, res)
         d = from_half_spectrum(grid, y, inv_mc)

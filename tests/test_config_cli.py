@@ -139,6 +139,25 @@ def test_cli_solve_verify_roundtrip(tmp_path, capsys):
     assert doc["momentum_conditioning_warning"] is None
 
 
+def test_cli_solve_reports_krylov_iterations(tmp_path, capsys):
+    argv = ("solve", "--potential", "gaussian", "--lambda", "0.3", "--c", "1.0",
+            "--L", "64", "--N", "2048")
+    out = tmp_path / "sol.json"
+    assert run_cli("--json", *argv, "--out", str(out)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["krylov_iters"] > doc["newton_iters"] >= 1
+    assert read_solution(out)[4]["krylov_iters"] == doc["krylov_iters"]
+    assert run_cli(*argv) == 0
+    assert (f"converged in {doc['newton_iters']} Newton iterations "
+            f"({doc['krylov_iters']} Krylov)") in capsys.readouterr().out
+    # files written before the count existed still verify
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({k: v for k, v in read_solution(out)[4].items()
+                               if k != "krylov_iters"}))
+    assert run_cli("verify", str(old)) == 0
+    capsys.readouterr()
+
+
 def test_cli_verify_exit_ignores_the_report_only_checks(tmp_path, capsys):
     # a fat tail on a short domain warns, yet the identities pass and so does verify
     from nlgp import Grid, delta, initial_guess, newton_solve

@@ -27,7 +27,8 @@ def test_solution_file_roundtrip(spec, tmp_path):
     rho = np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2)
     f = assemble(grid, rho, c, spec)
     sol = SolitonSolution(fields=f, converged=True, status="converged",
-                          newton_iters=0, residual_sup=1e-12, residual_l2=1e-12)
+                          newton_iters=0, krylov_iters=0, residual_sup=1e-12,
+                          residual_l2=1e-12)
     path = tmp_path / "sol.json"
     write_solution(path, sol)
     back, g, c_back, arrays, _ = read_solution(path)

@@ -16,7 +16,7 @@ from nlgp import solver
 from nlgp.hydro import POSITIVITY_FLOOR, rho_equation, rho_jacobian_preconditioned
 from nlgp.potentials import inverse_mc
 from nlgp.solver import DC_MIN, KRYLOV_RESTART, gmres
-from nlgp.spectral import half_spectrum, sech
+from nlgp.spectral import from_half_spectrum, half_spectrum, sech
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,17 @@ def test_gmres_converges_across_restarts_one_callback_per_iteration():
     assert ticks[-1] <= 1e-10 < ticks[-2]
 
 
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10, 1e-13])
+def test_gmres_iterations_from_operator_products(rtol):
+    # newton_solve counts Krylov iterations by the products its operator makes
+    d = np.arange(1.0, 101.0)
+    op, ticks = CountingOperator(np.diag(d)), []
+    _, info = gmres(op, np.ones(100), rtol=rtol, atol=0.0, maxiter=400,
+                    callback=ticks.append)
+    assert info == 0
+    assert solver._gmres_iterations(op.products) == len(ticks)
+
+
 def test_gmres_zero_rhs_makes_no_product():
     op = CountingOperator(np.eye(5))
     x, info = gmres(op, np.zeros(5), rtol=1e-8, atol=0.0, maxiter=400)
@@ -117,10 +128,62 @@ def test_import_nlgp_loads_no_scipy():
 
 
 def test_newton_fails_when_gmres_runs_out_of_iterations(grid, monkeypatch):
-    # gaussian(0.3) needs eight Krylov iterations per Newton step
-    monkeypatch.setattr(solver, "KRYLOV_MAXITER", 4)
+    # from the contact seed the first Newton step of gaussian(0.3) at c = 1
+    # solves to FORCING_MAX in four Krylov iterations
+    monkeypatch.setattr(solver, "KRYLOV_MAXITER", 3)
     sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0))
     assert sol.status == "newton_failed" and sol.newton_iters == 0
+
+
+def test_gmres_rtol_follows_the_newton_residual(grid, monkeypatch):
+    # inexact Newton: each step solves to max(krylov_tol, min(FORCING_MAX,
+    # sup |F|)), so the tolerance tightens as the residual falls
+    opts, calls = SolverOptions(), []
+
+    def spy(A, b, _gmres=solver.gmres, **kw):
+        res = from_half_spectrum(grid, b, np.ones(grid.xi_half.size))
+        calls.append((kw["rtol"], float(np.abs(res).max())))
+        return _gmres(A, b, **kw)
+    monkeypatch.setattr(solver, "gmres", spy)
+    sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0), opts)
+    assert sol.converged and len(calls) == sol.newton_iters >= 3
+    for rtol, sup in calls:
+        assert rtol == pytest.approx(
+            max(opts.krylov_tol, min(solver.FORCING_MAX, sup)), rel=1e-9)
+    rtols = [rtol for rtol, _ in calls]
+    assert all(b <= a for a, b in zip(rtols, rtols[1:]))
+    assert rtols[0] > 100 * rtols[-1]
+
+
+@pytest.mark.parametrize("c", [0.6, 1.0, 1.2])
+def test_krylov_tol_sets_the_tightest_step(grid, c):
+    # krylov_tol floors each step's tolerance, so 1e-3 makes fewer Krylov
+    # iterations than the default.  1e-12 makes more at c = 1.2, whose last
+    # step starts at sup |F| = 1.7e-10.  At c = 1.0 the last step starts at
+    # 3.3e-7, above both floors; at c = 0.6 at 3.2e-9, which its eight
+    # iterations meet under either floor
+    sols = {tol: newton_solve(gaussian(0.3), grid, c, initial_guess(grid, c),
+                              SolverOptions(krylov_tol=tol))
+            for tol in (1e-3, 1e-8, 1e-12)}
+    for sol in sols.values():
+        assert sol.converged and sol.residual_sup < SolverOptions().tol_newton
+        assert sol.identity_report.passed
+    loose, default, tight = (sols[tol].krylov_iters for tol in (1e-3, 1e-8, 1e-12))
+    assert loose < default <= tight
+    assert (default < tight) == (c == 1.2)
+
+
+@pytest.mark.parametrize("spec,c,newton", [
+    (bochner_riesz(0.4), 0.8, 4), (bochner_riesz(0.4), 1.1, 5),
+    (gaussian(0.3), 0.8, 4), (gaussian(0.3), 1.1, 4)],
+    ids=["bochner_riesz-0.8", "bochner_riesz-1.1", "gaussian-0.8", "gaussian-1.1"])
+def test_wide_grid_solves_keep_their_newton_counts(spec, c, newton):
+    # the bench's wide grids; the Newton counts are those of a fixed 1e-8
+    # Krylov tolerance, which the forcing term must not raise
+    L = potentials.kink_aligned_half_length(spec, 2048.0)
+    sol, _ = solve_auto(spec, c, half_length=L, size=65536)
+    assert sol.converged and sol.identity_report.passed
+    assert sol.newton_iters <= newton
 
 
 # ---------------------------------------------------------------------------
