@@ -31,7 +31,8 @@ def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
 
 def _h1_norm(grid: Grid, vh: np.ndarray) -> float | np.ndarray:
     """H1 norm of the fields whose half-lattice spectra are vh."""
-    return per_row(np.sqrt(spectral_density_integral(grid, 1.0 + grid.xi_half ** 2, vh)))
+    weights = grid.cached("h1_weights", lambda g: 1.0 + g.xi_half_squared)
+    return per_row(np.sqrt(spectral_density_integral(grid, weights, vh)))
 
 
 def _f(s):
@@ -53,7 +54,7 @@ def _action(grid: Grid, v: np.ndarray, vh: np.ndarray, c: float, spec: Potential
     rho, eta = 1.0 - v, _f(v)
     eh = spectrum(eta)
     parts = action_parts(grid, c, rho, eta,
-                         spectral_density_integral(grid, grid.xi_half ** 2, vh),
+                         spectral_density_integral(grid, grid.xi_half_squared, vh),
                          spectral_density_integral(grid, spec.lattice_symbol(grid), eh))
     inside = admissible(rho)
     if not np.all(inside):
@@ -83,7 +84,7 @@ def _descent(grid: Grid, v: np.ndarray, vh: np.ndarray, eh: np.ndarray, c: float
     if not np.all(admissible(rho)):
         raise VortexError("gradient undefined outside the nonvanishing set")
     weta = from_spectrum(grid, spec.lattice_symbol(grid) * eh)
-    dh = grid.xi_half ** 2 * vh - spectrum(plus_local_part(0.0, rho, c, weta))
+    dh = grid.xi_half_squared * vh - spectrum(plus_local_part(0.0, rho, c, weta))
     dh *= inv_mc
     return from_spectrum(grid, dh), dh
 
@@ -365,8 +366,12 @@ def _reparameterize(grid: Grid, path: np.ndarray, spectra: np.ndarray):
     d /= d[-1]
     targets = np.linspace(0.0, 1.0, n)[1:-1]
     i = np.clip(np.searchsorted(d, targets), 1, n - 1)
-    w = ((targets - d[i - 1]) / np.maximum(d[i] - d[i - 1], 1e-300))[:, None]
-
-    def moved(rows):
-        return np.vstack([rows[:1], (1.0 - w) * rows[i - 1] + w * rows[i], rows[-1:]])
-    return moved(path), moved(spectra)
+    w = (targets - d[i - 1]) / np.maximum(d[i] - d[i - 1], 1e-300)
+    # row k of R interpolates node k between nodes i - 1 and i; the
+    # endpoints keep their rows
+    R = np.zeros((n, n))
+    R[0, 0] = R[-1, -1] = 1.0
+    inner = np.arange(1, n - 1)
+    R[inner, i - 1] = 1.0 - w
+    R[inner, i] = w
+    return R @ path, (R @ spectra.view(float)).view(complex)

@@ -172,7 +172,7 @@ def rho_jacobian_preconditioned(grid: Grid, rho: np.ndarray, c: float,
     transforms.  At the vacuum rho = 1 the operator is the identity.
     """
     local = _jacobian_local(grid, rho, c, spec)
-    lap = grid.xi_half ** 2 * inv_mc
+    lap = grid.xi_half_squared * inv_mc
 
     def apply(y):
         out = half_spectrum(grid, local(from_half_spectrum(grid, y, inv_mc)))
@@ -336,7 +336,9 @@ def action_parts(grid: Grid, c: float, rho: np.ndarray, eta: np.ndarray,
     each part holds one value per row.
     """
     A = 0.5 * kinetic + 0.25 * interaction
-    B = 0.125 * integrate(grid, eta ** 2 / rho ** 2)
+    q = eta / rho
+    q *= q
+    B = 0.125 * integrate(grid, q)
     return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
 
 

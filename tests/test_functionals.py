@@ -281,11 +281,11 @@ def test_mountain_pass_bracket_pinned(grid):
     # exact values of the string method in half-lattice coordinates
     bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
     assert repr(bracket.lower) == "0.0016819959113241322"
-    assert repr(bracket.upper) == "0.04968072294686868"
+    assert repr(bracket.upper) == "0.04968072294686865"
     history = [repr(h) for h in bracket.upper_history]
     assert history == [
-        "0.11131831582990781", "0.06833934555558238", "0.05725569572421427",
-        "0.052020833641406944", "0.04971048873811487", "0.04548400001659392"]
+        "0.11131831582990781", "0.06833934555558235", "0.057255695724214295",
+        "0.05202083364140697", "0.0497104887381149", "0.045484000016593834"]
     assert bracket.path.shape == (33, grid.size)
     # the values of the string method in physical coordinates, with the
     # upper bound read from the fixed samples only: the same path to
@@ -294,6 +294,28 @@ def test_mountain_pass_bracket_pinned(grid):
                 0.052020833641406944, 0.049710488738114816, 0.04548400001659403]
     np.testing.assert_allclose(bracket.upper_history, physical, rtol=1e-14, atol=0.0)
     assert bracket.upper > 0.04960773352832476
+
+
+def test_reparameterize_equal_arc_length(grid):
+    rng = np.random.default_rng(11)
+    a, b = random_smooth(grid, rng, 0.3), random_smooth(grid, rng, 0.3)
+    t = np.linspace(0.0, 1.0, 9) ** 3           # nodes bunched at the start
+    path = t[:, None] * a + np.sin(np.pi * t)[:, None] * b   # a bent polyline
+    spectra = spectrum(path)
+    moved, moved_spectra = functionals._reparameterize(grid, path, spectra)
+    assert np.array_equal(moved[[0, -1]], path[[0, -1]])
+    assert np.array_equal(moved_spectra[[0, -1]], spectra[[0, -1]])
+    seg = sobolev_norm(grid, np.diff(path, axis=0))
+    arc = np.concatenate(([0.0], np.cumsum(seg)))
+    for k, node in enumerate(moved[1:-1], start=1):
+        # the node lies on segment j of the old polyline, at arc length k/8 of it
+        to_start = sobolev_norm(grid, node - path[:-1])
+        to_end = sobolev_norm(grid, path[1:] - node)
+        j = np.argmin(to_start + to_end - seg)
+        assert to_start[j] + to_end[j] - seg[j] <= 1e-12 * arc[-1]
+        assert abs(arc[j] + to_start[j] - k / 8 * arc[-1]) <= 1e-12 * arc[-1]
+    np.testing.assert_allclose(moved_spectra, spectrum(moved), rtol=0.0,
+                               atol=1e-12 * np.abs(moved_spectra).max())
 
 
 def test_mountain_pass_transforms_per_bracket(grid, monkeypatch):
@@ -380,6 +402,13 @@ def test_stack_functional_J_matches_rows(grid, stack):
         one = functional_J(grid, v, 1.0, spec)
         assert (parts.J[k], parts.A[k], parts.B[k]) == (one.J, one.A, one.B)
     assert parts.J[1] == -math.inf and parts.B[1] == math.inf
+
+
+def test_stack_action_parts_B_matches_rows(grid, stack):
+    rho, eta = 1.0 - stack, stack * (2.0 - stack)
+    B = action_parts(grid, 1.0, rho, eta, 0.0, 0.0).B
+    assert B.tolist() == [action_parts(grid, 1.0, r, e, 0.0, 0.0).B
+                          for r, e in zip(rho, eta)]
 
 
 def test_stack_grad_J_matches_rows(grid, stack):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgp import Grid, convolve, delta, derivative, gaussian, integrate
+from nlgp import (Grid, bochner_riesz, convolve, delta, derivative, gaussian,
+                  integrate)
 from nlgp.errors import ConfigError
 from nlgp.spectral import (continuous_hat, cumulative_integral, sech,
                            spectral_density_integral, spectrum, tail_magnitude)
@@ -107,6 +108,26 @@ def test_parseval_and_symmetry(seed):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
     wf = convolve(spec, g, f)
     assert math.sqrt(integrate(g, wf ** 2)) <= math.sqrt(integrate(g, f ** 2)) * (1 + 1e-12)
+
+
+def test_spectral_density_integral_rows_and_quadrature():
+    g = Grid(32.0, 512)
+    rng = np.random.default_rng(5)
+    band = np.exp(-(g.xi_half / 3.0) ** 2)
+    coef = rng.standard_normal((5, band.size)) + 1j * rng.standard_normal((5, band.size))
+    stack = np.fft.irfft(band * coef, n=g.size)
+    fh = spectrum(stack)
+    for spec in (gaussian(0.4), bochner_riesz(0.25)):
+        w = spec.lattice_symbol(g)
+        vals = spectral_density_integral(g, w, fh)
+        # a stack gives each row's value to the bit, one field a Python float
+        assert vals.tolist() == [spectral_density_integral(g, w, row) for row in fh]
+        assert isinstance(spectral_density_integral(g, w, fh[0]), float)
+        # a strided stack is read row by row like a contiguous one
+        assert spectral_density_integral(g, w, fh[::2]).tolist() == vals[::2].tolist()
+        # with W_hat it is int (W*f) f
+        np.testing.assert_allclose(vals, integrate(g, convolve(spec, g, stack) * stack),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_continuous_hat_gaussian():
