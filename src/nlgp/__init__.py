@@ -24,7 +24,7 @@ from .potentials import (CATALOG, HypothesisCertificate, PotentialSpec,
 from .spectral import Grid, convolve, derivative, integrate
 from .hydro import (WaveFields, assemble, energy, identity_suite, momentum,
                     nonvanishing_check, residual_rho, residual_tw)
-from .functionals import (build_phi_c, functional_J, grad_J, hess_J_apply,
+from .functionals import (build_phi_c, functional_J, grad_J,
                           mountain_pass_bracket, pairing_identity,
                           sphere_bound)
 from .solver import (SolitonBranch, SolitonSolution, SolverOptions,

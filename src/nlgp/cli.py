@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -206,6 +207,8 @@ def _cmd_branch(args, cfg):
 
 
 def _cmd_verify(args, cfg):
+    if not 0.0 < args.tol < math.inf:    # written so that NaN fails it
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     spec, grid, c, arrays, doc = nio.read_solution(args.input)
     fields = assemble(grid, arrays["rho"], c, spec)
     report = identity_suite(fields, tol=args.tol)

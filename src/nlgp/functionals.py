@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
-                    plus_local_part, rho_equation, rho_jacobian)
+                    plus_local_part, rho_equation)
 from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
 from .spectral import (Grid, convolve, from_spectrum, integrate, per_row,
                        spectral_density_integral, spectrum)
@@ -87,15 +87,6 @@ def _descent(grid: Grid, v: np.ndarray, vh: np.ndarray, eh: np.ndarray, c: float
     dh = grid.xi_half_squared * vh - spectrum(plus_local_part(0.0, rho, c, weta))
     dh *= inv_mc
     return from_spectrum(grid, dh), dh
-
-
-def hess_J_apply(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec,
-                 psi: np.ndarray) -> np.ndarray:
-    """Second derivative applied to a direction psi: F'(1 - v) psi (symmetric)."""
-    rho = 1.0 - v
-    if not np.all(admissible(rho)):
-        raise VortexError("Hessian undefined outside the nonvanishing set")
-    return rho_jacobian(grid, rho, c, spec)(psi)
 
 
 def pairing_identity(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec):

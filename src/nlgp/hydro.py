@@ -286,33 +286,18 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
 # energy, momentum, action
 
 
-def energy(fields: WaveFields):
-    """Energy in its two algebraically distinct forms (gradient and density).
-
-    The forms agree on solutions; their difference is a diagnostic for
-    arbitrary fields.  The density form requires min rho > 0.
-    """
-    g, eta, K = fields.grid, fields.eta, fields.K
-    pot = 0.25 * integrate(g, fields.weta * eta)
-    e_grad = 0.5 * integrate(g, K) + pot
-    if fields.min_rho <= 0.0:
-        raise VortexError("density form of the energy needs min rho > 0")
-    one = 1.0 - eta
-    e_dens = (fields.c ** 2 / 8.0) * integrate(g, eta ** 2 / one) \
-        + 0.125 * integrate(g, fields.eta_x ** 2 / one) + pot
-    return float(e_grad), float(e_dens)
-
-
-def momentum(fields: WaveFields):
-    """Renormalized momentum: defining integral and the eta-only form."""
+def energy(fields: WaveFields) -> float:
+    """E = (1/2) int K + (1/4) int (W*eta) eta, with K = |u'|^2."""
     g = fields.grid
-    eta = fields.eta
+    return float(0.5 * integrate(g, fields.K) + 0.25 * integrate(g, fields.weta * fields.eta))
+
+
+def momentum(fields: WaveFields) -> float:
+    """Renormalized momentum p = -(1/2) int <i u', u> eta / (1 - eta), taken as
+    (1/2) int theta' eta: Re(i u' conj u) = -rho^2 theta' and 1 - eta = rho^2."""
     if fields.min_rho <= 0.0:
         raise VortexError("renormalized momentum needs min rho > 0")
-    iup_u = np.real(1j * fields.u_x * np.conj(fields.u))
-    p_def = -0.5 * integrate(g, iup_u * eta / (1.0 - eta))
-    p_eta = 0.25 * fields.c * integrate(g, eta ** 2 / (1.0 - eta))
-    return float(p_def), float(p_eta)
+    return float(0.5 * integrate(fields.grid, fields.theta_prime * fields.eta))
 
 
 @dataclass(frozen=True)

@@ -117,15 +117,16 @@ def initial_guess(grid: Grid, c: float) -> np.ndarray:
     return np.sqrt(1.0 - ((2.0 - c ** 2) / 2.0) * sech(nu * grid.x) ** 2)
 
 
-def gmres(A, b, *, rtol, atol, maxiter, M=None, callback=None, callback_type=None):
+def gmres(A, b, *, rtol, maxiter, M=None, callback=None, callback_type=None):
     """Restarted GMRES(KRYLOV_RESTART) for A x = b from x = 0; returns
-    (x, info), info 0 on convergence, else the iterations made.
+    (x, info, iterations), info 0 on convergence, else the iterations made.
 
     The calling convention is scipy's: ``A`` has ``shape``, ``dtype`` and
-    ``matvec``, and the stop is ||b - A x|| <= max(atol, rtol ||b||).  But
-    ``maxiter`` counts Krylov iterations, ``callback`` receives each
-    iteration's relative residual estimate whatever ``callback_type`` says,
-    and a preconditioner belongs inside ``A``: ``M`` must be None.
+    ``matvec``, and the stop is ||b - A x|| <= rtol ||b||.  But ``maxiter``
+    counts Krylov iterations, ``callback`` receives each iteration's relative
+    residual estimate whatever ``callback_type`` says, and a preconditioner
+    belongs inside ``A``: ``M`` must be None.  These three keep scipy's names
+    because ``bench/tracer.py`` passes them to instrument the solve.
 
     Arnoldi runs classical Gram-Schmidt twice, two matrix products per
     iteration and as stable as the modified form (Giraud, Langou & Rozloznik,
@@ -136,7 +137,7 @@ def gmres(A, b, *, rtol, atol, maxiter, M=None, callback=None, callback_type=Non
     if M is not None:
         raise ValueError("gmres takes no M: apply the preconditioner inside A")
     bnorm = float(np.linalg.norm(b))
-    tol = max(atol, rtol * bnorm)
+    tol = rtol * bnorm
     x, r, beta, its = np.zeros(b.shape), b, bnorm, 0
     V = np.empty((min(KRYLOV_RESTART, maxiter) + 1, b.size))
     while beta > tol and its < maxiter:
@@ -171,14 +172,7 @@ def gmres(A, b, *, rtol, atol, maxiter, M=None, callback=None, callback_type=Non
         if beta > tol and its < maxiter:
             r = b - A.matvec(x)
             beta = float(np.linalg.norm(r))
-    return x, 0 if beta <= tol else its
-
-
-def _gmres_iterations(products: int) -> int:
-    """Iterations of a converged ``gmres`` call that made ``products``
-    operator products: one per iteration, plus one true residual per
-    KRYLOV_RESTART-iteration cycle that ends without convergence."""
-    return products - products // (KRYLOV_RESTART + 1)
+    return x, 0 if beta <= tol else its, its
 
 
 def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -218,7 +212,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
             fields=fields, converged=converged, status=status,
             newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
             residual_l2=l2, identity_report=identity_suite(fields),
-            E=energy(fields)[0], p=momentum(fields)[0], J=action(fields))
+            E=energy(fields), p=momentum(fields), J=action(fields))
 
     res, krylov = residual(rho), 0
     for it in range(opts.max_iter):
@@ -226,16 +220,12 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-        jac, products = rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc), [0]
-
-        def matvec(y):
-            products[0] += 1
-            return jac(y)
-        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float), matvec=matvec)
-        y, info = gmres(A, half_spectrum(grid, res),
-                        rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)), atol=0.0,
-                        maxiter=KRYLOV_MAXITER)
-        krylov += info or _gmres_iterations(products[0])
+        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
+                            matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
+        y, info, its = gmres(A, half_spectrum(grid, res),
+                             rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)),
+                             maxiter=KRYLOV_MAXITER)
+        krylov += its
         if info != 0:
             return finalize(rho, "newton_failed", it, res)
         d = from_half_spectrum(grid, y, inv_mc)

@@ -537,9 +537,16 @@ def test_cli_command_key_n(tmp_path, capsys):
      "--refine-steps ([command] refine_steps)"),
     (("mpass", "--c", "1.0"), "[command]\nrefine_steps = -5\n",
      "--refine-steps ([command] refine_steps)"),
+    # verify's verdict rests on --tol: inf would pass every file, and 0, -1
+    # or nan fail every file with a message that does not name the tolerance
+    *[(("verify", "sol.json", "--tol", tol), "", "--tol must be finite and positive")
+      for tol in ("inf", "nan", "0", "-1")],
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
-        "refine_steps_key"])
-def test_cli_negative_count_exit_2(argv, cfg_text, name, tmp_path, capsys):
+        "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg"])
+def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,
+                                   monkeypatch, capsys):
+    (tmp_path / "sol.json").write_text(json.dumps(solution_doc))  # a file verify passes
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[potential]\nkind = delta\n" + cfg_text)
     assert run_cli("--config", str(cfg), *argv) == cli.EXIT_CONFIG

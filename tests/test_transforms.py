@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlgp import (Grid, berloff, bochner_riesz, delta, derivative,
-                  exp_repulsive, gaussian, hess_J_apply, initial_guess,
+                  exp_repulsive, gaussian, initial_guess,
                   measure_combo, newton_solve, shifted_deltas, soft_core,
                   solver, tabulated)
 from nlgp.hydro import rho_jacobian, rho_jacobian_preconditioned
@@ -109,7 +109,6 @@ def test_preconditioned_jacobian_is_the_physical_one_in_coordinates(case):
     got = rho_jacobian_preconditioned(g, rho, c, spec, inv_mc)(y)
     assert got[1] == 0.0 and got[-1] == 0.0      # Im at xi = 0 and at Nyquist
     assert _rel(got, half_spectrum(g, rho_jacobian(g, rho, c, spec)(d))) <= 1e-12
-    assert _rel(got, half_spectrum(g, hess_J_apply(g, 1.0 - rho, c, spec, d))) <= 1e-12
 
 
 def test_half_lattice_has_the_full_lattice_magnitudes():
