@@ -30,7 +30,7 @@ from .functionals import (build_phi_c, functional_J, grad_J,
 from .solver import (SolitonBranch, SolitonSolution, SolverOptions,
                      continue_branch, initial_guess, newton_solve, solve_auto,
                      sonic_sweep)
-from .analysis import (DecayFit, analyticity_proxy, fit_algebraic,
+from .analysis import (DecayFit, analyticity_strip, fit_algebraic,
                        fit_exponential, phase_limits, symmetry_metrics)
 
 __version__ = "0.1.0"

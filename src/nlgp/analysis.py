@@ -1,24 +1,27 @@
-"""Post-processing: tail fits against multiplier predictions, phase limits,
-symmetry metrics, and a spectral analyticity proxy."""
+"""Post-processing: tail fits against multiplier predictions, the strip of
+analyticity, phase limits and symmetry metrics.
+
+The tail fits in x and the strip fit in xi read one amplitude band (``_band``).
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnderresolvedTailError
 from .hydro import WaveFields
-from .spectral import Grid, continuous_hat
+from .spectral import Grid, spectrum
 
-FIT_FLOOR_FACTOR = 100.0  # times machine epsilon times the field amplitude
+BAND_TOP = 1e-2            # the fit band starts below this share of the envelope's max
+BAND_BOTTOM = 1e-9         # and ends below this share
+BAND_REACH = 0.75          # or at this share of the samples, whichever is first
 MIN_FIT_POINTS = 20
 # both models fit far-field log-data with r^2 > 0.99; the measured gap for
 # textbook members of either class is ~3e-3, so the tie margin sits below that
 R2_SELECT_MARGIN = 0.002
 ENVELOPE_BLOCKS = 6        # most blocks of the algebraic envelope check
-GROWTH_CAP = 1e3           # weighted-sum growth that ends the analyticity strip
 PHASE_TAIL_TOL = 1e-8      # |eta| at the edges above which phase limits warn
 
 
@@ -27,78 +30,92 @@ class DecayFit:
     model: str              # "exponential" | "algebraic"
     rate_or_power: float
     r_squared: float
-    window: tuple           # (x_lo, x_hi)
-    floor: float
+    window: tuple           # (x_lo, x_hi): the bands' extent in |x|
     tail_discrepancy: float  # |left rate - right rate|, extra symmetry diagnostic
 
-    def __post_init__(self):
-        if not (0.0 <= self.r_squared <= 1.0 or math.isnan(self.r_squared)):
-            raise ValueError("r^2 out of [0, 1]")
+
+def _band(samples: np.ndarray):
+    """(envelope, band) of samples ordered outward, |x| from the trough or
+    xi from zero.
+
+    The envelope, the largest |sample| at or beyond each one, is
+    nonincreasing through sign changes and oscillation.  The band is the
+    slice of it from its first value below BAND_TOP times its max to its
+    first below BAND_BOTTOM times it: past the core, above the roundoff floor
+    and the solver's residual plateau.  It ends within the first BAND_REACH
+    of the samples: beyond, a periodic tail carries the image of the other
+    one (a spectrum, its aliases), which biased the rate of a tail not yet at
+    BAND_BOTTOM by 1-2%.  Raises UnderresolvedTailError for fewer than
+    MIN_FIT_POINTS samples in the band.
+    """
+    env = np.maximum.accumulate(np.abs(samples)[::-1])[::-1]
+    band = slice(int(np.count_nonzero(env >= BAND_TOP * env[0])),
+                 min(int(np.count_nonzero(env >= BAND_BOTTOM * env[0])),
+                     int(BAND_REACH * env.size)))
+    if band.stop - band.start < MIN_FIT_POINTS:
+        raise UnderresolvedTailError(
+            f"fewer than {MIN_FIT_POINTS} samples between {BAND_TOP:g} and "
+            f"{BAND_BOTTOM:g} of the max; refine the grid or enlarge the domain")
+    return env, band
 
 
-def _tail_windows(grid: Grid, eta: np.ndarray, floor: float):
-    """Window samples [(x, |eta|) right tail, (x, |eta|) mirrored left tail]."""
-    L = grid.half_length
-    lo, hi = 0.55 * L, 0.85 * L
-    out = []
-    for sgn in (1.0, -1.0):
-        mask = (sgn * grid.x >= lo) & (sgn * grid.x <= hi)
-        xs = np.abs(grid.x[mask])
-        ys = np.abs(eta[mask])
-        keep = ys > floor
-        out.append((xs[keep], ys[keep]))
-    return out, (lo, hi)
-
-
-def _ls_fit(xs, logy):
-    slope, intercept = np.polyfit(xs, logy, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((logy - pred) ** 2))
+def _ls_fit(columns, logy):
+    """Least-squares coefficients of logy on 1 and the columns, and r^2."""
+    design = np.column_stack([np.ones_like(logy), *columns])
+    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
+    ss_res = float(np.sum((logy - design @ coef) ** 2))
     ss_tot = float(np.sum((logy - np.mean(logy)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), min(max(r2, 0.0), 1.0)
+    return coef, min(max(r2, 0.0), 1.0)
 
 
-def _fit(grid: Grid, eta: np.ndarray, abscissa) -> DecayFit:
-    amp = float(np.abs(eta).max())
-    floor = FIT_FLOOR_FACTOR * np.finfo(float).eps * amp
-    tails, window = _tail_windows(grid, eta, floor)
-    slopes, r2s, weights = [], [], []
-    for xs, ys in tails:
-        if len(xs) < MIN_FIT_POINTS:
-            continue
-        s, r2 = _ls_fit(abscissa(xs), np.log(ys))
-        slopes.append(s)
+def _fit(grid: Grid, eta: np.ndarray, model: str, abscissa) -> DecayFit:
+    """Slope of log|eta| against abscissa(|x|) over each tail's band, averaged
+    with the band sizes as weights."""
+    mid = grid.size // 2      # the node x = 0
+    ax = np.abs(grid.x)
+    slopes, r2s, sizes, ends = [], [], [], []
+    for side in (slice(mid, None), slice(mid, None, -1)):
+        env, band = _band(eta[side])
+        xs = ax[side][band]
+        (_, slope), r2 = _ls_fit([abscissa(xs)], np.log(env[band]))
+        slopes.append(slope)
         r2s.append(r2)
-        weights.append(len(xs))
-    if not slopes:
-        raise UnderresolvedTailError(
-            f"fewer than {MIN_FIT_POINTS} tail samples above the floor "
-            f"{floor:.2e} in the window [{window[0]:g}, {window[1]:g}]; "
-            "enlarge the domain")
-    rate = -float(np.average(slopes, weights=weights))
-    r2 = float(np.average(r2s, weights=weights))
-    disc = float(abs(slopes[0] - slopes[-1])) if len(slopes) == 2 else math.nan
-    return rate, r2, window, floor, disc
+        sizes.append(xs.size)
+        ends += [xs[0], xs[-1]]
+    return DecayFit(model=model, rate_or_power=-float(np.average(slopes, weights=sizes)),
+                    r_squared=float(np.average(r2s, weights=sizes)),
+                    window=(float(min(ends)), float(max(ends))),
+                    tail_discrepancy=float(abs(slopes[0] - slopes[1])))
 
 
 def fit_exponential(grid: Grid, eta: np.ndarray) -> DecayFit:
-    """Least-squares slope of log|eta| over the window [0.55 L, 0.85 L].
+    """Least-squares slope of log|eta| against |x| over the amplitude band.
 
-    Both tails are fitted independently and averaged; points below the
-    roundoff floor are excluded.  Raises UnderresolvedTailError when the
-    window has too few usable samples.
+    Both tails are fitted on their upper envelopes and averaged.  Raises
+    UnderresolvedTailError when a tail's band has too few samples.
     """
-    rate, r2, window, floor, disc = _fit(grid, eta, lambda xs: xs)
-    return DecayFit(model="exponential", rate_or_power=rate, r_squared=r2,
-                    window=window, floor=floor, tail_discrepancy=disc)
+    return _fit(grid, eta, "exponential", lambda xs: xs)
 
 
 def fit_algebraic(grid: Grid, eta: np.ndarray) -> DecayFit:
-    """Slope of log|eta| against log|x| over the same window."""
-    power, r2, window, floor, disc = _fit(grid, eta, np.log)
-    return DecayFit(model="algebraic", rate_or_power=power, r_squared=r2,
-                    window=window, floor=floor, tail_discrepancy=disc)
+    """Slope of log|eta| against log|x| over the same band."""
+    return _fit(grid, eta, "algebraic", np.log)
+
+
+def analyticity_strip(fields: WaveFields) -> float:
+    """Half-width w of the strip |Im x| < w in which eta is analytic.
+
+    A singularity at distance w from the real axis makes |eta_hat(xi)| ~
+    A xi^b e^{-w xi}, so w comes from the least-squares fit of
+    log|eta_hat| = a + b log xi - w xi over the amplitude band of the
+    spectrum (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 138, 1983).
+    Raises UnderresolvedTailError when the band has too few samples.
+    """
+    env, band = _band(spectrum(fields.eta))
+    xi = fields.grid.xi_half[band]
+    (_, _, slope), _ = _ls_fit([np.log(xi), xi], np.log(env[band]))
+    return -float(slope)
 
 
 def select_model(grid: Grid, eta: np.ndarray):
@@ -114,7 +131,7 @@ def select_model(grid: Grid, eta: np.ndarray):
 
 def algebraic_envelope_check(grid: Grid, eta: np.ndarray, power: float,
                              oscillation_period: float):
-    """Block maxima of |x|^power |eta| over the fit window, and whether they decrease.
+    """Block maxima of |x|^power |eta| over [0.55 L, 0.85 L], and whether they decrease.
 
     The inverse-multiplier kernel of a truncated-parabola symbol oscillates,
     so the pointwise product is not monotone; maxima over blocks at least one
@@ -179,28 +196,3 @@ def symmetry_metrics(fields: WaveFields):
     s = (fields.theta + g.reflect(fields.theta))[1:]
     theta_asym = float(np.abs(s - np.median(s)).max())
     return rho_asym, theta_asym
-
-
-def analyticity_proxy(fields: WaveFields, mu_list):
-    """Weighted spectral sums sum |eta_hat|^2 e^{2 mu |xi|} and the empirical radius.
-
-    The largest mu whose sum stays below GROWTH_CAP times the mu = 0
-    value is reported as the empirical strip radius of analyticity.  Spectral
-    samples at the roundoff floor are excluded: amplified by e^{2 mu |xi|}
-    they would swamp the signal and drive the radius to zero.
-    """
-    g = fields.grid
-    eta_hat = np.abs(continuous_hat(g, fields.eta))
-    keep = eta_hat > FIT_FLOOR_FACTOR * np.finfo(float).eps * eta_hat.max()
-    eta_hat2 = eta_hat[keep] ** 2
-    axi = np.abs(g.xi)[keep]
-    dxi = np.pi / g.half_length
-    base = float(np.sum(eta_hat2) * dxi)
-    table = []
-    radius = 0.0
-    for mu in mu_list:
-        s = float(np.sum(eta_hat2 * np.exp(2.0 * mu * axi)) * dxi)
-        table.append((float(mu), s))
-        if s <= GROWTH_CAP * base:
-            radius = max(radius, float(mu))
-    return table, radius

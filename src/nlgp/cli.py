@@ -16,7 +16,8 @@ import numpy as np
 from . import analysis, config, functionals, io as nio, potentials, solver
 from .errors import (CertificationError, ConfigError, NlgpError,
                      NoSoundSpeedError, OutOfRegimeError,
-                     SupersonicMultiplierError, VortexError)
+                     SupersonicMultiplierError, UnderresolvedTailError,
+                     VortexError)
 from .hydro import (IDENTITY_TOL, assemble, identity_suite,
                     momentum_conditioning_warning, nonvanishing_check,
                     residual_rho, residual_tw)
@@ -27,8 +28,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 EXIT_REGIME = 5
-
-ANALYTICITY_MU = tuple(k / 5 for k in range(21))   # verify's proxy strip widths 0, 0.2, ..., 4
 
 _PARAM_FLAGS = ("alpha", "beta", "lam", "kappa", "a", "b", "file")
 _ALIASES = {"lambda": "lam"}
@@ -102,13 +101,19 @@ def _load_config(args) -> config.RunConfig:
         cfg.seed = args.seed
     cfg.command.update({k: getattr(args, k) for k in config.COMMAND_KEYS
                         if getattr(args, k, None) is not None})
-    # the integer keys are counts; the dispersion slope needs two positive
-    # frequencies besides xi = 0, so n counts at least three samples
-    for k, typ in config.COMMAND_KEYS.items():
+    # every float read must be finite: nan passes no range check and reaches a
+    # solver.  The integer keys are counts; the dispersion slope needs two
+    # positive frequencies besides xi = 0, so n counts at least three samples
+    named = [(f"--{k} ([potential] {k})", v) for k, v in pot.items()]
+    named.append(("--L ([grid] half_length, NLGP_GRID_L)", cfg.grid.half_length))
+    for k, v in cfg.command.items():
+        named.append((f"--{k.replace('_', '-')} ([command] {k})", v))
         least = 3 if k == "n" else 0
-        if typ is int and k in cfg.command and cfg.command[k] < least:
-            raise ConfigError(f"--{k.replace('_', '-')} ([command] {k}) must be "
-                              f">= {least}, got {cfg.command[k]}")
+        if isinstance(v, int) and v < least:
+            raise ConfigError(f"{named[-1][0]} must be >= {least}, got {v}")
+    for where, v in named:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{where} must be finite, got {v!r}")
     return cfg
 
 
@@ -218,7 +223,10 @@ def _cmd_verify(args, cfg):
     # report-only checks of the paper's claims; the verdict ignores them
     tw_sup, tw_l2 = residual_tw(fields)
     pl = analysis.phase_limits(fields)
-    _, radius = analysis.analyticity_proxy(fields, ANALYTICITY_MU)
+    try:
+        strip = analysis.analyticity_strip(fields)
+    except UnderresolvedTailError:
+        strip = None
     mom_warn = momentum_conditioning_warning(fields)
     out_doc = {"input": args.input, "residual_sup": sup, "residual_l2": l2,
                "identity": report.as_dict(),
@@ -228,20 +236,21 @@ def _cmd_verify(args, cfg):
                "phase_limits": {"theta_minus": pl.theta_minus,
                                 "theta_plus": pl.theta_plus, "jump": pl.jump,
                                 "tail_warning": pl.tail_warning},
-               "analyticity": {"radius": radius, "mu_max": ANALYTICITY_MU[-1]},
+               "analyticity": {"strip": strip},
                "momentum_conditioning_warning": mom_warn,
                "pass": bool(ok)}
     lines = [f"verify {args.input}: residual sup = {sup:.3e}"]
     for e in report.entries:
         state = "skip" if e.skipped else ("pass" if e.passed else "FAIL")
-        lines.append(f"  {e.name:18s} {state:4s} residual = {e.residual_rel:.3e}")
+        lines.append(f"  {e.name:18s} {state:4s} residual = {e.residual_rel:.3e}"
+                     + (" (holds by construction)" if e.by_construction else ""))
     lines.append(f"  nonvanishing bound: {'pass' if nv.passed else 'FAIL'} "
                  f"({nv.weta_sup:.4f} >= {nv.bound:.4f})")
     lines.append(f"  complex equation residual: sup = {tw_sup:.3e}, L2 = {tw_l2:.3e}")
     lines.append(f"  phase limits: theta- = {pl.theta_minus:.9f}, theta+ = {pl.theta_plus:.9f}, "
                  f"jump = {pl.jump:.9f}" + (" (tail warning)" if pl.tail_warning else ""))
-    lines.append(f"  analyticity strip radius (proxy): {radius:g} "
-                 f"(largest sampled {ANALYTICITY_MU[-1]:g})")
+    lines.append("  analyticity strip half-width (spectral fit): "
+                 + (f"{strip:.6g}" if strip is not None else "underresolved"))
     lines.append(f"  momentum conditioning: {mom_warn or 'ok'}")
     lines.append("verification " + ("passed" if ok else "FAILED"))
     _emit(args, out_doc, lines)
@@ -335,11 +344,7 @@ def _cmd_decay(args, cfg):
         raise ConfigError("decay needs --c")
     _check_subsonic(spec, c)
     pred = potentials.decay_prediction(spec, c)
-    if pred.model == "exponential" and not pred.censored:
-        L = max(8.0, min(40.0, 24.0 / pred.value))
-        grid = Grid(L, 1024)
-    else:
-        grid = Grid(cfg.grid.half_length, cfg.grid.size)
+    grid = Grid(cfg.grid.half_length, cfg.grid.size)
     sol = solver.newton_solve(spec, grid, c, solver.initial_guess(grid, c), cfg.solver)
     if not sol.converged:
         print(f"solver failure: {sol.status}", file=sys.stderr)
@@ -402,6 +407,8 @@ def _report_row(name, doc):
 def _cmd_report(args, cfg):
     import glob
     import os
+    if not os.path.isdir(args.dir):
+        raise ConfigError(f"--dir {args.dir}: not a directory")
     rows, skipped = [], []
     for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
         name = os.path.basename(path)

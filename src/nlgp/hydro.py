@@ -20,6 +20,9 @@ from .spectral import (Grid, convolve, cumulative_integral, derivative,
 
 POSITIVITY_FLOOR = 1e-3      # least amplitude a solve or path may reach
 IDENTITY_TOL = 1e-6          # relative residual each identity must meet
+# assemble forms theta' from rho, so these identities hold on any profile:
+# they count toward the verdict but carry no evidence
+BY_CONSTRUCTION = ("phase_current", "first_integral", "kinetic_closure")
 MOMENTUM_CONDITIONING_FLOOR = 0.05
 
 
@@ -195,10 +198,15 @@ class IdentityEntry:
     passed: bool
     skipped: bool = False
 
+    @property
+    def by_construction(self) -> bool:
+        return self.name in BY_CONSTRUCTION
+
     def as_dict(self):
         return {"name": self.name, "lhs_norm": self.lhs_norm,
                 "rhs_norm": self.rhs_norm, "residual_rel": self.residual_rel,
-                "pass": self.passed, "skipped": self.skipped}
+                "pass": self.passed, "skipped": self.skipped,
+                "by_construction": self.by_construction}
 
 
 @dataclass(frozen=True)

@@ -194,17 +194,6 @@ def convolve(spec, grid: Grid, f: np.ndarray) -> np.ndarray:
     return apply_symbol(f, spec.lattice_symbol(grid))
 
 
-def continuous_hat(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Samples of the line Fourier transform int e^{-i x xi} f(x) dx at xi_k.
-
-    Returned on the full lattice in FFT order (matching ``grid.xi``).  The
-    (-1)^k phase accounts for the grid starting at -L rather than 0.
-    """
-    N = grid.size
-    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    return grid.spacing * signs * np.fft.fft(f)
-
-
 def spectral_density_integral(grid: Grid, weights: np.ndarray,
                               fh: np.ndarray) -> float | np.ndarray:
     """(1/2pi) * int weights(xi) |f_hat(xi)|^2 d(xi) on the frequency lattice,

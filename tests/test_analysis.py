@@ -1,4 +1,4 @@
-"""Tail fits, phase limits, symmetry metrics, analyticity proxy."""
+"""Tail fits, the strip of analyticity, phase limits, symmetry metrics."""
 
 import math
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlgp import (Grid, UnderresolvedTailError, assemble, delta,
-                  decay_prediction, fit_algebraic, fit_exponential, gaussian,
-                  initial_guess, newton_solve, phase_limits, symmetry_metrics)
-from nlgp.analysis import (algebraic_envelope_check, analyticity_proxy,
-                           select_model)
-from nlgp.spectral import continuous_hat, integrate, sech
+from nlgp import (Grid, UnderresolvedTailError, analyticity_strip, assemble,
+                  continue_branch, delta, decay_prediction, exp_repulsive,
+                  fit_algebraic, fit_exponential, gaussian, initial_guess,
+                  newton_solve, phase_limits, symmetry_metrics)
+from nlgp.analysis import algebraic_envelope_check, select_model
+from nlgp.io import write_branch_csv
+from nlgp.spectral import integrate, sech
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +34,29 @@ def test_fit_exponential_contact(fit_grid, contact_solution):
     fit = fit_exponential(fit_grid, contact_solution.fields.eta)
     assert fit.rate_or_power == pytest.approx(1.0, rel=0.02)
     assert fit.r_squared > 0.999
-    assert fit.window == (0.55 * 32.0, 0.85 * 32.0)
+    # the band runs from 2 e^{-x} = 1e-2 max|eta| to 2 e^{-x} = 1e-9 max|eta|
+    h = fit_grid.spacing
+    assert fit.window[0] == pytest.approx(math.log(400.0), abs=h)
+    assert fit.window[1] == pytest.approx(math.log(4e9), abs=h)
 
 
 def test_fit_exponential_underresolved(fit_grid):
     with pytest.raises(UnderresolvedTailError):
         fit_exponential(fit_grid, np.zeros(fit_grid.size))
+
+
+@pytest.mark.parametrize("spec", [delta(), exp_repulsive(1.0, 3.0)],
+                         ids=["delta", "exp_repulsive"])
+def test_branch_decay_rate_fit_every_member(spec, grid128, tmp_path):
+    # on the default grid the tail reaches roundoff well inside the domain
+    # and, at small c, sits on the solver's residual plateau: the amplitude
+    # band must skip both for every member of the branch
+    out = tmp_path / "branch.csv"
+    write_branch_csv(out, continue_branch(spec, grid128, 0.2, 1.35))
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    pred = [decay_prediction(spec, c).value for c in data[:, 0]]
+    assert len(data) > 10 and np.all(np.isfinite(data[:, 6]))
+    np.testing.assert_allclose(data[:, 6], pred, rtol=1e-2)
 
 
 def test_fit_exponential_derivative_same_rate(fit_grid, contact_solution):
@@ -121,31 +139,24 @@ def test_symmetry_detects_shift(fit_grid, contact_solution):
 
 
 # ---------------------------------------------------------------------------
-# analyticity proxy
+# strip of analyticity
 
 
-def test_analyticity_proxy_contact(fit_grid, contact_solution):
-    # oracle: at c = 1 the closed-form transform is eta_hat = 2 pi xi/sinh(pi xi)
-    # (poles of sech^2(x/2) at x = i pi give strip radius pi), so the weighted
-    # sums stay moderate for mu below pi and explode beyond
-    f = contact_solution.fields
-    eta_hat = continuous_hat(fit_grid, f.eta).real
-    xi = np.array([0.5, 1.0, 2.0, 4.0])
-    idx = [np.argmin(np.abs(fit_grid.xi - v)) for v in xi]
-    exact = 2 * math.pi * fit_grid.xi[idx] / np.sinh(math.pi * fit_grid.xi[idx])
-    np.testing.assert_allclose(eta_hat[idx], exact, rtol=1e-8)
-    table, radius = analyticity_proxy(f, np.linspace(0.0, 4.0, 41))
-    assert 2.5 < radius < math.pi + 0.2
-    sums = np.array([s for _, s in table])
-    assert np.all(np.diff(sums) > 0)
+@pytest.mark.parametrize("c", [0.6, 1.0, 1.3])
+def test_analyticity_strip_contact(c, grid128):
+    # oracle: eta = 2 nu^2 sech^2(nu x), nu = sqrt(2 - c^2)/2, has its poles at
+    # x = +-i pi/(2 nu): the strip half-width is pi/(2 nu) (pi at c = 1)
+    sol = newton_solve(delta(), grid128, c, initial_guess(grid128, c))
+    nu = math.sqrt(2.0 - c * c) / 2.0
+    assert analyticity_strip(sol.fields) == pytest.approx(math.pi / (2.0 * nu), abs=1e-3)
 
 
-def test_analyticity_proxy_noise(fit_grid):
+def test_analyticity_strip_noise_refused(fit_grid):
+    # a flat spectrum never falls into the band: no strip is fitted
     rng = np.random.default_rng(0)
     rho = 1.0 + 1e-3 * rng.standard_normal(fit_grid.size)
-    f = assemble(fit_grid, rho, 1.0, delta())
-    _, radius = analyticity_proxy(f, np.linspace(0.0, 2.0, 21))
-    assert radius <= 0.2
+    with pytest.raises(UnderresolvedTailError):
+        analyticity_strip(assemble(fit_grid, rho, 1.0, delta()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +174,6 @@ def test_mass_proxy_stable_under_domain_growth():
     assert vals[1] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_analyticity_proxy_berloff_positive(berloff_solution):
-    _, radius = analyticity_proxy(berloff_solution.fields,
-                                  np.linspace(0.0, 1.0, 21))
-    assert radius > 0.0
+def test_analyticity_strip_berloff_positive(berloff_solution):
+    w = analyticity_strip(berloff_solution.fields)
+    assert 0.0 < w < math.inf

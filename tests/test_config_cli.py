@@ -123,7 +123,8 @@ def test_cli_solve_verify_roundtrip(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     for label in ("complex equation residual", "phase limits",
-                  "analyticity strip radius", "momentum conditioning: ok"):
+                  "analyticity strip half-width", "momentum conditioning: ok",
+                  "first_integral     pass residual"):
         assert label in text
     # the report-only checks against the contact soliton at c = 1: phase jump
     # 2 arctan(sqrt(2 - c^2)/c), eta = (1/2) sech^2(x/2) analytic for |Im x| < pi
@@ -134,8 +135,9 @@ def test_cli_solve_verify_roundtrip(tmp_path, capsys):
     assert pl["jump"] == pytest.approx(2.0 * math.atan(1.0), abs=1e-6)
     assert pl["theta_plus"] == pytest.approx(-pl["theta_minus"], abs=1e-12)
     assert pl["tail_warning"] is False
-    assert 2.5 < doc["analyticity"]["radius"] < math.pi + 0.2
-    assert doc["analyticity"]["mu_max"] == cli.ANALYTICITY_MU[-1]
+    assert doc["analyticity"]["strip"] == pytest.approx(math.pi, abs=1e-3)
+    assembly = [e["name"] for e in doc["identity"]["entries"] if e["by_construction"]]
+    assert assembly == ["phase_current", "first_integral", "kinetic_closure"]
     assert doc["momentum_conditioning_warning"] is None
 
 
@@ -168,6 +170,23 @@ def test_cli_verify_exit_ignores_the_report_only_checks(tmp_path, capsys):
     assert run_cli("--json", "verify", str(out)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["phase_limits"]["tail_warning"] is True and doc["pass"] is True
+
+
+def test_cli_verify_reports_an_underresolved_strip(tmp_path, capsys):
+    # at spacing 1/2 fewer than 20 spectral samples lie in the amplitude band:
+    # no strip is fitted, and verify still exits on the identity suite alone
+    from nlgp import Grid, delta, initial_guess, newton_solve
+    from nlgp.io import write_solution
+    grid = Grid(32.0, 64)
+    out = tmp_path / "sol.json"
+    write_solution(out, newton_solve(delta(), grid, 1.0, initial_guess(grid, 1.0)))
+    code = run_cli("--json", "verify", str(out))
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["analyticity"]["strip"] is None
+    assert code == (cli.EXIT_OK if doc["pass"] else cli.EXIT_VERIFY)
+    run_cli("verify", str(out))
+    assert "analyticity strip half-width (spectral fit): underresolved" in \
+        capsys.readouterr().out
 
 
 def test_cli_solve_supersonic_exit_5(capsys):
@@ -256,8 +275,9 @@ def test_cli_branch_csv(tmp_path, capsys):
     assert header == "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.all(np.diff(data[:, 0]) > 0)
-    # the fit window [0.55 L, 0.85 L] of the c = 0.6 tail lies below roundoff
-    assert math.isnan(data[0, 6])
+    # oracle: the contact tail decays at sqrt(2 - c^2); the amplitude band
+    # lies above roundoff for every member, the slow and the fast tails
+    np.testing.assert_allclose(data[:, 6], np.sqrt(2.0 - data[:, 0] ** 2), rtol=1e-2)
     capsys.readouterr()
 
 
@@ -329,6 +349,23 @@ def test_cli_decay_command(capsys):
     assert doc["selected"] == "exponential"
 
 
+def test_cli_decay_solves_on_the_configured_grid(monkeypatch, capsys):
+    from nlgp import solver
+    grids = []
+    solve = solver.newton_solve
+
+    def spy(spec, grid, *args, **kwargs):
+        grids.append((grid.half_length, grid.size))
+        return solve(spec, grid, *args, **kwargs)
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    assert run_cli("--json", "decay", "--potential", "delta", "--c", "1.3",
+                   "--L", "64", "--N", "2048") == 0
+    assert grids == [(64.0, 2048)]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fit_exponential"]["rate"] == pytest.approx(math.sqrt(2.0 - 1.3 ** 2),
+                                                           rel=1e-3)
+
+
 def test_cli_verify_detects_corruption(tmp_path, capsys):
     out = tmp_path / "sol.json"
     run_cli("solve", "--potential", "delta", "--c", "1.0",
@@ -379,6 +416,17 @@ def test_cli_report(tmp_path, capsys):
     text = md.read_text()
     assert "delta" in text and "| file |" in text.replace("file |", "file |")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_text("{}")],
+                         ids=["missing", "file"])
+def test_cli_report_dir_must_be_a_directory(make, tmp_path, capsys):
+    target = tmp_path / "runs"
+    make(target)
+    assert run_cli("report", "--dir", str(target)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "not a directory" in captured.err
 
 
 def test_cli_report_names_skipped_files(tmp_path, capsys):
@@ -525,6 +573,9 @@ def test_cli_command_key_n(tmp_path, capsys):
     assert len(_dispersion_csv(tmp_path, "[command]\nn = 3\n")) == 3    # the least
 
 
+_GAUSSIAN = "[potential]\nkind = gaussian\n"
+
+
 @pytest.mark.parametrize("argv, cfg_text, name", [
     (("dispersion", "--n", "-1"), "", "--n ([command] n)"),
     (("dispersion",), "[command]\nn = -1\n", "--n ([command] n)"),
@@ -541,14 +592,33 @@ def test_cli_command_key_n(tmp_path, capsys):
     # or nan fail every file with a message that does not name the tolerance
     *[(("verify", "sol.json", "--tol", tol), "", "--tol must be finite and positive")
       for tol in ("inf", "nan", "0", "-1")],
+    # a non-finite float passes no range check and reaches a solver: nan
+    # speeds exit 5 or march to the sonic cap, an infinite L exits 3 after
+    # overflow warnings, a nan kernel parameter gives c* = nan
+    (("solve", "--c", "nan"), "", "--c ([command] c) must be finite"),
+    (("mpass", "--c", "nan"), "", "--c ([command] c) must be finite"),
+    (("branch", "--c-to", "nan"), "", "--c-to ([command] c_to) must be finite"),
+    (("dispersion", "--xi-max", "nan"), "", "--xi-max ([command] xi_max) must be finite"),
+    (("solve", "--c", "1", "--L", "inf"), "", "--L ([grid] half_length, NLGP_GRID_L)"),
+    (("solve", "--c", "1"), "NLGP_GRID_L=inf", "--L ([grid] half_length, NLGP_GRID_L)"),
+    (("solve", "--potential", "gaussian", "--lambda", "nan", "--c", "1"), "",
+     "--lam ([potential] lam) must be finite"),
+    (("solve", "--c", "1"), _GAUSSIAN + "lam = nan\n",
+     "--lam ([potential] lam) must be finite"),
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
-        "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg"])
+        "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg", "c_nan_solve",
+        "c_nan_mpass", "c_to_nan", "xi_max_nan", "L_inf", "L_env_inf", "lambda_nan",
+        "lam_key_nan"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,
                                    monkeypatch, capsys):
     (tmp_path / "sol.json").write_text(json.dumps(solution_doc))  # a file verify passes
     monkeypatch.chdir(tmp_path)
+    if cfg_text.startswith("NLGP_"):    # an environment override, not a file
+        monkeypatch.setenv(*cfg_text.split("="))
+        cfg_text = ""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[potential]\nkind = delta\n" + cfg_text)
+    cfg.write_text(cfg_text if cfg_text.startswith("[potential]")
+                   else "[potential]\nkind = delta\n" + cfg_text)
     assert run_cli("--config", str(cfg), *argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and name in err[0]

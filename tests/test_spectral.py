@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nlgp import (Grid, bochner_riesz, convolve, delta, derivative, gaussian,
                   integrate)
 from nlgp.errors import ConfigError
-from nlgp.spectral import (continuous_hat, cumulative_integral, sech,
+from nlgp.spectral import (cumulative_integral, sech,
                            spectral_density_integral, spectrum, tail_magnitude)
 
 
@@ -128,16 +128,6 @@ def test_spectral_density_integral_rows_and_quadrature():
         # with W_hat it is int (W*f) f
         np.testing.assert_allclose(vals, integrate(g, convolve(spec, g, stack) * stack),
                                    rtol=1e-12, atol=0.0)
-
-
-def test_continuous_hat_gaussian():
-    # transform of e^{-a x^2} is sqrt(pi/a) e^{-xi^2/(4a)}
-    a = 0.25
-    g = Grid(64.0, 2048)
-    fh = continuous_hat(g, np.exp(-a * g.x ** 2))
-    exact = math.sqrt(math.pi / a) * np.exp(-g.xi ** 2 / (4 * a))
-    assert np.abs(fh.real - exact).max() < 1e-10
-    assert np.abs(fh.imag).max() < 1e-10
 
 
 def test_cumulative_integral():
