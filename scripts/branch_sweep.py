@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Continue branches in speed for several kernels and emit CSV tables.
 
-Each row carries c, E, p, J, eta_max, min_rho, a tail-decay fit, and the
-Newton iteration count, ready for any plotting tool.
+Each row carries c, E, p, J, eta_max, min_rho, a tail-decay fit, the
+Newton iteration count and dp/dc, ready for any plotting tool.
 
 Usage: python scripts/branch_sweep.py [outdir]
 """

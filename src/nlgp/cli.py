@@ -205,6 +205,12 @@ def _cmd_branch(args, cfg):
         lines.append(f"  {len(failures)} of {len(branch.solutions)} members "
                      "fail the identity suite:")
         lines += [f"    c = {c:g}: max residual {r:.3e}" for c, r in failures]
+    # a dark soliton is stable iff dp/dc < 0; nan (no tangent) is flagged too
+    rising = [(s.c, d) for s, d in zip(branch.solutions, branch.dp_dc) if not d < 0.0]
+    if rising:
+        lines.append(f"  {len(rising)} of {len(branch.solutions)} members have "
+                     "dp/dc >= 0 (unstable):")
+        lines += [f"    c = {c:g}: dp/dc = {d:.6g}" for c, d in rising]
     _emit(args, doc, lines + ([f"  wrote {out}"] if out else []))
     if branch.termination == "newton_failed" and not branch.solutions:
         return EXIT_SOLVER

@@ -115,7 +115,7 @@ def read_solution(path):
     return spec, grid, c, arrays, doc
 
 
-BRANCH_COLUMNS = "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters"
+BRANCH_COLUMNS = "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters,dp_dc"
 
 
 def fmt_cell(v) -> str:
@@ -140,6 +140,6 @@ def _decay_rate_fit(fields) -> float:
 
 def write_branch_csv(path, branch):
     rows = [(s.c, s.E, s.p, s.J, s.eta_max, s.fields.min_rho,
-             _decay_rate_fit(s.fields), s.newton_iters)
-            for s in branch.solutions]
+             _decay_rate_fit(s.fields), s.newton_iters, d)
+            for s, d in zip(branch.solutions, branch.dp_dc)]
     write_csv(path, BRANCH_COLUMNS, rows)

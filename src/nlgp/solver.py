@@ -23,8 +23,8 @@ from .hydro import (WaveFields, action, admissible, assemble, energy,
                     identity_suite, momentum, nonvanishing_check,
                     residual_norms, rho_equation, rho_jacobian_preconditioned)
 from .potentials import PotentialSpec, inverse_mc, mc_symbol
-from .spectral import (Grid, from_half_spectrum, half_spectrum, sech,
-                       tail_magnitude)
+from .spectral import (Grid, from_half_spectrum, half_spectrum, integrate,
+                       sech, tail_magnitude)
 
 DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
@@ -95,6 +95,7 @@ class SolitonBranch:
     solutions: list
     termination: str                  # reached_cmax | trivialized | newton_failed | sonic_limit
     rejected_steps: list = field(default_factory=list)  # (c, status, newton_iters) per halving
+    tangents: list = field(default_factory=list)        # d rho / dc per member
 
     @property
     def identity_failures(self) -> list:
@@ -102,10 +103,18 @@ class SolitonBranch:
         return [(s.c, s.identity_report.max_residual) for s in self.solutions
                 if not s.identity_report.passed]
 
+    @property
+    def dp_dc(self) -> list:
+        """dp/dc of each member, p/c - int g rho_c with g = dF/dc (p is
+        (c/4) int eta^2 / rho^2, whose rho-derivative is -g).  A dark soliton
+        is stable iff dp/dc < 0 (Barashenkov, Phys. Rev. Lett. 77, 1193, 1996)."""
+        return [s.p / s.c - integrate(s.grid, _speed_derivative(s.fields.rho, s.c) * t)
+                for s, t in zip(self.solutions, self.tangents, strict=True)]
+
     def table(self):
-        """Columns: c, E, p, J, eta_max, min_rho, newton_iters."""
-        rows = [(s.c, s.E, s.p, s.J, s.eta_max, s.fields.min_rho, s.newton_iters)
-                for s in self.solutions]
+        """Columns: c, E, p, J, eta_max, min_rho, newton_iters, dp_dc."""
+        rows = [(s.c, s.E, s.p, s.J, s.eta_max, s.fields.min_rho, s.newton_iters, d)
+                for s, d in zip(self.solutions, self.dp_dc)]
         return np.array(rows)
 
 
@@ -179,6 +188,20 @@ def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 0.5 * (f + grid.reflect(f))
 
 
+def _newton_operator(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec,
+                     inv_mc: np.ndarray):
+    """F'(rho), right-preconditioned by ``inv_mc``, on the half lattice: the
+    operator of every Krylov solve."""
+    n = grid.size + 2
+    return SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
+                           matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
+
+
+def _speed_derivative(rho: np.ndarray, c: float) -> np.ndarray:
+    """g = dF/dc = (c/2)(1 - rho^4)/rho^3 at fixed rho."""
+    return 0.5 * c * (1.0 - rho ** 4) / rho ** 3
+
+
 def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
                  opts: SolverOptions = SolverOptions()) -> SolitonSolution:
     """Damped Newton iteration on the amplitude equation, in the even subspace.
@@ -196,7 +219,7 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     """
     if not admissible(rho0):
         raise VortexError("seed amplitude at or below the positivity floor")
-    n, inv_mc = grid.size + 2, inverse_mc(spec, c, grid)
+    inv_mc = inverse_mc(spec, c, grid)
     rho = _symmetrize(grid, np.array(rho0, dtype=float))
 
     def residual(r):
@@ -220,9 +243,8 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return finalize(rho, "converged", it, res)
-        A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
-                            matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
-        y, info, its = gmres(A, half_spectrum(grid, res),
+        y, info, its = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
+                             half_spectrum(grid, res),
                              rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)),
                              maxiter=KRYLOV_MAXITER)
         krylov += its
@@ -265,26 +287,52 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     return sol, tail
 
 
-def _predict(grid: Grid, sols: list, c: float) -> np.ndarray:
-    """Seed for the member at speed c: the secant through the last two
-    members, extrapolated in c.  With one member that member, with none the
-    contact seed; an extrapolation that reaches the positivity floor falls
-    back to the last member."""
+def branch_tangent(sol: SolitonSolution, opts: SolverOptions = SolverOptions()) -> np.ndarray:
+    """rho_c = d rho / dc along the branch through the converged member sol.
+
+    Differentiating F(rho(c), c) = 0 gives F'(rho) rho_c = -g with
+    g = ``_speed_derivative``: one GMRES solve, to ``krylov_tol``, with the
+    operator of ``newton_solve``.  The right side is even, so the odd
+    translation mode rho' of F'(rho) is excluded.  A solve that does not
+    converge gives a nan tangent, which ``_predict`` refuses.
+    """
+    grid, rho, c, spec = sol.grid, sol.fields.rho, sol.c, sol.spec
+    inv_mc = inverse_mc(spec, c, grid)
+    y, info, _ = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
+                       half_spectrum(grid, -_speed_derivative(rho, c)),
+                       rtol=opts.krylov_tol, maxiter=KRYLOV_MAXITER)
+    if info != 0:
+        return np.full(grid.size, math.nan)
+    return _symmetrize(grid, from_half_spectrum(grid, y, inv_mc))
+
+
+def _predict(grid: Grid, sols: list, tangents: list, c: float) -> np.ndarray:
+    """Seed for the member at speed c: the cubic Hermite interpolant of the
+    last two members and their tangents, evaluated at c (Allgower & Georg,
+    Introduction to Numerical Continuation Methods, 2003, ch. 2).  With one
+    member its Euler step, with none the contact seed; a seed that reaches
+    the positivity floor falls back to the last member."""
     if not sols:
         return initial_guess(grid, c)
-    b = sols[-1]
-    if len(sols) == 1:
-        return b.fields.rho
-    a = sols[-2]
-    seed = b.fields.rho + (c - b.c) / (b.c - a.c) * (b.fields.rho - a.fields.rho)
+    b, tb = sols[-1], tangents[-1]
+    t = c - b.c
+    seed = b.fields.rho + t * tb
+    if len(sols) > 1:
+        # Newton form on the nodes c_b, c_b, c_a, c_a: the Euler step plus
+        # t^2 f[b, b, a] + t^2 (t + h) f[b, b, a, a]
+        a, ta = sols[-2], tangents[-2]
+        h = b.c - a.c
+        slope = (b.fields.rho - a.fields.rho) / h
+        seed += (t / h) ** 2 * (h * (tb - slope) + (t + h) * (ta + tb - 2.0 * slope))
     return seed if admissible(seed) else b.fields.rho
 
 
 def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
                     opts: SolverOptions = SolverOptions()) -> SolitonBranch:
-    """March the branch in speed with adaptive steps and a secant predictor.
+    """March the branch in speed with adaptive steps and a Hermite predictor.
 
-    Members are seeded by ``_predict``.  The step halves on failure (down
+    Each member's tangent (``branch_tangent``) is kept on the branch, and
+    members are seeded by ``_predict``.  The step halves on failure (down
     to DC_MIN, then the partial branch is returned), each halving is recorded
     in ``rejected_steps``, a halved step that the sonic cap clamps back onto
     the rejected speed halves again without a solve, and the step grows by 1.3x after a solve of at
@@ -295,7 +343,7 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
     if c_to < c_from:
         raise ConfigError(f"speed range reversed: c_to = {c_to:g} "
                           f"< c_from = {c_from:g}")
-    sols, rejected = [], []
+    sols, tangents, rejected = [], [], []
     m0 = float(np.min(mc_symbol(spec, 0.0, grid)))
     sonic_capped = c_to ** 2 >= m0
     # min M_0 <= 0 admits no speed: the first solve raises
@@ -303,9 +351,9 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
     c = c_from
     dc = opts.dc_init
     while True:
-        sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
+        sol = newton_solve(spec, grid, c, _predict(grid, sols, tangents, c), opts)
         if sol.status == "trivialized":
-            return SolitonBranch(spec, sols, "trivialized", rejected)
+            return SolitonBranch(spec, sols, "trivialized", rejected, tangents)
         while not sol.converged and dc > DC_MIN and sols:
             rejected.append((c, sol.status, sol.newton_iters))
             c_rejected = c
@@ -313,14 +361,15 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
                 dc *= 0.5
                 c = min(sols[-1].c + dc, c_stop)
             if c != c_rejected:
-                sol = newton_solve(spec, grid, c, _predict(grid, sols, c), opts)
+                sol = newton_solve(spec, grid, c, _predict(grid, sols, tangents, c), opts)
         if not sol.converged:
-            return SolitonBranch(spec, sols, "newton_failed", rejected)
+            return SolitonBranch(spec, sols, "newton_failed", rejected, tangents)
         sols.append(sol)
+        tangents.append(branch_tangent(sol, opts))
         if c >= c_stop:
             return SolitonBranch(spec, sols,
                                  "sonic_limit" if sonic_capped else "reached_cmax",
-                                 rejected)
+                                 rejected, tangents)
         if sol.newton_iters <= 2:
             dc = min(dc * 1.3, opts.dc_init * 4.0)
         c = min(c + dc, c_stop)

@@ -18,6 +18,7 @@ the one Parseval sum over such spectra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class Grid:
 
     def __post_init__(self):
         L, N = self.half_length, self.size
-        if not (L > 0):
-            raise ConfigError(f"grid half-length must be positive, got {L}")
+        if not 0.0 < L < math.inf:    # written so that NaN fails it
+            raise ConfigError(f"grid half-length must be finite and positive, got {L}")
         if N < 4 or (N & (N - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 4, got {N}")
         h = 2.0 * L / N

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgp import cli, config
+from nlgp import cli, config, solver
 from nlgp.errors import ConfigError
 from nlgp.io import read_solution
 
@@ -272,7 +272,7 @@ def test_cli_branch_csv(tmp_path, capsys):
                    "--out", str(out))
     assert code == 0
     header = out.read_text().splitlines()[0]
-    assert header == "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters"
+    assert header == "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters,dp_dc"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.all(np.diff(data[:, 0]) > 0)
     # oracle: the contact tail decays at sqrt(2 - c^2); the amplitude band
@@ -289,6 +289,24 @@ def test_cli_branch_csv_fits_each_member(tmp_path, capsys):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 6], np.sqrt(2.0 - data[:, 0] ** 2), rtol=1e-3)
     capsys.readouterr()
+
+
+def test_cli_branch_dp_dc(capsys):
+    # oracle: dp/dc = -sqrt(2 - c^2) on the contact branch, the last column
+    assert run_cli("--json", "branch", "--potential", "delta", "--c-from", "0.6",
+                   "--c-to", "1.0", "--L", "64", "--N", "2048") == 0
+    rows = np.array(json.loads(capsys.readouterr().out)["rows"])
+    np.testing.assert_allclose(rows[:, -1], -np.sqrt(2.0 - rows[:, 0] ** 2), rtol=0, atol=1e-7)
+
+
+def test_cli_branch_text_flags_nonnegative_dp_dc(monkeypatch, capsys):
+    # a zero tangent leaves dp/dc = p/c > 0 on every member
+    monkeypatch.setattr(solver, "branch_tangent", lambda sol, opts: np.zeros(sol.grid.size))
+    assert run_cli("branch", "--potential", "delta", "--c-from", "0.6",
+                   "--c-to", "0.7", "--L", "64", "--N", "2048") == 0
+    out = capsys.readouterr().out
+    assert "3 of 3 members have dp/dc >= 0 (unstable):" in out
+    assert "    c = 0.6: dp/dc = " in out
 
 
 def test_cli_branch_reports_identity_failures(capsys):
@@ -601,13 +619,15 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
     (("dispersion", "--xi-max", "nan"), "", "--xi-max ([command] xi_max) must be finite"),
     (("solve", "--c", "1", "--L", "inf"), "", "--L ([grid] half_length, NLGP_GRID_L)"),
     (("solve", "--c", "1"), "NLGP_GRID_L=inf", "--L ([grid] half_length, NLGP_GRID_L)"),
+    (("solve", "--c", "1"), "[grid]\nhalf_length = inf\n",
+     "--L ([grid] half_length, NLGP_GRID_L)"),
     (("solve", "--potential", "gaussian", "--lambda", "nan", "--c", "1"), "",
      "--lam ([potential] lam) must be finite"),
     (("solve", "--c", "1"), _GAUSSIAN + "lam = nan\n",
      "--lam ([potential] lam) must be finite"),
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
         "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg", "c_nan_solve",
-        "c_nan_mpass", "c_to_nan", "xi_max_nan", "L_inf", "L_env_inf", "lambda_nan",
+        "c_nan_mpass", "c_to_nan", "xi_max_nan", "L_inf", "L_env_inf", "L_key_inf", "lambda_nan",
         "lam_key_nan"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,
                                    monkeypatch, capsys):

@@ -293,16 +293,19 @@ def test_branch_stops_at_sonic(grid):
 
 
 def test_branch_leaves_the_sonic_cap_after_a_rejection(fail_nth_solve):
-    # the sixth solve is the one at the sonic cap; after it fails, the halved
-    # step still reaches the cap, so it halves again rather than re-solve the
-    # same speed
-    calls = fail_nth_solve(6)
-    branch = continue_branch(delta(), Grid(64.0, 4096), 1.30, 1.6,
-                             SolverOptions(dc_init=0.02))
+    # a clean run's last solve is the one at the sonic cap; after it fails,
+    # the halved step still reaches the cap, so it halves again rather than
+    # re-solve the same speed
+    grid, opts = Grid(64.0, 4096), SolverOptions(dc_init=0.02)
+    clean = fail_nth_solve(0)
+    assert continue_branch(delta(), grid, 1.30, 1.6, opts).rejected_steps == []
+    n_cap = len(clean)
+    calls = fail_nth_solve(n_cap)
+    branch = continue_branch(delta(), grid, 1.30, 1.6, opts)
     assert branch.termination == "sonic_limit"
     c_cap = branch.solutions[-1].c
-    assert calls[5][0] == c_cap
-    assert branch.rejected_steps == [(c_cap, "newton_failed", calls[5][2])]
+    assert calls[n_cap - 1][0] == c_cap == clean[-1][0]
+    assert branch.rejected_steps == [(c_cap, "newton_failed", calls[n_cap - 1][2])]
     speeds = [c for c, _, _ in calls]
     assert all(a != b for a, b in zip(speeds, speeds[1:])), speeds
 
@@ -337,9 +340,10 @@ def test_branch_records_rejected_steps(fail_nth_solve, grid):
     assert c_failed not in [s.c for s in branch.solutions]
 
 
-def test_branch_secant_predictor_work(monkeypatch):
-    # the secant predictor takes 58 Newton iterations here; seeding with the
-    # last member alone took 121, with a 50-iteration failed corrector
+def test_branch_hermite_predictor_work(monkeypatch):
+    # the Hermite predictor takes 12 solves and 31 Newton iterations here;
+    # the secant through the last two members took 19 and 58, and seeding
+    # with the last member alone 121, with a 50-iteration failed corrector
     solve, calls = solver.newton_solve, []
 
     def spy(spec, grid, c, rho0, opts):
@@ -351,23 +355,56 @@ def test_branch_secant_predictor_work(monkeypatch):
     branch = continue_branch(delta(), Grid(64.0, 4096), 0.22, 1.35)
     assert branch.termination == "reached_cmax"
     assert all(sol.converged for _, sol in calls)
-    assert sum(sol.newton_iters for _, sol in calls) <= 70
+    assert sum(sol.newton_iters for _, sol in calls) <= 40
     assert branch.rejected_steps == []
+    assert len(branch.tangents) == len(branch.solutions)
     (_, a), (seed_b, b), (seed_3, third) = calls[:3]
-    assert np.array_equal(seed_b, a.fields.rho)  # one member: seeded with it
-    s = (third.c - b.c) / (b.c - a.c)
-    assert np.array_equal(seed_3, b.fields.rho + s * (b.fields.rho - a.fields.rho))
+    ta, tb = branch.tangents[:2]
+    # one member: its Euler step
+    assert np.array_equal(seed_b, a.fields.rho + (b.c - a.c) * ta)
+    # two members: the cubic with their values and slopes, in the Hermite basis
+    h = b.c - a.c
+    s = (third.c - a.c) / h
+    cubic = ((2 * s ** 3 - 3 * s ** 2 + 1) * a.fields.rho + (s ** 3 - 2 * s ** 2 + s) * h * ta
+             + (3 * s ** 2 - 2 * s ** 3) * b.fields.rho + (s ** 3 - s ** 2) * h * tb)
+    np.testing.assert_allclose(seed_3, cubic, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
+def test_branch_dp_dc_contact_closed_form(grid, c):
+    # E = (2 - c^2)^(3/2) / 3 and dE/dc = c dp/dc give dp/dc = -sqrt(2 - c^2)
+    branch = continue_branch(delta(), grid, c, c)
+    assert branch.dp_dc[0] == pytest.approx(-math.sqrt(2.0 - c ** 2), abs=1e-7)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
+def test_branch_tangent_central_differences(c):
+    # measured: rho_c within 2e-9 to 4e-8 (sup), dp/dc within 1.2e-8
+    spec, grid, dc = gaussian(0.3), Grid(64.0, 4096), 1e-4
+    branch = continue_branch(spec, grid, c, c)
+    sol, rho_c = branch.solutions[0], branch.tangents[0]
+    assert np.array_equal(rho_c, grid.reflect(rho_c))
+    plus = newton_solve(spec, grid, c + dc, sol.fields.rho + dc * rho_c)
+    minus = newton_solve(spec, grid, c - dc, sol.fields.rho - dc * rho_c)
+    assert plus.converged and minus.converged
+    assert np.abs((plus.fields.rho - minus.fields.rho) / (2 * dc) - rho_c).max() < 5e-7
+    assert (plus.p - minus.p) / (2 * dc) == pytest.approx(branch.dp_dc[0], abs=2e-7)
 
 
 def test_predictor_falls_back_at_the_floor(grid):
     a = SimpleNamespace(c=1.0, fields=SimpleNamespace(rho=np.full(grid.size, 0.9)))
     b = SimpleNamespace(c=1.1, fields=SimpleNamespace(rho=np.full(grid.size, 0.5)))
-    # 0.5 + 3 (0.5 - 0.9) < 0: the secant reaches the floor
-    assert np.min(b.fields.rho + 3.0 * (b.fields.rho - a.fields.rho)) <= POSITIVITY_FLOOR
-    assert solver._predict(grid, [a, b], 1.4) is b.fields.rho
-    assert np.allclose(solver._predict(grid, [a, b], 1.2), 0.1)
-    assert solver._predict(grid, [b], 1.2) is b.fields.rho
-    assert np.array_equal(solver._predict(grid, [], 1.2), initial_guess(grid, 1.2))
+    # tangents on the chord: the cubic is the line 0.5 - 4 (c - 1.1), which
+    # lies below the floor at c = 1.4
+    tangents = [np.full(grid.size, -4.0)] * 2
+    assert np.min(b.fields.rho + 0.3 * tangents[1]) <= POSITIVITY_FLOOR
+    assert solver._predict(grid, [a, b], tangents, 1.4) is b.fields.rho
+    assert np.allclose(solver._predict(grid, [a, b], tangents, 1.2), 0.1)
+    assert solver._predict(grid, [b], tangents[1:], 1.4) is b.fields.rho
+    assert np.allclose(solver._predict(grid, [b], tangents[1:], 1.2), 0.1)
+    nan = [np.full(grid.size, math.nan)]    # a tangent whose solve failed
+    assert solver._predict(grid, [b], nan, 1.2) is b.fields.rho
+    assert np.array_equal(solver._predict(grid, [], [], 1.2), initial_guess(grid, 1.2))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ def test_grid_basics():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(-1.0, 256)
+    # an infinite half-length gave spacing inf and all-nan nodes
+    for L in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            Grid(L, 64)
     with pytest.raises(ConfigError):
         Grid(10.0, 300)  # not a power of two
 
