@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -164,13 +165,21 @@ def _cmd_solve(args, cfg):
         print(f"solver failure: {sol.status} (residual {sol.residual_sup:.3e})",
               file=sys.stderr)
         return EXIT_SOLVER
-    doc = nio.solution_to_dict(sol, seed=cfg.seed, extra={"tail": tail})
+    # how the solve was seeded; the coarse level is a record, never a solution
+    level, seeded = "contact seed", "the contact seed"
+    if sol.coarse:
+        level = dataclasses.asdict(sol.coarse)
+        seeded = (f"the N = {level['size']} level ({level['newton_iters']} Newton, "
+                  f"{level['krylov_iters']} Krylov iterations)")
+    extra = {"tail": tail, "coarse_level": level}
+    doc = nio.solution_to_dict(sol, seed=cfg.seed, extra=extra)
     out = cfg.command.get("out")
     if out:
-        nio.write_solution(out, sol, seed=cfg.seed, extra={"tail": tail})
+        nio.write_solution(out, sol, seed=cfg.seed, extra=extra)
     _emit(args, doc, [
         f"{spec.label()} at c = {c:g}: converged in {sol.newton_iters} Newton "
         f"iterations ({sol.krylov_iters} Krylov)",
+        f"  seeded from {seeded}",
         f"  residual sup = {sol.residual_sup:.3e}, tail = {tail:.3e}",
         f"  E = {sol.E!r}, p = {sol.p!r}, J = {sol.J!r}",
         f"  identity suite: {'pass' if sol.identity_report.passed else 'FAIL'} "

@@ -704,21 +704,3 @@ def decay_prediction(spec: PotentialSpec, c: float) -> DecayPrediction:
     zlow = min(zeros, key=lambda z: z.imag)
     return DecayPrediction(model="exponential", value=float(zlow.imag), zero=zlow)
 
-
-def exp_repulsive_decay_rates(alpha: float, beta: float, c: float):
-    """Positive roots (beta_1, beta_2) of the quartic numerator of M_c.
-
-    For the rational symbol of ``exp_repulsive``, 1/M_c is a rational function
-    whose poles sit at +- i beta_j; the kernel is a sum of two exponentials
-    with these rates.
-    """
-    A = beta / (beta - 2 * alpha)
-    # (s + beta^2)(s - c^2) + 2 A (s + beta^2 - 2 alpha beta) = 0,  s = z^2
-    coeffs = [1.0,
-              beta ** 2 - c ** 2 + 2.0 * A,
-              -c ** 2 * beta ** 2 + 2.0 * A * (beta ** 2 - 2.0 * alpha * beta)]
-    roots = np.roots(coeffs)
-    if np.any(np.abs(roots.imag) > 1e-10) or np.any(roots.real >= 0):
-        raise ValueError("expected two negative real roots; is c subsonic?")
-    b = np.sort(np.sqrt(-roots.real))
-    return float(b[0]), float(b[1])

@@ -12,7 +12,7 @@ stopping test is on the unpreconditioned residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .hydro import (WaveFields, action, admissible, assemble, energy,
                     residual_norms, rho_equation, rho_jacobian_preconditioned)
 from .potentials import PotentialSpec, inverse_mc, mc_symbol
 from .spectral import (Grid, from_half_spectrum, half_spectrum, integrate,
-                       sech, tail_magnitude)
+                       sech, tail_magnitude, zero_pad)
 
 DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
@@ -35,6 +35,8 @@ TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
 MAX_REFINEMENTS = 3      # domain doublings solve_auto may make
+COARSE_FACTOR = 4        # solve_auto seeds Grid(L, N) from Grid(L, N / COARSE_FACTOR)
+COARSE_MIN_SIZE = 1024   # smallest coarse level solve_auto runs
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,15 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
+class CoarseLevel:
+    """The unfinalized Newton solve on Grid(L, size) that seeded a
+    ``solve_auto`` solution; a seed only, never a solution."""
+    size: int
+    newton_iters: int
+    krylov_iters: int
+
+
+@dataclass(frozen=True)
 class SolitonSolution:
     fields: WaveFields
     converged: bool
@@ -71,6 +82,7 @@ class SolitonSolution:
     E: float = math.nan
     p: float = math.nan
     J: float = math.nan
+    coarse: Optional[CoarseLevel] = None  # the coarse level that seeded it, if any
 
     @property
     def spec(self) -> PotentialSpec:
@@ -202,6 +214,46 @@ def _speed_derivative(rho: np.ndarray, c: float) -> np.ndarray:
     return 0.5 * c * (1.0 - rho ** 4) / rho ** 3
 
 
+def _newton(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
+            opts: SolverOptions):
+    """The iteration of ``newton_solve`` without its finalize stage:
+    (rho, status, Newton iterations, Krylov iterations, last residual)."""
+    if not admissible(rho0):
+        raise VortexError("seed amplitude at or below the positivity floor")
+    inv_mc = inverse_mc(spec, c, grid)
+    rho = _symmetrize(grid, np.array(rho0, dtype=float))
+
+    def residual(r):
+        return rho_equation(grid, r, c, spec)
+
+    res, krylov = residual(rho), 0
+    for it in range(opts.max_iter):
+        res = _symmetrize(grid, res)
+        nrm = float(np.abs(res).max())
+        if nrm < opts.tol_newton:
+            return rho, "converged", it, krylov, res
+        y, info, its = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
+                             half_spectrum(grid, res),
+                             rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)),
+                             maxiter=KRYLOV_MAXITER)
+        krylov += its
+        if info != 0:
+            return rho, "newton_failed", it, krylov, res
+        d = from_half_spectrum(grid, y, inv_mc)
+        t = 1.0
+        for _ in range(MAX_DAMPINGS):
+            trial = rho - t * d
+            if admissible(trial):
+                trial_res = residual(trial)
+                if float(np.abs(trial_res).max()) < nrm:
+                    rho, res = _symmetrize(grid, trial), trial_res
+                    break
+            t *= DAMPING_FACTOR
+        else:
+            return rho, "vanishing_amplitude", it, krylov, res
+    return rho, "newton_failed", opts.max_iter, krylov, res
+
+
 def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
                  opts: SolverOptions = SolverOptions()) -> SolitonSolution:
     """Damped Newton iteration on the amplitude equation, in the even subspace.
@@ -217,58 +269,49 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     floor are rejected and shrunk.  Convergence to a flat profile is flagged
     ``trivialized`` rather than treated as a soliton.
     """
-    if not admissible(rho0):
-        raise VortexError("seed amplitude at or below the positivity floor")
-    inv_mc = inverse_mc(spec, c, grid)
-    rho = _symmetrize(grid, np.array(rho0, dtype=float))
+    rho, status, iters, krylov, res = _newton(spec, grid, c, rho0, opts)
+    sup, l2 = residual_norms(grid, res)
+    fields = assemble(grid, rho, c, spec)
+    converged = status == "converged"
+    if converged and fields.eta.max() < TRIVIAL_ETA_TOL:
+        status, converged = "trivialized", False
+    return SolitonSolution(
+        fields=fields, converged=converged, status=status,
+        newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
+        residual_l2=l2, identity_report=identity_suite(fields),
+        E=energy(fields), p=momentum(fields), J=action(fields))
 
-    def residual(r):
-        return rho_equation(grid, r, c, spec)
 
-    def finalize(rho, status, iters, res):
-        sup, l2 = residual_norms(grid, res)
-        fields = assemble(grid, rho, c, spec)
-        converged = status == "converged"
-        if converged and fields.eta.max() < TRIVIAL_ETA_TOL:
-            status, converged = "trivialized", False
-        return SolitonSolution(
-            fields=fields, converged=converged, status=status,
-            newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
-            residual_l2=l2, identity_report=identity_suite(fields),
-            E=energy(fields), p=momentum(fields), J=action(fields))
+def _seeded_solve(spec: PotentialSpec, grid: Grid, c: float,
+                  opts: SolverOptions) -> SolitonSolution:
+    """``newton_solve`` on grid from a coarse-to-fine seed.
 
-    res, krylov = residual(rho), 0
-    for it in range(opts.max_iter):
-        res = _symmetrize(grid, res)
-        nrm = float(np.abs(res).max())
-        if nrm < opts.tol_newton:
-            return finalize(rho, "converged", it, res)
-        y, info, its = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
-                             half_spectrum(grid, res),
-                             rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)),
-                             maxiter=KRYLOV_MAXITER)
-        krylov += its
-        if info != 0:
-            return finalize(rho, "newton_failed", it, res)
-        d = from_half_spectrum(grid, y, inv_mc)
-        t = 1.0
-        for _ in range(MAX_DAMPINGS):
-            trial = rho - t * d
-            if admissible(trial):
-                trial_res = residual(trial)
-                if float(np.abs(trial_res).max()) < nrm:
-                    rho, res = _symmetrize(grid, trial), trial_res
-                    break
-            t *= DAMPING_FACTOR
-        else:
-            return finalize(rho, "vanishing_amplitude", it, res)
-    return finalize(rho, "newton_failed", opts.max_iter, res)
+    When N / COARSE_FACTOR >= COARSE_MIN_SIZE, ``_newton`` runs alone on
+    Grid(L, N / COARSE_FACTOR) from the contact seed, and its rho, padded up
+    by ``zero_pad``, seeds the solve on grid: the soliton is analytic, so the
+    coarse grid already carries nearly all of its spectrum.  The coarse level
+    is never finalized or returned; the result records it in ``coarse``.  A
+    coarse level that fails, or converges to a flat profile, or pads to an
+    inadmissible seed, leaves the contact seed on grid.
+    """
+    size = grid.size // COARSE_FACTOR
+    if size >= COARSE_MIN_SIZE:
+        coarse = Grid(grid.half_length, size)
+        rho, status, iters, krylov, _ = _newton(spec, coarse, c,
+                                                initial_guess(coarse, c), opts)
+        if status == "converged" and 1.0 - rho.min() ** 2 >= TRIVIAL_ETA_TOL:
+            seed = zero_pad(coarse, rho, grid)
+            if admissible(seed):
+                return replace(newton_solve(spec, grid, c, seed, opts),
+                               coarse=CoarseLevel(size, iters, krylov))
+    return newton_solve(spec, grid, c, initial_guess(grid, c), opts)
 
 
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
                half_length: float = 128.0, size: int = 4096):
     """Solve on the default grid, doubling the domain (at most MAX_REFINEMENTS
-    times) until the tail falls below TAIL_TOL.
+    times) until the tail falls below TAIL_TOL; each grid is seeded from its
+    coarse level (``_seeded_solve``).
 
     Kernels with an algebraic tail (``PotentialSpec.algebraic_tail``) never
     meet an exponential tail tolerance, so refinement is skipped for them and
@@ -276,12 +319,12 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     """
     grid = Grid(half_length, size)
     refine = not spec.algebraic_tail
-    sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
+    sol = _seeded_solve(spec, grid, c, opts)
     tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
     n = 0
     while refine and sol.converged and tail > TAIL_TOL and n < MAX_REFINEMENTS:
         grid = grid.refined()
-        sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
+        sol = _seeded_solve(spec, grid, c, opts)
         tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
         n += 1
     return sol, tail

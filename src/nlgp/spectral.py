@@ -13,7 +13,8 @@ that half lattice and evaluated once per grid: the derivative symbols
 lattice with the samples' dot product, the space the Krylov solves run in;
 ``spectrum`` and ``from_spectrum`` are the plain transform pair, for callers
 that keep a field's spectrum beside it, and ``spectral_density_integral`` is
-the one Parseval sum over such spectra.
+the one Parseval sum over such spectra.  ``zero_pad`` carries a field to
+more nodes of the same domain.
 """
 
 from __future__ import annotations
@@ -149,6 +150,28 @@ def from_half_spectrum(grid: Grid, y: np.ndarray, symbol: np.ndarray) -> np.ndar
     (``half_spectrum``) are y: irfft(symbol * rfft(f)) for y = half_spectrum(f)."""
     return np.fft.irfft(y.view(complex) * (symbol / grid.coordinate_scale),
                         n=grid.size)
+
+
+def zero_pad(grid: Grid, f: np.ndarray, fine: Grid) -> np.ndarray:
+    """f, sampled on ``grid``, carried to ``fine``: the same domain at a
+    power-of-two multiple of the nodes.  Its rfft is zero-padded, so f's
+    trigonometric interpolant is sampled at the new nodes.
+
+    The coarse Nyquist mode stands for +-xi together; on the finer lattice
+    they are two frequencies, so its coefficient is halved.  The rfft is
+    rescaled by m/n, which keeps ``integrate``.  Padding to ``grid`` itself
+    returns a copy of f.
+    """
+    n, m = grid.size, fine.size
+    if fine.half_length != grid.half_length or m < n:
+        raise ValueError(f"zero_pad carries a field to more nodes on the same "
+                         f"domain, not from {grid} to {fine}")
+    if m == n:
+        return np.array(f, dtype=float)
+    fh = np.fft.rfft(f)
+    fh[..., -1] *= 0.5
+    fh *= m / n
+    return np.fft.irfft(fh, n=m)
 
 
 def _derivative_symbol(grid: Grid, k: int) -> np.ndarray:

@@ -160,6 +160,33 @@ def test_cli_solve_reports_krylov_iterations(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_solve_records_the_coarse_level(tmp_path, capsys):
+    argv = ("solve", "--potential", "gaussian", "--lambda", "0.3", "--c", "1.0")
+    out = tmp_path / "sol.json"
+    assert run_cli("--json", *argv, "--out", str(out)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    level = doc["coarse_level"]
+    assert level["size"] == 1024 and level["krylov_iters"] >= level["newton_iters"] >= 1
+    # the file holds the requested grid's solution and the same record
+    saved = read_solution(out)[4]
+    assert saved["grid"] == {"half_length": 128.0, "size": 4096}
+    assert saved["coarse_level"] == level
+    assert run_cli(*argv) == 0
+    assert (f"seeded from the N = 1024 level ({level['newton_iters']} Newton, "
+            f"{level['krylov_iters']} Krylov iterations)") in capsys.readouterr().out
+    assert run_cli("verify", str(out)) == 0
+    # files written before the record existed still verify
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({k: v for k, v in saved.items() if k != "coarse_level"}))
+    assert run_cli("verify", str(old)) == 0
+    capsys.readouterr()
+    # N / 4 = 512 is below the coarse floor: the contact seed is named
+    assert run_cli("--json", *argv, "--L", "64", "--N", "2048") == 0
+    assert json.loads(capsys.readouterr().out)["coarse_level"] == "contact seed"
+    assert run_cli(*argv, "--L", "64", "--N", "2048") == 0
+    assert "seeded from the contact seed" in capsys.readouterr().out
+
+
 def test_cli_verify_exit_ignores_the_report_only_checks(tmp_path, capsys):
     # a fat tail on a short domain warns, yet the identities pass and so does verify
     from nlgp import Grid, delta, initial_guess, newton_solve

@@ -12,7 +12,7 @@ from nlgp import (CertificationError, Grid, NoSoundSpeedError, OutOfRangeError,
                   convolve, decay_prediction, delta, dispersion, exp_repulsive,
                   gaussian, mc_symbol, measure_combo, roton_maxon,
                   shifted_deltas, soft_core, sound_speed, tabulated)
-from nlgp.potentials import certification_lattice, exp_repulsive_decay_rates
+from nlgp.potentials import certification_lattice
 
 ALL_SPECS = [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5),
              gaussian(0.3), soft_core(1.0), bochner_riesz(0.4),
@@ -334,6 +334,25 @@ def test_decay_prediction_delta():
         pred = decay_prediction(delta(), c)
         assert pred.model == "exponential"
         assert pred.value == pytest.approx(math.sqrt(2.0 - c ** 2), abs=1e-9)
+
+
+def exp_repulsive_decay_rates(alpha: float, beta: float, c: float):
+    """Positive roots (beta_1, beta_2) of the quartic numerator of M_c.
+
+    For the rational symbol of ``exp_repulsive``, 1/M_c is a rational function
+    whose poles sit at +- i beta_j; the kernel is a sum of two exponentials
+    with these rates.
+    """
+    A = beta / (beta - 2 * alpha)
+    # (s + beta^2)(s - c^2) + 2 A (s + beta^2 - 2 alpha beta) = 0,  s = z^2
+    coeffs = [1.0,
+              beta ** 2 - c ** 2 + 2.0 * A,
+              -c ** 2 * beta ** 2 + 2.0 * A * (beta ** 2 - 2.0 * alpha * beta)]
+    roots = np.roots(coeffs)
+    if np.any(np.abs(roots.imag) > 1e-10) or np.any(roots.real >= 0):
+        raise ValueError("expected two negative real roots; is c subsonic?")
+    b = np.sort(np.sqrt(-roots.real))
+    return float(b[0]), float(b[1])
 
 
 def test_decay_prediction_exp_repulsive_matches_root_solver():

@@ -11,7 +11,8 @@ from nlgp import (Grid, bochner_riesz, convolve, delta, derivative, gaussian,
                   integrate)
 from nlgp.errors import ConfigError
 from nlgp.spectral import (cumulative_integral, sech,
-                           spectral_density_integral, spectrum, tail_magnitude)
+                           spectral_density_integral, spectrum, tail_magnitude,
+                           zero_pad)
 
 
 def test_grid_basics():
@@ -147,3 +148,44 @@ def test_tail_magnitude():
     g = Grid(32.0, 512)
     f = sech(g.x)
     assert tail_magnitude(g, f) == pytest.approx(sech(32.0), rel=0.1)
+
+
+def _band_limited(g, n):
+    """A field with every mode up to the Nyquist frequency of Grid(L, n),
+    that mode included, evaluated on the nodes of g."""
+    rng = np.random.default_rng(7)
+    k = np.arange(n // 2 + 1)
+    a, b = rng.standard_normal(k.size), rng.standard_normal(k.size)
+    b[-1] = 0.0   # sin vanishes at the coarse nodes at the Nyquist frequency
+    # xi_k (x_j + L) = 2 pi k j / N, reduced exactly modulo 2 pi
+    phase = 2.0 * np.pi * (np.outer(k, np.arange(g.size)) % g.size) / g.size
+    return a @ np.cos(phase) + b @ np.sin(phase)
+
+
+@pytest.mark.parametrize("factor", [2, 4, 16])
+def test_zero_pad_reproduces_band_limited_fields(factor):
+    coarse = Grid(20.0, 256)
+    fine = Grid(20.0, 256 * factor)
+    padded = zero_pad(coarse, _band_limited(coarse, 256), fine)
+    assert np.abs(padded - _band_limited(fine, 256)).max() < 1e-13
+
+
+def test_zero_pad_preserves_the_integral():
+    coarse, fine = Grid(30.0, 1024), Grid(30.0, 4096)
+    f = sech(coarse.x) ** 2 + 0.1 * np.cos(np.pi * coarse.x / 3.0)
+    assert integrate(fine, zero_pad(coarse, f, fine)) == pytest.approx(
+        integrate(coarse, f), rel=1e-14)
+
+
+def test_zero_pad_by_a_factor_of_one_is_the_identity():
+    g = Grid(30.0, 1024)
+    f = sech(g.x)
+    padded = zero_pad(g, f, Grid(30.0, 1024))
+    assert np.array_equal(padded, f) and padded is not f
+
+
+@pytest.mark.parametrize("fine", [Grid(40.0, 2048), Grid(30.0, 512)])
+def test_zero_pad_refuses_another_domain_or_fewer_nodes(fine):
+    g = Grid(30.0, 1024)
+    with pytest.raises(ValueError, match="same domain"):
+        zero_pad(g, sech(g.x), fine)
