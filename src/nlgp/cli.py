@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -34,48 +35,48 @@ _PARAM_FLAGS = ("alpha", "beta", "lam", "kappa", "a", "b", "file")
 _ALIASES = {"lambda": "lam"}
 
 
+@functools.cache
 def _build_parser():
+    """The nlgp parser, built once per process: ``parse_args`` makes a fresh
+    namespace per call, and every default is a constant."""
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--potential", help="catalog kind, e.g. delta, gaussian")
+    for f in _PARAM_FLAGS:
+        grid.add_argument(f"--{f}", default=None)
+    grid.add_argument("--lambda", dest="lam", default=None)
+    grid.add_argument("--L", type=float, default=None, help="grid half-length")
+    grid.add_argument("--N", type=int, default=None, help="grid size (power of two)")
+    grid.add_argument("--out", default=None)
+    grid.add_argument("--seed", type=int, default=None)
+    speed = argparse.ArgumentParser(add_help=False, parents=[grid])
+    speed.add_argument("--c", type=float, default=None)
+
     p = argparse.ArgumentParser(prog="nlgp",
                                 description="dark solitons of the 1-d nonlocal "
                                             "Gross-Pitaevskii equation")
     p.add_argument("--config", help="key-value config file (INI sections)")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, speed=True):
-        sp.add_argument("--potential", help="catalog kind, e.g. delta, gaussian")
-        for f in _PARAM_FLAGS:
-            sp.add_argument(f"--{f}", default=None)
-        sp.add_argument("--lambda", dest="lam", default=None)
-        sp.add_argument("--L", type=float, default=None, help="grid half-length")
-        sp.add_argument("--N", type=int, default=None, help="grid size (power of two)")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        if speed:
-            sp.add_argument("--c", type=float, default=None)
-
-    sp = sub.add_parser("solve", help="compute one soliton")
-    common(sp)
-    sp = sub.add_parser("branch", help="continue a branch over a speed range")
-    common(sp, speed=False)
+    sub.add_parser("solve", parents=[speed], help="compute one soliton")
+    sp = sub.add_parser("branch", parents=[grid],
+                        help="continue a branch over a speed range")
     sp.add_argument("--c-from", type=float, default=None)
     sp.add_argument("--c-to", type=float, default=None)
     sp = sub.add_parser("verify", help="re-run the identity suite on a saved solution")
     sp.add_argument("input")
     sp.add_argument("--tol", type=float, default=IDENTITY_TOL)
-    sp = sub.add_parser("dispersion", help="dispersion curve, multiplier, critical points")
-    common(sp)
+    sp = sub.add_parser("dispersion", parents=[speed],
+                        help="dispersion curve, multiplier, critical points")
     sp.add_argument("--xi-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp = sub.add_parser("certify", help="sampled kernel-hypothesis certificates")
-    common(sp, speed=False)
-    sp = sub.add_parser("mpass", help="mountain-pass bracket at one speed")
-    common(sp)
+    sub.add_parser("certify", parents=[grid],
+                   help="sampled kernel-hypothesis certificates")
+    sp = sub.add_parser("mpass", parents=[speed], help="mountain-pass bracket at one speed")
     sp.add_argument("--refine-steps", type=int, default=None)
-    sp = sub.add_parser("decay", help="tail fit against the multiplier prediction")
-    common(sp)
-    sp = sub.add_parser("sonic", help="amplitude sweep toward the sonic speed")
-    common(sp, speed=False)
+    sub.add_parser("decay", parents=[speed],
+                   help="tail fit against the multiplier prediction")
+    sub.add_parser("sonic", parents=[grid],
+                   help="amplitude sweep toward the sonic speed")
     sp = sub.add_parser("report", help="aggregate emitted JSON files to Markdown")
     sp.add_argument("--dir", required=True)
     sp.add_argument("--out", default=None)
@@ -172,10 +173,11 @@ def _cmd_solve(args, cfg):
         seeded = (f"the N = {level['size']} level ({level['newton_iters']} Newton, "
                   f"{level['krylov_iters']} Krylov iterations)")
     extra = {"tail": tail, "coarse_level": level}
-    doc = nio.solution_to_dict(sol, seed=cfg.seed, extra=extra)
     out = cfg.command.get("out")
     if out:
-        nio.write_solution(out, sol, seed=cfg.seed, extra=extra)
+        doc = nio.write_solution(out, sol, seed=cfg.seed, extra=extra)
+    else:
+        doc = nio.solution_to_dict(sol, seed=cfg.seed, extra=extra)
     _emit(args, doc, [
         f"{spec.label()} at c = {c:g}: converged in {sol.newton_iters} Newton "
         f"iterations ({sol.krylov_iters} Krylov)",

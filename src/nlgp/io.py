@@ -23,17 +23,22 @@ SOLUTION_FORMAT = "nlgp-solution-v1"
 
 
 def atomic_write_text(path, text: str):
+    """Write text to path through a temporary file in its directory; a path
+    that cannot be written (a missing directory, say) raises ConfigError."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _encode(a: np.ndarray) -> str:
@@ -79,8 +84,11 @@ def solution_to_dict(sol, seed=None, extra=None) -> dict:
     return doc
 
 
-def write_solution(path, sol, seed=None, extra=None):
-    atomic_write_text(path, json.dumps(solution_to_dict(sol, seed, extra), indent=1))
+def write_solution(path, sol, seed=None, extra=None) -> dict:
+    """Write the solution file; returns the document written."""
+    doc = solution_to_dict(sol, seed, extra)
+    atomic_write_text(path, json.dumps(doc, indent=1))
+    return doc
 
 
 def read_solution(path):

@@ -286,16 +286,20 @@ def _seeded_solve(spec: PotentialSpec, grid: Grid, c: float,
                   opts: SolverOptions) -> SolitonSolution:
     """``newton_solve`` on grid from a coarse-to-fine seed.
 
-    When N / COARSE_FACTOR >= COARSE_MIN_SIZE, ``_newton`` runs alone on
-    Grid(L, N / COARSE_FACTOR) from the contact seed, and its rho, padded up
-    by ``zero_pad``, seeds the solve on grid: the soliton is analytic, so the
-    coarse grid already carries nearly all of its spectrum.  The coarse level
-    is never finalized or returned; the result records it in ``coarse``.  A
-    coarse level that fails, or converges to a flat profile, or pads to an
-    inadmissible seed, leaves the contact seed on grid.
+    When N / COARSE_FACTOR >= COARSE_MIN_SIZE and the contact seed does not
+    already solve on grid (it does for the contact kernel, whose closed form
+    it is), ``_newton`` runs alone on Grid(L, N / COARSE_FACTOR) from the
+    contact seed, and its rho, padded up by ``zero_pad``, seeds the solve on
+    grid: the soliton is analytic, so the coarse grid already carries nearly
+    all of its spectrum.  The coarse level is never finalized or returned;
+    the result records it in ``coarse``.  A coarse level that fails, or
+    converges to a flat profile, or pads to an inadmissible seed, leaves the
+    contact seed on grid.
     """
+    contact = initial_guess(grid, c)
     size = grid.size // COARSE_FACTOR
-    if size >= COARSE_MIN_SIZE:
+    if size >= COARSE_MIN_SIZE and np.abs(_symmetrize(grid, rho_equation(
+            grid, contact, c, spec))).max() >= opts.tol_newton:
         coarse = Grid(grid.half_length, size)
         rho, status, iters, krylov, _ = _newton(spec, coarse, c,
                                                 initial_guess(coarse, c), opts)
@@ -304,7 +308,7 @@ def _seeded_solve(spec: PotentialSpec, grid: Grid, c: float,
             if admissible(seed):
                 return replace(newton_solve(spec, grid, c, seed, opts),
                                coarse=CoarseLevel(size, iters, krylov))
-    return newton_solve(spec, grid, c, initial_guess(grid, c), opts)
+    return newton_solve(spec, grid, c, contact, opts)
 
 
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),

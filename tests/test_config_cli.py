@@ -12,6 +12,7 @@ import pytest
 
 from nlgp import cli, config, solver
 from nlgp.errors import ConfigError
+from nlgp.hydro import IDENTITY_TOL
 from nlgp.io import read_solution
 
 
@@ -252,6 +253,49 @@ def test_cli_auto_refine_is_an_unknown_key(tmp_path, capsys):
         config.parse(bad.read_text())
     assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--potential", "delta", "--c", "1.0", "--L", "32", "--N", "512"),
+    ("branch", "--potential", "delta", "--c-from", "1.2", "--c-to", "1.3",
+     "--L", "32", "--N", "512"),
+    ("dispersion", "--potential", "delta"),
+    ("mpass", "--potential", "delta", "--c", "1.0", "--L", "32", "--N", "512",
+     "--refine-steps", "2"),
+    ("sonic", "--potential", "delta", "--L", "32", "--N", "512"),
+    ("report", "--dir", str(Path(__file__).parent)),
+], ids=lambda argv: argv[0])
+def test_cli_out_into_a_missing_directory_exit_2_one_line(argv, tmp_path, capsys):
+    # an --out that cannot be written is a config error, like an unreadable input
+    out = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    solve = ("solve", "--potential", "delta", "--c", "1.0", "--L", "64", "--N", "2048")
+    a = tmp_path / "a.json"
+    assert run_cli("--json", *solve, "--out", str(a)) == 0
+    json.loads(capsys.readouterr().out)
+    # neither --json nor --out carries over: text output, no file written
+    a.unlink()
+    assert run_cli(*solve) == 0
+    assert capsys.readouterr().out.startswith("delta at c = 1: converged")
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*solve, "--out", str(a)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--c", "fast")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # a --tol given once does not become the next call's default
+    assert run_cli("--json", "verify", str(a), "--tol", "1e-6") == 0
+    assert json.loads(capsys.readouterr().out)["identity"]["tol"] == 1e-6
+    assert run_cli("--json", "verify", str(a)) == 0
+    assert json.loads(capsys.readouterr().out)["identity"]["tol"] == IDENTITY_TOL
 
 
 def test_cli_unparsable_kernel_flag_exit_2_one_line(capsys):

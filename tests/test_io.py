@@ -1,12 +1,14 @@
 """Solution files: every catalog kind round-trips bit-for-bit."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nlgp import (Grid, SolitonSolution, assemble, berloff, bochner_riesz, delta,
                   exp_repulsive, gaussian, measure_combo, shifted_deltas,
                   soft_core, tabulated)
-from nlgp.io import read_solution, write_solution
+from nlgp.io import read_solution, solution_to_dict, write_solution
 from nlgp.potentials import CATALOG
 
 _XS = np.linspace(0.0, 120.0, 2001)
@@ -18,6 +20,19 @@ KINDS = [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5), gaussian(0.3),
 
 def test_kinds_cover_catalog():
     assert {s.kind for s in KINDS} == set(CATALOG)
+
+
+def test_write_solution_returns_the_document_it_wrote(tmp_path):
+    # nlgp solve --out prints this document instead of encoding it again
+    grid = Grid(16.0, 512)
+    f = assemble(grid, np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2), 0.7, delta())
+    sol = SolitonSolution(fields=f, converged=True, status="converged",
+                          newton_iters=0, krylov_iters=0, residual_sup=1e-12,
+                          residual_l2=1e-12)
+    path, extra = tmp_path / "sol.json", {"tail": 1e-15, "coarse_level": "contact seed"}
+    doc = write_solution(path, sol, seed=3, extra=extra)
+    assert doc == solution_to_dict(sol, 3, extra)
+    assert path.read_text() == json.dumps(doc, indent=1)
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)

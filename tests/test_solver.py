@@ -263,10 +263,21 @@ def test_solve_auto_runs_no_coarse_level_below_its_floor(monkeypatch):
 def test_solve_auto_seeds_each_domain_doubling(monkeypatch):
     # every grid solve_auto solves on gets its own coarse level
     sizes = _spy_newton(monkeypatch)
-    sol, tail = solve_auto(delta(), 1.3, half_length=32.0, size=4096)
+    sol, tail = solve_auto(exp_repulsive(1.0, 3.0), 1.3, half_length=32.0, size=4096)
     assert sol.converged and tail < 1e-10
     assert sizes == [1024, 4096, 2048, 8192]
     assert sol.grid == Grid(64.0, 8192) and sol.coarse.size == 2048
+
+
+@pytest.mark.parametrize("c", [0.8, 1.0])
+def test_solve_auto_runs_no_coarse_level_when_the_contact_seed_solves(monkeypatch, c):
+    # the contact kernel's closed form leaves a residual of ~4e-13 on the
+    # default grid, below tol_newton: Newton takes it as it is
+    sizes = _spy_newton(monkeypatch)
+    sol, _ = solve_auto(delta(), c)
+    assert sol.converged and sol.identity_report.passed
+    assert sizes == [4096] and sol.coarse is None and sol.newton_iters == 0
+    assert np.abs(sol.fields.rho - initial_guess(sol.grid, c)).max() <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="vanishing_amplitude from the contact "
