@@ -7,7 +7,7 @@ Usage: python scripts/run_catalog.py [outdir] [c]
 import sys
 from pathlib import Path
 
-from nlgp import Grid, initial_guess, newton_solve
+from nlgp import solve_auto
 from nlgp.io import write_solution
 from nlgp.potentials import reference_cases
 
@@ -17,8 +17,7 @@ def main():
     c = float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
     outdir.mkdir(parents=True, exist_ok=True)
     for name, spec, L, N in reference_cases():
-        grid = Grid(L, N)
-        sol = newton_solve(spec, grid, c, initial_guess(grid, c))
+        sol, _ = solve_auto(spec, c, half_length=L, size=N)
         status = "ok" if sol.converged and sol.identity_report.passed else "FAIL"
         print(f"{name:22s} {status}  iters={sol.newton_iters:2d} "
               f"res={sol.residual_sup:.2e} id={sol.identity_report.max_residual:.2e} "

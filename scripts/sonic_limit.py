@@ -10,7 +10,7 @@ Usage: python scripts/sonic_limit.py [out.csv]
 import sys
 
 from nlgp import delta, sonic_sweep
-from nlgp.io import write_csv
+from nlgp.io import SONIC_COLUMNS, write_csv
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
           f"(eta_max ~ (2 - c^2)^gamma)")
     print(f"nonvanishing lower bound held everywhere: {sweep.all_nonvanishing_ok}")
     if len(sys.argv) > 1:
-        write_csv(sys.argv[1], "c,gap,eta_max,E,p,nonvanishing_margin", sweep.rows)
+        write_csv(sys.argv[1], SONIC_COLUMNS, sweep.rows)
         print(f"wrote {sys.argv[1]}")
 
 

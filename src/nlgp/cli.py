@@ -16,10 +16,8 @@ import sys
 import numpy as np
 
 from . import analysis, config, functionals, io as nio, potentials, solver
-from .errors import (CertificationError, ConfigError, NlgpError,
-                     NoSoundSpeedError, OutOfRegimeError,
-                     SupersonicMultiplierError, UnderresolvedTailError,
-                     VortexError)
+from .errors import (ConfigError, NlgpError, NoSoundSpeedError, OutOfRegimeError,
+                     SupersonicMultiplierError, UnderresolvedTailError)
 from .hydro import (IDENTITY_TOL, assemble, identity_suite,
                     momentum_conditioning_warning, nonvanishing_check,
                     residual_rho, residual_tw)
@@ -39,16 +37,17 @@ _ALIASES = {"lambda": "lam"}
 def _build_parser():
     """The nlgp parser, built once per process: ``parse_args`` makes a fresh
     namespace per call, and every default is a constant."""
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--potential", help="catalog kind, e.g. delta, gaussian")
+    # each subcommand takes only the flags it reads, from these parents
+    kernel, grid, out, seed, speed = (argparse.ArgumentParser(add_help=False)
+                                      for _ in range(5))
+    kernel.add_argument("--potential", help="catalog kind, e.g. delta, gaussian")
     for f in _PARAM_FLAGS:
-        grid.add_argument(f"--{f}", default=None)
-    grid.add_argument("--lambda", dest="lam", default=None)
+        kernel.add_argument(f"--{f}", default=None)
+    kernel.add_argument("--lambda", dest="lam", default=None)
     grid.add_argument("--L", type=float, default=None, help="grid half-length")
     grid.add_argument("--N", type=int, default=None, help="grid size (power of two)")
-    grid.add_argument("--out", default=None)
-    grid.add_argument("--seed", type=int, default=None)
-    speed = argparse.ArgumentParser(add_help=False, parents=[grid])
+    out.add_argument("--out", default=None)
+    seed.add_argument("--seed", type=int, default=None)
     speed.add_argument("--c", type=float, default=None)
 
     p = argparse.ArgumentParser(prog="nlgp",
@@ -57,25 +56,27 @@ def _build_parser():
     p.add_argument("--config", help="key-value config file (INI sections)")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
     sub = p.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("solve", parents=[speed], help="compute one soliton")
-    sp = sub.add_parser("branch", parents=[grid],
+    sub.add_parser("solve", parents=[kernel, grid, out, seed, speed],
+                   help="compute one soliton")
+    sp = sub.add_parser("branch", parents=[kernel, grid, out],
                         help="continue a branch over a speed range")
     sp.add_argument("--c-from", type=float, default=None)
     sp.add_argument("--c-to", type=float, default=None)
     sp = sub.add_parser("verify", help="re-run the identity suite on a saved solution")
     sp.add_argument("input")
     sp.add_argument("--tol", type=float, default=IDENTITY_TOL)
-    sp = sub.add_parser("dispersion", parents=[speed],
+    sp = sub.add_parser("dispersion", parents=[kernel, out, speed],
                         help="dispersion curve, multiplier, critical points")
     sp.add_argument("--xi-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sub.add_parser("certify", parents=[grid],
+    sub.add_parser("certify", parents=[kernel],
                    help="sampled kernel-hypothesis certificates")
-    sp = sub.add_parser("mpass", parents=[speed], help="mountain-pass bracket at one speed")
+    sp = sub.add_parser("mpass", parents=[kernel, grid, out, seed, speed],
+                        help="mountain-pass bracket at one speed")
     sp.add_argument("--refine-steps", type=int, default=None)
-    sub.add_parser("decay", parents=[speed],
+    sub.add_parser("decay", parents=[kernel, grid, speed],
                    help="tail fit against the multiplier prediction")
-    sub.add_parser("sonic", parents=[grid],
+    sub.add_parser("sonic", parents=[kernel, grid, out],
                    help="amplitude sweep toward the sonic speed")
     sp = sub.add_parser("report", help="aggregate emitted JSON files to Markdown")
     sp.add_argument("--dir", required=True)
@@ -144,8 +145,7 @@ def _emit(args, doc: dict, text_lines):
     if args.json:
         print(json.dumps(doc))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text_lines))
 
 
 def _check_subsonic(spec, c):
@@ -154,18 +154,30 @@ def _check_subsonic(spec, c):
         raise OutOfRegimeError(f"c = {c:g} outside (0, c*) with c* = {cs:g}")
 
 
-def _cmd_solve(args, cfg):
+def _one_speed(args, cfg, solve=True):
+    """The prologue of solve, decay and mpass: (spec, c, solution, tail).
+
+    --c is required.  With ``solve`` it must be subsonic, and ``solve_auto``
+    solves from the configured grid, whose domain it may double; a solve
+    that does not converge raises NlgpError.  Without, the solution and
+    tail are None.
+    """
     spec = _make_spec(cfg.potential)
     c = cfg.command.get("c")
     if c is None:
-        raise ConfigError("solve needs --c")
+        raise ConfigError(f"{args.cmd} needs --c")
+    if not solve:
+        return spec, c, None, None
     _check_subsonic(spec, c)
     sol, tail = solver.solve_auto(spec, c, cfg.solver, cfg.grid.half_length,
                                   cfg.grid.size)
     if not sol.converged:
-        print(f"solver failure: {sol.status} (residual {sol.residual_sup:.3e})",
-              file=sys.stderr)
-        return EXIT_SOLVER
+        raise NlgpError(f"{sol.status} (residual {sol.residual_sup:.3e})")
+    return spec, c, sol, tail
+
+
+def _cmd_solve(args, cfg):
+    spec, c, sol, tail = _one_speed(args, cfg)
     # how the solve was seeded; the coarse level is a record, never a solution
     level, seeded = "contact seed", "the contact seed"
     if sol.coarse:
@@ -330,10 +342,7 @@ def _cmd_certify(args, cfg):
 
 
 def _cmd_mpass(args, cfg):
-    spec = _make_spec(cfg.potential)
-    c = cfg.command.get("c")
-    if c is None:
-        raise ConfigError("mpass needs --c")
+    spec, c, _, _ = _one_speed(args, cfg, solve=False)
     cert = potentials.certify(spec)
     grid = Grid(cfg.grid.half_length, cfg.grid.size)
     bracket = functionals.mountain_pass_bracket(
@@ -355,24 +364,19 @@ def _cmd_mpass(args, cfg):
 
 
 def _cmd_decay(args, cfg):
-    spec = _make_spec(cfg.potential)
-    c = cfg.command.get("c")
-    if c is None:
-        raise ConfigError("decay needs --c")
-    _check_subsonic(spec, c)
+    spec, c, sol, tail = _one_speed(args, cfg)
     pred = potentials.decay_prediction(spec, c)
-    grid = Grid(cfg.grid.half_length, cfg.grid.size)
-    sol = solver.newton_solve(spec, grid, c, solver.initial_guess(grid, c), cfg.solver)
-    if not sol.converged:
-        print(f"solver failure: {sol.status}", file=sys.stderr)
-        return EXIT_SOLVER
+    grid = sol.grid
     fe, fa, chosen = analysis.select_model(grid, sol.fields.eta)
-    doc = {"spec": spec.label(), "c": c, "prediction": {
+    doc = {"spec": spec.label(), "c": c,
+           "grid": {"half_length": grid.half_length, "size": grid.size},
+           "tail": tail, "prediction": {
                "model": pred.model, "value": pred.value, "censored": pred.censored},
            "fit_exponential": {"rate": fe.rate_or_power, "r2": fe.r_squared},
            "fit_algebraic": {"power": fa.rate_or_power, "r2": fa.r_squared},
            "selected": chosen}
     lines = [f"{spec.label()} at c = {c:g}:",
+             f"  solved on L = {grid.half_length:g}, N = {grid.size}, tail = {tail:.3e}",
              f"  prediction: {pred.model} "
              + (f"rate {pred.value:.6f}" if pred.model == 'exponential'
                 else f"every power below {pred.value:g}"),
@@ -390,7 +394,7 @@ def _cmd_sonic(args, cfg):
                                base_size=cfg.grid.size)
     out = cfg.command.get("out")
     if out:
-        nio.write_csv(out, "c,gap,eta_max,E,p,nonvanishing_margin", sweep.rows)
+        nio.write_csv(out, nio.SONIC_COLUMNS, sweep.rows)
     doc = {"spec": sweep.spec_label, "gamma": sweep.gamma,
            "d2_symbol_at_zero": sweep.d2_symbol_at_zero,
            "nonvanishing_ok": sweep.all_nonvanishing_ok,
@@ -402,7 +406,8 @@ def _cmd_sonic(args, cfg):
         f"(eta_max ~ (2 - c^2)^gamma)",
         f"  symbol curvature at 0: {sweep.d2_symbol_at_zero}",
         f"  nonvanishing bound held at every sample: {sweep.all_nonvanishing_ok}",
-    ] + ([f"  skipped gaps (no convergence): {skipped}"] if skipped else [])
+    ] + ([f"  skipped gaps (unconverged or failing the identity suite): {skipped}"]
+         if skipped else [])
       + ([f"  wrote {out}"] if out else []))
     return EXIT_OK
 
@@ -472,11 +477,8 @@ def main(argv=None) -> int:
     except (OutOfRegimeError, SupersonicMultiplierError, NoSoundSpeedError) as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (VortexError, CertificationError) as exc:
+    except NlgpError as exc:    # every other error is the solver's
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except NlgpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -124,6 +124,7 @@ def read_solution(path):
 
 
 BRANCH_COLUMNS = "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters,dp_dc"
+SONIC_COLUMNS = "c,gap,eta_max,E,p,nonvanishing_margin"
 
 
 def fmt_cell(v) -> str:

@@ -429,7 +429,7 @@ class SonicSweep:
     gamma: float            # fitted exponent of eta_max ~ (2 - c^2)^gamma
     d2_symbol_at_zero: Optional[float]
     all_nonvanishing_ok: bool
-    skipped_gaps: tuple     # gaps whose solve did not converge, left out of rows
+    skipped_gaps: tuple     # gaps unconverged or failing the identity suite, left out of rows
 
 
 def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
@@ -437,39 +437,34 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
                 base_size: int = 4096) -> SonicSweep:
     """Amplitude decay toward the sonic speed and the vanishing-exponent fit.
 
-    Samples c = sqrt(2) - gap for a decreasing sequence of gaps, enlarging
-    the domain as the predicted tail rate sqrt(2 - c^2) degrades, and fits
+    Solves c = sqrt(2) - gap for a decreasing sequence of gaps by
+    ``solve_auto`` from Grid(base_half_length, base_size), and fits
     log eta_max against log (2 - c^2).  The lower bound
-    ||W * eta||_inf >= (2 - c^2)/4 is evaluated at every sample.  Fewer than
-    two converged samples leave the fit underdetermined and raise NlgpError;
-    otherwise the unconverged gaps are returned in ``skipped_gaps``.
+    ||W * eta||_inf >= (2 - c^2)/4 is evaluated at every sample.  A gap
+    counts only when its solve converges and passes the identity suite; the
+    others are returned in ``skipped_gaps``, and fewer than two that count
+    leave the fit underdetermined and raise NlgpError.
     """
     if gaps is None:
         gaps = np.array([0.2, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012, 0.008, 0.005])
-    c2 = math.sqrt(2.0)
-    rows, failed = [], []
+    rows, skipped = [], []
     for gap in gaps:
-        c = float(c2 - gap)
-        rate = math.sqrt(2.0 - c ** 2)
-        L, N = base_half_length, base_size
-        while rate * L < 30.0 and L < 2048:  # keep e^{-rate L} below roundoff
-            L, N = 2.0 * L, 2 * N
-        grid = Grid(L, N)
-        sol = newton_solve(spec, grid, c, initial_guess(grid, c), opts)
-        if not sol.converged:
-            failed.append(float(gap))
+        c = float(math.sqrt(2.0) - gap)
+        sol, _ = solve_auto(spec, c, opts, base_half_length, base_size)
+        if not (sol.converged and sol.identity_report.passed):
+            skipped.append(float(gap))
             continue
         nv = nonvanishing_check(sol.fields)
         rows.append((c, float(gap), sol.eta_max, sol.E, sol.p, nv.weta_sup - nv.bound))
     if len(rows) < 2:
         raise NlgpError(
-            f"sonic sweep fit needs two converged samples, {len(rows)} of {len(gaps)} "
-            f"converged; no convergence at gaps "
-            f"{', '.join(f'{gap:g}' for gap in failed) or 'none'}")
+            f"sonic sweep fit needs two samples that converge and pass the "
+            f"identity suite, {len(rows)} of {len(gaps)} do; skipped gaps "
+            f"{', '.join(f'{gap:g}' for gap in skipped) or 'none'}")
     rows = np.array(rows)
     x = np.log(2.0 - rows[:, 0] ** 2)
     gamma = float(np.polyfit(x, np.log(rows[:, 2]), 1)[0])
     return SonicSweep(spec_label=spec.label(), rows=rows, gamma=gamma,
                       d2_symbol_at_zero=spec.d2_at_zero,
                       all_nonvanishing_ok=bool(np.all(rows[:, 5] >= 0.0)),
-                      skipped_gaps=tuple(failed))
+                      skipped_gaps=tuple(skipped))

@@ -455,6 +455,59 @@ def test_cli_decay_solves_on_the_configured_grid(monkeypatch, capsys):
                                                            rel=1e-3)
 
 
+def test_cli_decay_fits_the_solution_solve_finds(monkeypatch, capsys, tmp_path):
+    # exp_repulsive(1, 3) at c = 1.4 decays at 0.166: its tail is above
+    # TAIL_TOL on the default L = 128, so decay, like solve, doubles L to 256
+    solved = []
+    solve_auto = solver.solve_auto
+    monkeypatch.setattr(solver, "solve_auto",
+                        lambda *a: solved.append(solve_auto(*a)) or solved[-1])
+    kernel = ("--potential", "exp_repulsive", "--alpha", "1", "--beta", "3", "--c", "1.4")
+    assert run_cli("--json", "decay", *kernel) == 0
+    decay = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sol.json"
+    assert run_cli("--json", "solve", *kernel, "--out", str(out)) == 0
+    solve = json.loads(capsys.readouterr().out)
+    assert decay["grid"] == solve["grid"] == {"half_length": 256.0, "size": 8192}
+    assert decay["tail"] == solve["tail"] < solver.TAIL_TOL
+    [(sol, _), _] = solved
+    np.testing.assert_array_equal(sol.fields.rho, read_solution(out)[3]["rho"])
+    assert run_cli("decay", *kernel) == 0
+    assert "  solved on L = 256, N = 8192, tail = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["solve", "decay", "mpass"])
+def test_cli_one_speed_commands_need_c(cmd, capsys):
+    assert run_cli(cmd, "--potential", "delta") == 2
+    assert capsys.readouterr().err == f"config error: {cmd} needs --c\n"
+
+
+@pytest.mark.parametrize("cmd", ["solve", "decay"])
+def test_cli_unconverged_solve_exit_3(cmd, tmp_path, capsys):
+    # one Newton step from either seed leaves gaussian(0.3) unconverged
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\nmax_iter = 1\n")
+    assert run_cli("--config", str(cfg), cmd, "--potential", "gaussian",
+                   "--lambda", "0.3", "--c", "1.0") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: newton_failed (residual ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("certify", "--L"), ("certify", "--N"), ("certify", "--out"), ("certify", "--seed"),
+    ("dispersion", "--L"), ("dispersion", "--N"), ("dispersion", "--seed"),
+    ("decay", "--out"), ("decay", "--seed"), ("sonic", "--seed"), ("branch", "--seed"),
+])
+def test_cli_refuses_flags_a_command_never_reads(cmd, flag, tmp_path, capsys):
+    value = {"--L": "64", "--N": "512", "--out": str(tmp_path / "x.out"), "--seed": "7"}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd, "--potential", "delta", flag, value[flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_verify_detects_corruption(tmp_path, capsys):
     out = tmp_path / "sol.json"
     run_cli("solve", "--potential", "delta", "--c", "1.0",
@@ -638,7 +691,8 @@ def test_cli_sonic_lists_skipped_gaps(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "sonic_sweep", with_unreachable_gap)
     assert run_cli("sonic", "--potential", "delta") == 0
-    assert "skipped gaps (no convergence): 1e-09" in capsys.readouterr().out
+    assert ("skipped gaps (unconverged or failing the identity suite): 1e-09"
+            in capsys.readouterr().out)
     assert run_cli("--json", "sonic", "--potential", "delta") == 0
     assert json.loads(capsys.readouterr().out)["skipped_gaps"] == [1e-9]
 

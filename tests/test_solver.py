@@ -555,6 +555,14 @@ def test_sonic_sweep_reports_skipped_gaps():
     assert sweep.skipped_gaps == (1e-9,)
 
 
+def test_sonic_sweep_refuses_rows_failing_the_identity_suite():
+    # bochner_riesz(0.4) converges at both gaps on the default grid but fails
+    # the identity suite there (max residuals 1.0e-3 and 4.2e-4): no row may
+    # carry the fit
+    with pytest.raises(NlgpError, match=r"identity suite, 0 of 2 do.*0\.2, 0\.08"):
+        sonic_sweep(bochner_riesz(0.4), gaps=[0.2, 0.08])
+
+
 def test_sonic_sweep_curvature_bookkeeping():
     # second symbol derivative at 0 decides the nonexistence hypothesis
     assert sonic_sweep(delta(), gaps=np.array([0.2, 0.1])).d2_symbol_at_zero == 0.0
