@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import UnderresolvedTailError
 from .hydro import WaveFields
-from .spectral import Grid, spectrum
+from .spectral import Grid
 
 BAND_TOP = 1e-2            # the fit band starts below this share of the envelope's max
 BAND_BOTTOM = 1e-9         # and ends below this share
@@ -112,7 +112,7 @@ def analyticity_strip(fields: WaveFields) -> float:
     spectrum (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 138, 1983).
     Raises UnderresolvedTailError when the band has too few samples.
     """
-    env, band = _band(spectrum(fields.eta))
+    env, band = _band(fields.eta_hat)
     xi = fields.grid.xi_half[band]
     (_, _, slope), _ = _ls_fit([np.log(xi), xi], np.log(env[band]))
     return -float(slope)

@@ -182,8 +182,9 @@ def _cmd_solve(args, cfg):
     level, seeded = "contact seed", "the contact seed"
     if sol.coarse:
         level = dataclasses.asdict(sol.coarse)
-        seeded = (f"the N = {level['size']} level ({level['newton_iters']} Newton, "
-                  f"{level['krylov_iters']} Krylov iterations)")
+        seeded = (f"the N = {level['size']}, L = {level['half_length']:g} level "
+                  f"({level['newton_iters']} Newton, {level['krylov_iters']} Krylov "
+                  "iterations)")
     extra = {"tail": tail, "coarse_level": level}
     out = cfg.command.get("out")
     if out:

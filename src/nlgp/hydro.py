@@ -15,7 +15,8 @@ import numpy as np
 from .errors import VortexError
 from .potentials import PotentialSpec
 from .spectral import (Grid, convolve, cumulative_integral, derivative,
-                       from_half_spectrum, half_spectrum, integrate, per_row,
+                       derivative_symbol, from_half_spectrum, from_spectrum,
+                       half_spectrum, integrate, per_row,
                        spectral_density_integral, spectrum)
 
 POSITIVITY_FLOOR = 1e-3      # least amplitude a solve or path may reach
@@ -40,7 +41,8 @@ class WaveFields:
     theta(L) - theta(-L) is the physical phase jump).  theta_prime is stored
     separately because it *is* periodic and carries the spectral accuracy.
     The periodic derivatives rho' and eta' and the nonlocal field W*eta are
-    taken once, here, and every diagnostic reads them from the profile.
+    taken once, here, and every diagnostic reads them from the profile; so
+    is eta's spectrum, from which eta' and W*eta are formed.
     """
 
     grid: Grid
@@ -50,19 +52,22 @@ class WaveFields:
     theta_prime: np.ndarray
     spec: PotentialSpec
     eta: np.ndarray = field(init=False, repr=False, compare=False)
+    eta_hat: np.ndarray = field(init=False, repr=False, compare=False)
     rho_x: np.ndarray = field(init=False, repr=False, compare=False)
     eta_x: np.ndarray = field(init=False, repr=False, compare=False)
     weta: np.ndarray = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho, thp = self.rho, self.theta_prime
+        g, rho, thp = self.grid, self.rho, self.theta_prime
         eta = 1.0 - rho ** 2
-        rho_x = derivative(self.grid, rho)
+        eta_hat = spectrum(eta)
+        rho_x = derivative(g, rho)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta_hat", eta_hat)
         object.__setattr__(self, "rho_x", rho_x)
-        object.__setattr__(self, "eta_x", derivative(self.grid, eta))
-        object.__setattr__(self, "weta", convolve(self.spec, self.grid, eta))
+        object.__setattr__(self, "eta_x", from_spectrum(g, derivative_symbol(g, 1) * eta_hat))
+        object.__setattr__(self, "weta", from_spectrum(g, self.spec.lattice_symbol(g) * eta_hat))
         object.__setattr__(self, "K", rho_x ** 2 + (rho * thp) ** 2)
 
     @property
@@ -73,11 +78,6 @@ class WaveFields:
     def u(self) -> np.ndarray:
         """u = rho e^{i theta}, formed on each read and never stored."""
         return self.rho * np.exp(1j * self.theta)
-
-    @property
-    def u_x(self) -> np.ndarray:
-        """u' = (rho' + i rho theta') e^{i theta}, from the stored rho'."""
-        return (self.rho_x + 1j * self.rho * self.theta_prime) * np.exp(1j * self.theta)
 
 
 def _phase(grid: Grid, rho: np.ndarray, c: float):
@@ -257,12 +257,12 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
     scale = max(float(np.abs(eta).max()) * max(1.0, c) ** 2, 1e-30)
 
     entries = []
-    # (c/2) eta = -<i u', u>
+    # (c/2) eta = -<i u', u>, which is rho^2 theta' since |e^{i theta}| = 1
     entries.append(_entry("phase_current", 0.5 * c * eta,
-                          -np.real(1j * fields.u_x * np.conj(fields.u)), tol, scale))
+                          fields.rho ** 2 * fields.theta_prime, tol, scale))
     # -eta'' + 2 W*eta - c^2 eta = 2K + 2 eta (W*eta)
-    entries.append(_entry("elliptic",
-                          -derivative(g, eta, 2) + 2.0 * weta - c ** 2 * eta,
+    eta_xx = from_spectrum(g, derivative_symbol(g, 2) * fields.eta_hat)
+    entries.append(_entry("elliptic", -eta_xx + 2.0 * weta - c ** 2 * eta,
                           2.0 * K + 2.0 * eta * weta, tol, scale))
     # K' = eta' (W*eta)
     entries.append(_entry("kinetic_flux", derivative(g, K), eta_x * weta, tol, scale))
@@ -276,7 +276,7 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
     if spec.has_deriv:
         wk = spec.lattice_symbol(g)
         xwp = spec.xi_symbol_deriv(g.xi_half)
-        eh = spectrum(eta)
+        eh = fields.eta_hat
         # int |u'|^2 = (1/4pi) int (W_hat - xi W_hat') |eta_hat|^2
         lhs = integrate(g, K)
         rhs = 0.5 * spectral_density_integral(g, wk - xwp, eh)

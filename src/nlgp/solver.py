@@ -24,7 +24,7 @@ from .hydro import (WaveFields, action, admissible, assemble, energy,
                     residual_norms, rho_equation, rho_jacobian_preconditioned)
 from .potentials import PotentialSpec, inverse_mc, mc_symbol
 from .spectral import (Grid, from_half_spectrum, half_spectrum, integrate,
-                       sech, tail_magnitude, zero_pad)
+                       sech, tail_magnitude, zero_extend, zero_pad)
 
 DAMPING_FACTOR = 0.5     # Newton step shrink per rejected trial
 MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
@@ -35,8 +35,8 @@ TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
 MAX_REFINEMENTS = 3      # domain doublings solve_auto may make
-COARSE_FACTOR = 4        # solve_auto seeds Grid(L, N) from Grid(L, N / COARSE_FACTOR)
-COARSE_MIN_SIZE = 1024   # smallest coarse level solve_auto runs
+COARSE_FACTOR = 4        # solve_auto seeds Grid(L, N) from levels of N / COARSE_FACTOR^k nodes
+COARSE_MIN_SIZE = 1024   # smallest level solve_auto runs
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,10 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class CoarseLevel:
-    """The unfinalized Newton solve on Grid(L, size) that seeded a
-    ``solve_auto`` solution; a seed only, never a solution."""
+    """The unfinalized Newton solve on Grid(half_length, size) that seeded
+    a ``solve_auto`` solution; a seed only, never a solution."""
     size: int
+    half_length: float
     newton_iters: int
     krylov_iters: int
 
@@ -282,40 +283,92 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         E=energy(fields), p=momentum(fields), J=action(fields))
 
 
+def _level(spec: PotentialSpec, level: Grid, c: float, seed: np.ndarray,
+           opts: SolverOptions):
+    """``_newton`` on one seeding level: (rho, CoarseLevel) when it converges
+    to a profile that is not flat, else None."""
+    if not admissible(seed):
+        return None
+    rho, status, iters, krylov, _ = _newton(spec, level, c, seed, opts)
+    if status != "converged" or 1.0 - rho.min() ** 2 < TRIVIAL_ETA_TOL:
+        return None
+    return rho, CoarseLevel(level.size, level.half_length, iters, krylov)
+
+
+def _narrow_seed(spec: PotentialSpec, grid: Grid, c: float, opts: SolverOptions):
+    """(seed, CoarseLevel) on grid from the smallest domain at its spacing,
+    Grid(L / COARSE_FACTOR^k, N / COARSE_FACTOR^k) with at least
+    COARSE_MIN_SIZE nodes, whose solution has a tail at or below TAIL_TOL;
+    else None.
+
+    The levels are solved smallest first, the first from the contact seed and
+    each later one from the level below, and 1 - rho is carried up by
+    ``zero_extend``: the soliton decays exponentially, so past its tail the
+    wider domain holds the vacuum rho = 1.  A level whose tail exceeds
+    TAIL_TOL seeds only the next level, never grid: near the sonic speed such
+    a seed leaves grid's Newton steps ending just under ``tol_newton``, short
+    of what the identity suite needs.
+    """
+    levels = []
+    level = Grid(grid.half_length / COARSE_FACTOR, grid.size // COARSE_FACTOR)
+    while level.size >= COARSE_MIN_SIZE:
+        levels.insert(0, level)
+        level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
+    below = None
+    for level in levels:
+        seed = initial_guess(level, c) if below is None else 1.0 - zero_extend(below, v, level)
+        solved = _level(spec, level, c, seed, opts)
+        if solved is None:
+            return None
+        v, record = 1.0 - solved[0], solved[1]
+        if tail_magnitude(level, v) <= TAIL_TOL:
+            seed = 1.0 - zero_extend(level, v, grid)
+            return (seed, record) if admissible(seed) else None
+        below = level
+    return None
+
+
 def _seeded_solve(spec: PotentialSpec, grid: Grid, c: float,
                   opts: SolverOptions) -> SolitonSolution:
-    """``newton_solve`` on grid from a coarse-to-fine seed.
+    """``newton_solve`` on grid from a seed solved on fewer nodes.
 
     When N / COARSE_FACTOR >= COARSE_MIN_SIZE and the contact seed does not
     already solve on grid (it does for the contact kernel, whose closed form
-    it is), ``_newton`` runs alone on Grid(L, N / COARSE_FACTOR) from the
-    contact seed, and its rho, padded up by ``zero_pad``, seeds the solve on
-    grid: the soliton is analytic, so the coarse grid already carries nearly
-    all of its spectrum.  The coarse level is never finalized or returned;
-    the result records it in ``coarse``.  A coarse level that fails, or
-    converges to a flat profile, or pads to an inadmissible seed, leaves the
-    contact seed on grid.
+    it is), the seed comes from the first of these that gives one:
+
+    1. the smallest narrower domain at grid's spacing that holds the tail
+       (``_narrow_seed``), padded with the vacuum; skipped for a kernel with
+       an algebraic tail, which no narrower domain holds;
+    2. ``_newton`` on Grid(L, N / COARSE_FACTOR) from the contact seed, its
+       rho padded up by ``zero_pad``: the soliton is analytic, so the coarse
+       grid already carries nearly all of its spectrum;
+    3. the contact seed.
+
+    A level that fails, converges to a flat profile or pads to an
+    inadmissible seed gives no seed.  The levels are never finalized or
+    returned; the result records the one that seeded grid in ``coarse``.
     """
     contact = initial_guess(grid, c)
     size = grid.size // COARSE_FACTOR
-    if size >= COARSE_MIN_SIZE and np.abs(_symmetrize(grid, rho_equation(
-            grid, contact, c, spec))).max() >= opts.tol_newton:
+    if size < COARSE_MIN_SIZE or np.abs(_symmetrize(grid, rho_equation(
+            grid, contact, c, spec))).max() < opts.tol_newton:
+        return newton_solve(spec, grid, c, contact, opts)
+    seeded = None if spec.algebraic_tail else _narrow_seed(spec, grid, c, opts)
+    if seeded is None:
         coarse = Grid(grid.half_length, size)
-        rho, status, iters, krylov, _ = _newton(spec, coarse, c,
-                                                initial_guess(coarse, c), opts)
-        if status == "converged" and 1.0 - rho.min() ** 2 >= TRIVIAL_ETA_TOL:
-            seed = zero_pad(coarse, rho, grid)
-            if admissible(seed):
-                return replace(newton_solve(spec, grid, c, seed, opts),
-                               coarse=CoarseLevel(size, iters, krylov))
-    return newton_solve(spec, grid, c, contact, opts)
+        solved = _level(spec, coarse, c, initial_guess(coarse, c), opts)
+        if solved is not None and admissible(seed := zero_pad(coarse, solved[0], grid)):
+            seeded = seed, solved[1]
+    if seeded is None:
+        return newton_solve(spec, grid, c, contact, opts)
+    return replace(newton_solve(spec, grid, c, seeded[0], opts), coarse=seeded[1])
 
 
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
                half_length: float = 128.0, size: int = 4096):
     """Solve on the default grid, doubling the domain (at most MAX_REFINEMENTS
-    times) until the tail falls below TAIL_TOL; each grid is seeded from its
-    coarse level (``_seeded_solve``).
+    times) until the tail falls below TAIL_TOL; each grid is seeded from a
+    level with fewer nodes (``_seeded_solve``).
 
     Kernels with an algebraic tail (``PotentialSpec.algebraic_tail``) never
     meet an exponential tail tolerance, so refinement is skipped for them and

@@ -14,7 +14,8 @@ lattice with the samples' dot product, the space the Krylov solves run in;
 ``spectrum`` and ``from_spectrum`` are the plain transform pair, for callers
 that keep a field's spectrum beside it, and ``spectral_density_integral`` is
 the one Parseval sum over such spectra.  ``zero_pad`` carries a field to
-more nodes of the same domain.
+more nodes of the same domain, ``zero_extend`` one that decays to 0 onto a
+wider domain at the same spacing.
 """
 
 from __future__ import annotations
@@ -174,6 +175,21 @@ def zero_pad(grid: Grid, f: np.ndarray, fine: Grid) -> np.ndarray:
     return np.fft.irfft(fh, n=m)
 
 
+def zero_extend(grid: Grid, f: np.ndarray, wide: Grid) -> np.ndarray:
+    """f, sampled on ``grid`` and decaying to 0, carried to ``wide``: a
+    domain a power-of-two multiple as long at the same spacing, filled with
+    0 outside grid's.  Node N/2 is x = 0 on both grids, so the copy is an
+    index offset.  Extending to ``grid`` itself returns a copy of f.
+    """
+    n, m = grid.size, wide.size
+    if wide.spacing != grid.spacing or m < n:
+        raise ValueError(f"zero_extend carries a field to a wider domain at the "
+                         f"same spacing, not from {grid} to {wide}")
+    out = np.zeros(np.shape(f)[:-1] + (m,))
+    out[..., (m - n) // 2:(m + n) // 2] = f
+    return out
+
+
 def _derivative_symbol(grid: Grid, k: int) -> np.ndarray:
     s = (1j * grid.xi_half) ** k
     if k % 2 == 0:
@@ -182,15 +198,18 @@ def _derivative_symbol(grid: Grid, k: int) -> np.ndarray:
     return s
 
 
-def derivative(grid: Grid, f: np.ndarray, k: int = 1) -> np.ndarray:
-    """k-th spectral derivative; exact for band-limited f.
-
-    The symbol (i xi)^k is evaluated once per grid.
-    """
+def derivative_symbol(grid: Grid, k: int) -> np.ndarray:
+    """(i xi)^k on the half lattice, evaluated once per grid: the k-th
+    derivative of a field whose spectrum is fh is
+    ``from_spectrum(grid, derivative_symbol(grid, k) * fh)``."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {k}")
-    return apply_symbol(f, grid.cached(("derivative", k),
-                                       lambda g: _derivative_symbol(g, k)))
+    return grid.cached(("derivative", k), lambda g: _derivative_symbol(g, k))
+
+
+def derivative(grid: Grid, f: np.ndarray, k: int = 1) -> np.ndarray:
+    """k-th spectral derivative; exact for band-limited f."""
+    return apply_symbol(f, derivative_symbol(grid, k))
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | complex | np.ndarray:

@@ -167,13 +167,14 @@ def test_cli_solve_records_the_coarse_level(tmp_path, capsys):
     assert run_cli("--json", *argv, "--out", str(out)) == 0
     doc = json.loads(capsys.readouterr().out)
     level = doc["coarse_level"]
-    assert level["size"] == 1024 and level["krylov_iters"] >= level["newton_iters"] >= 1
+    assert level["size"] == 1024 and level["half_length"] == 32.0
+    assert level["krylov_iters"] >= level["newton_iters"] >= 1
     # the file holds the requested grid's solution and the same record
     saved = read_solution(out)[4]
     assert saved["grid"] == {"half_length": 128.0, "size": 4096}
     assert saved["coarse_level"] == level
     assert run_cli(*argv) == 0
-    assert (f"seeded from the N = 1024 level ({level['newton_iters']} Newton, "
+    assert (f"seeded from the N = 1024, L = 32 level ({level['newton_iters']} Newton, "
             f"{level['krylov_iters']} Krylov iterations)") in capsys.readouterr().out
     assert run_cli("verify", str(out)) == 0
     # files written before the record existed still verify

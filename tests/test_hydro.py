@@ -89,10 +89,11 @@ def test_assemble_trivial(grid):
 
 
 def test_u_formed_on_read_not_stored(grid):
-    # a profile stores eight real arrays; u is built from rho and theta
+    # a profile stores eight real arrays and eta's spectrum; u is built from
+    # rho and theta
     f = assemble(grid, contact_amplitude(grid.x, 0.8), 0.8, delta())
     assert "u" not in vars(f)
-    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 8
+    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 9
     assert np.array_equal(f.u, f.rho * np.exp(1j * f.theta))
 
 

@@ -205,78 +205,136 @@ def test_wide_grid_contact_seed_solves_keep_their_newton_counts(wide_direct, spe
 
 
 @pytest.mark.parametrize("spec,c", [
-    (bochner_riesz(0.4), 0.8), (bochner_riesz(0.4), 1.1),
-    (gaussian(0.3), 0.8), (gaussian(0.3), 1.1)],
-    ids=["bochner_riesz-0.8", "bochner_riesz-1.1", "gaussian-0.8", "gaussian-1.1"])
+    (bochner_riesz(0.4), 0.8), (bochner_riesz(0.4), 0.95), (bochner_riesz(0.4), 1.1),
+    (gaussian(0.3), 0.8), (gaussian(0.3), 0.95), (gaussian(0.3), 1.1)],
+    ids=["bochner_riesz-0.8", "bochner_riesz-0.95", "bochner_riesz-1.1",
+         "gaussian-0.8", "gaussian-0.95", "gaussian-1.1"])
 def test_solve_auto_seeds_wide_grids_from_a_coarse_level(wide_direct, spec, c):
-    # measured: rho within 3.2e-11 and J within 1.2e-16 of the direct solve,
-    # one Newton iteration on the requested grid against four or five
+    # measured: rho within 3.2e-11 and J within 5.6e-17 of the direct solve,
+    # at most one Newton iteration on the requested grid against four or five.
+    # The gaussian soliton's tail fits on L / 64 (rho within 8e-16, no Newton
+    # step); bochner_riesz's algebraic tail fits on no narrower domain, so
+    # its seed is the N / 4 level on L
     direct = wide_direct(spec, c)
-    sol, _ = solve_auto(spec, c, half_length=direct.grid.half_length, size=65536)
+    L = direct.grid.half_length
+    sol, _ = solve_auto(spec, c, half_length=L, size=65536)
     assert sol.grid == direct.grid
     assert sol.converged and sol.identity_report.passed
     assert np.abs(sol.fields.rho - direct.fields.rho).max() < 1e-10
     assert abs(sol.J - direct.J) < 1e-14
     assert sol.newton_iters <= 1
-    assert sol.coarse.size == 16384 and sol.coarse.newton_iters >= 4
+    level = (16384, L) if spec.algebraic_tail else (1024, L / 64)
+    assert (sol.coarse.size, sol.coarse.half_length) == level
+    assert sol.coarse.newton_iters >= 4
     assert direct.coarse is None
 
 
-def _spy_newton(monkeypatch, fail_size=None):
-    """Record the grid size of every Newton iteration; a coarse level on
-    fail_size nodes reports newton_failed."""
-    core, sizes = solver._newton, []
+def _spy_newton(monkeypatch, fail=()):
+    """Record the grid of every Newton iteration; a level on a grid in fail
+    reports newton_failed."""
+    core, grids = solver._newton, []
 
     def spy(spec, grid, *args):
-        sizes.append(grid.size)
+        grids.append(grid)
         rho, status, *counts = core(spec, grid, *args)
-        return (rho, "newton_failed" if grid.size == fail_size else status, *counts)
+        return (rho, "newton_failed" if grid in fail else status, *counts)
     monkeypatch.setattr(solver, "_newton", spy)
-    return sizes
+    return grids
+
+
+NARROW, COARSE = Grid(32.0, 1024), Grid(128.0, 1024)   # the default grid's levels
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.3), bochner_riesz(0.4)],
+                         ids=["gaussian", "bochner_riesz"])
+def test_solve_auto_seeds_the_wide_grid_from_the_narrowest_level_holding_the_tail(
+        monkeypatch, spec):
+    # gaussian: the L / 64 level holds the tail, and its vacuum-padded
+    # solution solves the requested grid as it is.  bochner_riesz skips the
+    # narrower domains and solves on the N / 4 level of its own L
+    grids = _spy_newton(monkeypatch)
+    grid = Grid(potentials.kink_aligned_half_length(spec, 2048.0), 65536)
+    sol, _ = solve_auto(spec, 0.95, half_length=grid.half_length, size=grid.size)
+    assert sol.converged and sol.identity_report.passed
+    if spec.algebraic_tail:
+        level = Grid(grid.half_length, 16384)
+        assert sol.newton_iters <= 1
+    else:
+        level = Grid(grid.half_length / 64, 1024)
+        assert sol.newton_iters == 0
+    assert grids == [level, grid]
+    assert (sol.coarse.size, sol.coarse.half_length) == (level.size, level.half_length)
+
+
+def test_solve_auto_falls_back_to_the_coarse_level(grid, monkeypatch):
+    grids = _spy_newton(monkeypatch, fail=(NARROW,))
+    sol, _ = solve_auto(gaussian(0.3), 1.0)
+    assert grids == [NARROW, COARSE, grid] and sol.converged
+    assert (sol.coarse.size, sol.coarse.half_length) == (1024, 128.0)
 
 
 def test_solve_auto_falls_back_to_the_contact_seed(grid, monkeypatch):
-    sizes = _spy_newton(monkeypatch, fail_size=1024)
+    grids = _spy_newton(monkeypatch, fail=(NARROW, COARSE))
     sol, _ = solve_auto(gaussian(0.3), 1.0)
-    assert sizes == [1024, 4096] and sol.coarse is None
+    assert grids == [NARROW, COARSE, grid] and sol.coarse is None
     direct = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0))
     assert np.array_equal(sol.fields.rho, direct.fields.rho)
     assert sol.newton_iters == direct.newton_iters
 
 
 def test_solve_auto_refuses_an_inadmissible_padded_seed(grid, monkeypatch):
-    sizes = _spy_newton(monkeypatch)
+    # an inadmissible vacuum pad falls back to the coarse level ...
+    grids = _spy_newton(monkeypatch)
+    monkeypatch.setattr(solver, "zero_extend", lambda narrow, v, wide: np.ones(wide.size))
+    sol, _ = solve_auto(gaussian(0.3), 1.0)
+    assert grids == [NARROW, COARSE, grid] and sol.converged
+    assert (sol.coarse.size, sol.coarse.half_length) == (1024, 128.0)
+    # ... and an inadmissible spectral pad as well to the contact seed
+    grids.clear()
     monkeypatch.setattr(solver, "zero_pad", lambda coarse, f, fine: np.zeros(fine.size))
     sol, _ = solve_auto(gaussian(0.3), 1.0)
-    assert sizes == [1024, 4096] and sol.coarse is None
+    assert grids == [NARROW, COARSE, grid] and sol.coarse is None
     direct = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0))
     assert np.array_equal(sol.fields.rho, direct.fields.rho)
 
 
 def test_solve_auto_runs_no_coarse_level_below_its_floor(monkeypatch):
     # N / 4 = 512 lies below COARSE_MIN_SIZE
-    sizes = _spy_newton(monkeypatch)
+    grids = _spy_newton(monkeypatch)
     sol, _ = solve_auto(gaussian(0.3), 1.0, half_length=64.0, size=2048)
-    assert sol.converged and sizes == [2048] and sol.coarse is None
+    assert sol.converged and grids == [Grid(64.0, 2048)] and sol.coarse is None
 
 
 def test_solve_auto_seeds_each_domain_doubling(monkeypatch):
-    # every grid solve_auto solves on gets its own coarse level
-    sizes = _spy_newton(monkeypatch)
+    # every grid solve_auto solves on gets its own levels; near the sonic
+    # speed neither L / 4 holds the tail, so each grid is seeded from N / 4
+    grids = _spy_newton(monkeypatch)
     sol, tail = solve_auto(exp_repulsive(1.0, 3.0), 1.3, half_length=32.0, size=4096)
     assert sol.converged and tail < 1e-10
-    assert sizes == [1024, 4096, 2048, 8192]
-    assert sol.grid == Grid(64.0, 8192) and sol.coarse.size == 2048
+    assert grids == [Grid(8.0, 1024), Grid(32.0, 1024), Grid(32.0, 4096),
+                     Grid(16.0, 2048), Grid(64.0, 2048), Grid(64.0, 8192)]
+    assert sol.grid == Grid(64.0, 8192)
+    assert (sol.coarse.size, sol.coarse.half_length) == (2048, 64.0)
+
+
+def test_sonic_sweeps_of_the_default_grid_kernels_skip_no_gap():
+    # a vacuum pad of a level whose tail exceeds TAIL_TOL left soft_core(1)
+    # at gap 0.008 with a 1.2e-6 identity residual: the tail rule keeps it out
+    cases = [(name, spec) for name, spec, L, N in potentials.reference_cases()
+             if (L, N) == (128.0, 4096)]
+    assert len(cases) == 5
+    for name, spec in cases:
+        assert sonic_sweep(spec).skipped_gaps == (), name
 
 
 @pytest.mark.parametrize("c", [0.8, 1.0])
 def test_solve_auto_runs_no_coarse_level_when_the_contact_seed_solves(monkeypatch, c):
     # the contact kernel's closed form leaves a residual of ~4e-13 on the
     # default grid, below tol_newton: Newton takes it as it is
-    sizes = _spy_newton(monkeypatch)
+    grids = _spy_newton(monkeypatch)
     sol, _ = solve_auto(delta(), c)
     assert sol.converged and sol.identity_report.passed
-    assert sizes == [4096] and sol.coarse is None and sol.newton_iters == 0
+    assert grids == [sol.grid] and sol.coarse is None and sol.newton_iters == 0
     assert np.abs(sol.fields.rho - initial_guess(sol.grid, c)).max() <= 1e-12
 
 

@@ -12,7 +12,7 @@ from nlgp import (Grid, bochner_riesz, convolve, delta, derivative, gaussian,
 from nlgp.errors import ConfigError
 from nlgp.spectral import (cumulative_integral, sech,
                            spectral_density_integral, spectrum, tail_magnitude,
-                           zero_pad)
+                           zero_extend, zero_pad)
 
 
 def test_grid_basics():
@@ -189,3 +189,27 @@ def test_zero_pad_refuses_another_domain_or_fewer_nodes(fine):
     g = Grid(30.0, 1024)
     with pytest.raises(ValueError, match="same domain"):
         zero_pad(g, sech(g.x), fine)
+
+
+@pytest.mark.parametrize("factor", [1, 4, 16])
+def test_zero_extend_aligns_the_nodes_and_fills_with_zero(factor):
+    g = Grid(8.0, 256)
+    wide = Grid(8.0 * factor, 256 * factor)
+    f = sech(g.x)
+    extended = zero_extend(g, f, wide)
+    off = (wide.size - g.size) // 2
+    np.testing.assert_allclose(wide.x[off:off + g.size], g.x, rtol=0, atol=1e-12)
+    assert np.array_equal(extended[off:off + g.size], f)
+    assert extended[wide.size // 2] == f[g.size // 2] == 1.0   # x = 0 on both
+    assert not extended[:off].any() and not extended[off + g.size:].any()
+    assert extended is not f
+    # a stack of fields is extended row by row
+    rows = zero_extend(g, np.stack([f, 2.0 * f]), wide)
+    assert np.array_equal(rows, np.stack([extended, 2.0 * extended]))
+
+
+@pytest.mark.parametrize("wide", [Grid(32.0, 2048), Grid(4.0, 128)])
+def test_zero_extend_refuses_another_spacing_or_fewer_nodes(wide):
+    g = Grid(8.0, 256)
+    with pytest.raises(ValueError, match="same spacing"):
+        zero_extend(g, sech(g.x), wide)
