@@ -185,7 +185,9 @@ def _cmd_solve(args, cfg):
         seeded = (f"the N = {level['size']}, L = {level['half_length']:g} level "
                   f"({level['newton_iters']} Newton, {level['krylov_iters']} Krylov "
                   "iterations)")
-    extra = {"tail": tail, "coarse_level": level}
+    mom_warn = momentum_conditioning_warning(sol.fields)
+    extra = {"tail": tail, "coarse_level": level,
+             "momentum_conditioning_warning": mom_warn}
     out = cfg.command.get("out")
     if out:
         doc = nio.write_solution(out, sol, seed=cfg.seed, extra=extra)
@@ -199,6 +201,7 @@ def _cmd_solve(args, cfg):
         f"  E = {sol.E!r}, p = {sol.p!r}, J = {sol.J!r}",
         f"  identity suite: {'pass' if sol.identity_report.passed else 'FAIL'} "
         f"(max residual {sol.identity_report.max_residual:.3e})",
+        f"  momentum conditioning: {mom_warn or 'ok'}",
     ] + ([f"  wrote {out}"] if out else []))
     return EXIT_OK if sol.identity_report.passed else EXIT_VERIFY
 

@@ -63,7 +63,8 @@ class SolverOptions:
 @dataclass(frozen=True)
 class CoarseLevel:
     """The unfinalized Newton solve on Grid(half_length, size) that seeded
-    a ``solve_auto`` solution; a seed only, never a solution."""
+    a ``solve_auto`` solution: any of its seeding levels, a narrower domain
+    or the same domain on fewer nodes; a seed only, never a solution."""
     size: int
     half_length: float
     newton_iters: int
@@ -83,7 +84,7 @@ class SolitonSolution:
     E: float = math.nan
     p: float = math.nan
     J: float = math.nan
-    coarse: Optional[CoarseLevel] = None  # the coarse level that seeded it, if any
+    coarse: Optional[CoarseLevel] = None  # the seeding level, narrow or coarse, if any
 
     @property
     def spec(self) -> PotentialSpec:
@@ -283,107 +284,79 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         E=energy(fields), p=momentum(fields), J=action(fields))
 
 
-def _level(spec: PotentialSpec, level: Grid, c: float, seed: np.ndarray,
-           opts: SolverOptions):
-    """``_newton`` on one seeding level: (rho, CoarseLevel) when it converges
-    to a profile that is not flat, else None."""
-    if not admissible(seed):
-        return None
-    rho, status, iters, krylov, _ = _newton(spec, level, c, seed, opts)
-    if status != "converged" or 1.0 - rho.min() ** 2 < TRIVIAL_ETA_TOL:
-        return None
-    return rho, CoarseLevel(level.size, level.half_length, iters, krylov)
-
-
-def _narrow_seed(spec: PotentialSpec, grid: Grid, c: float, opts: SolverOptions):
-    """(seed, CoarseLevel) on grid from the smallest domain at its spacing,
-    Grid(L / COARSE_FACTOR^k, N / COARSE_FACTOR^k) with at least
-    COARSE_MIN_SIZE nodes, whose solution has a tail at or below TAIL_TOL;
-    else None.
-
-    The levels are solved smallest first, the first from the contact seed and
-    each later one from the level below, and 1 - rho is carried up by
-    ``zero_extend``: the soliton decays exponentially, so past its tail the
-    wider domain holds the vacuum rho = 1.  A level whose tail exceeds
-    TAIL_TOL seeds only the next level, never grid: near the sonic speed such
-    a seed leaves grid's Newton steps ending just under ``tol_newton``, short
-    of what the identity suite needs.
-    """
-    levels = []
-    level = Grid(grid.half_length / COARSE_FACTOR, grid.size // COARSE_FACTOR)
-    while level.size >= COARSE_MIN_SIZE:
-        levels.insert(0, level)
-        level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
-    below = None
-    for level in levels:
-        seed = initial_guess(level, c) if below is None else 1.0 - zero_extend(below, v, level)
-        solved = _level(spec, level, c, seed, opts)
-        if solved is None:
-            return None
-        v, record = 1.0 - solved[0], solved[1]
-        if tail_magnitude(level, v) <= TAIL_TOL:
-            seed = 1.0 - zero_extend(level, v, grid)
-            return (seed, record) if admissible(seed) else None
-        below = level
-    return None
-
-
-def _seeded_solve(spec: PotentialSpec, grid: Grid, c: float,
-                  opts: SolverOptions) -> SolitonSolution:
-    """``newton_solve`` on grid from a seed solved on fewer nodes.
-
-    When N / COARSE_FACTOR >= COARSE_MIN_SIZE and the contact seed does not
-    already solve on grid (it does for the contact kernel, whose closed form
-    it is), the seed comes from the first of these that gives one:
-
-    1. the smallest narrower domain at grid's spacing that holds the tail
-       (``_narrow_seed``), padded with the vacuum; skipped for a kernel with
-       an algebraic tail, which no narrower domain holds;
-    2. ``_newton`` on Grid(L, N / COARSE_FACTOR) from the contact seed, its
-       rho padded up by ``zero_pad``: the soliton is analytic, so the coarse
-       grid already carries nearly all of its spectrum;
-    3. the contact seed.
-
-    A level that fails, converges to a flat profile or pads to an
-    inadmissible seed gives no seed.  The levels are never finalized or
-    returned; the result records the one that seeded grid in ``coarse``.
-    """
-    contact = initial_guess(grid, c)
-    size = grid.size // COARSE_FACTOR
-    if size < COARSE_MIN_SIZE or np.abs(_symmetrize(grid, rho_equation(
-            grid, contact, c, spec))).max() < opts.tol_newton:
-        return newton_solve(spec, grid, c, contact, opts)
-    seeded = None if spec.algebraic_tail else _narrow_seed(spec, grid, c, opts)
-    if seeded is None:
-        coarse = Grid(grid.half_length, size)
-        solved = _level(spec, coarse, c, initial_guess(coarse, c), opts)
-        if solved is not None and admissible(seed := zero_pad(coarse, solved[0], grid)):
-            seeded = seed, solved[1]
-    if seeded is None:
-        return newton_solve(spec, grid, c, contact, opts)
-    return replace(newton_solve(spec, grid, c, seeded[0], opts), coarse=seeded[1])
-
-
 def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
                half_length: float = 128.0, size: int = 4096):
-    """Solve on the default grid, doubling the domain (at most MAX_REFINEMENTS
-    times) until the tail falls below TAIL_TOL; each grid is seeded from a
-    level with fewer nodes (``_seeded_solve``).
+    """``newton_solve`` on Grid(half_length, size), doubling the domain (at
+    most MAX_REFINEMENTS times) until the tail falls below TAIL_TOL.  Kernels
+    with an algebraic tail (``PotentialSpec.algebraic_tail``) never meet an
+    exponential tail tolerance, so refinement is skipped for them and the
+    periodization is only monitored.
 
-    Kernels with an algebraic tail (``PotentialSpec.algebraic_tail``) never
-    meet an exponential tail tolerance, so refinement is skipped for them and
-    the periodization is only monitored.
+    Each grid Grid(L, N) is seeded by the first of its levels, unfinalized
+    ``_newton`` solves on fewer nodes, that gives a seed:
+
+    1. on the first grid and for an exponential tail, the narrower domains
+       Grid(L / COARSE_FACTOR^k, N / COARSE_FACTOR^k) at grid's spacing,
+       smallest first, the first from the contact seed and each later one
+       from the level below.  1 - rho is carried up by ``zero_extend``: the
+       soliton decays exponentially, so past its tail the wider domain holds
+       the vacuum rho = 1.  A level whose tail exceeds TAIL_TOL seeds only
+       the next narrow level, never grid: near the sonic speed such a seed
+       leaves grid's Newton steps ending just under ``tol_newton``, short of
+       what the identity suite needs.  A doubled domain runs none, as each
+       would be no wider than a domain already measured not to hold the tail;
+    2. Grid(L, N / COARSE_FACTOR) from the contact seed, its rho padded up by
+       ``zero_pad``: the soliton is analytic, so the coarse grid already
+       carries nearly all of its spectrum;
+    3. the contact seed on grid itself.
+
+    Only levels of at least COARSE_MIN_SIZE nodes run.  A level that fails,
+    converges to a flat profile or carries an inadmissible seed gives none,
+    and a narrow level that gives none ends the narrow levels.  The levels
+    are never finalized or returned; the result records the one that seeded
+    it in ``coarse``.
     """
     grid = Grid(half_length, size)
-    refine = not spec.algebraic_tail
-    sol = _seeded_solve(spec, grid, c, opts)
-    tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
-    n = 0
-    while refine and sol.converged and tail > TAIL_TOL and n < MAX_REFINEMENTS:
-        grid = grid.refined()
-        sol = _seeded_solve(spec, grid, c, opts)
+    for n in range(MAX_REFINEMENTS + 1):
+        if n:
+            grid = grid.refined()
+        levels, level = [], grid
+        while (n == 0 and not spec.algebraic_tail
+               and level.size // COARSE_FACTOR >= COARSE_MIN_SIZE):
+            level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
+            levels.insert(0, level)
+        if grid.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
+            levels.append(Grid(grid.half_length, grid.size // COARSE_FACTOR))
+        below = None                  # the narrow level whose v seeds the next one
+        for level in levels:
+            narrow = level.half_length < grid.half_length
+            if narrow and level is not levels[0]:
+                if below is None:     # the narrow level below gave none
+                    continue
+                start = 1.0 - zero_extend(below, v, level)
+            else:
+                start = initial_guess(level, c)
+            rho, status, iters, krylov, _ = _newton(spec, level, c, start, opts)
+            below = None
+            if status != "converged" or 1.0 - rho.min() ** 2 < TRIVIAL_ETA_TOL:
+                continue
+            v = 1.0 - rho
+            if not narrow:
+                carried = zero_pad(level, rho, grid)
+            elif tail_magnitude(level, v) > TAIL_TOL:
+                below = level
+                continue
+            else:
+                carried = 1.0 - zero_extend(level, v, grid)
+            if admissible(carried):
+                seed, record = carried, CoarseLevel(level.size, level.half_length, iters, krylov)
+                break
+        else:
+            seed, record = initial_guess(grid, c), None
+        sol = replace(newton_solve(spec, grid, c, seed, opts), coarse=record)
         tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
-        n += 1
+        if spec.algebraic_tail or not sol.converged or tail <= TAIL_TOL:
+            break
     return sol, tail
 
 

@@ -55,9 +55,12 @@ class Grid:
         if N < 4 or (N & (N - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 4, got {N}")
         h = 2.0 * L / N
-        object.__setattr__(self, "x", -L + h * np.arange(N))
-        object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))
-        object.__setattr__(self, "xi_half", 2.0 * np.pi * np.fft.rfftfreq(N, d=h))
+        try:
+            object.__setattr__(self, "x", -L + h * np.arange(N))
+            object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))
+            object.__setattr__(self, "xi_half", 2.0 * np.pi * np.fft.rfftfreq(N, d=h))
+        except (MemoryError, ValueError) as exc:   # numpy's "array is too big"
+            raise ConfigError(f"grid size {N} is too large to allocate") from exc
         object.__setattr__(self, "_memo", {})
 
     @property

@@ -142,6 +142,18 @@ def test_cli_solve_verify_roundtrip(tmp_path, capsys):
     assert doc["momentum_conditioning_warning"] is None
 
 
+def test_cli_solve_reports_momentum_conditioning(capsys):
+    # min rho = 0.0356 at c = 0.05 lies below the floor; the near-vortex
+    # profile also fails the identity suite on the default grid (exit 4)
+    assert run_cli("--json", "solve", "--potential", "delta", "--c", "0.05") == 4
+    warning = json.loads(capsys.readouterr().out)["momentum_conditioning_warning"]
+    assert warning.startswith("min rho = 0.0356 < 0.05: ")
+    assert run_cli("solve", "--potential", "delta", "--c", "0.05") == 4
+    assert f"  momentum conditioning: {warning}\n" in capsys.readouterr().out
+    assert run_cli("--json", "solve", "--potential", "delta", "--c", "1.0") == 0
+    assert json.loads(capsys.readouterr().out)["momentum_conditioning_warning"] is None
+
+
 def test_cli_solve_reports_krylov_iterations(tmp_path, capsys):
     argv = ("solve", "--potential", "gaussian", "--lambda", "0.3", "--c", "1.0",
             "--L", "64", "--N", "2048")
@@ -243,6 +255,16 @@ def test_cli_solver_value_out_of_range_exit_2_naming_key(line, tmp_path, capsys)
     assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [solver] {line.split()[0]} ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [2 ** 50, 2 ** 62])
+def test_cli_grid_too_large_to_allocate_exits_2(n, capsys):
+    # numpy refuses both without allocating: 8 PiB of nodes, and past its
+    # largest array
+    assert run_cli("solve", "--potential", "delta", "--c", "0.8", "--N", str(n)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(n) in err
     assert len(err.strip().splitlines()) == 1
 
 

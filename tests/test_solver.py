@@ -15,7 +15,7 @@ from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
 from nlgp import solver
 from nlgp.hydro import POSITIVITY_FLOOR, rho_equation, rho_jacobian_preconditioned
 from nlgp.potentials import inverse_mc
-from nlgp.solver import DC_MIN, KRYLOV_RESTART, gmres
+from nlgp.solver import DC_MIN, KRYLOV_RESTART, CoarseLevel, gmres
 from nlgp.spectral import from_half_spectrum, half_spectrum, sech
 
 
@@ -306,13 +306,14 @@ def test_solve_auto_runs_no_coarse_level_below_its_floor(monkeypatch):
 
 
 def test_solve_auto_seeds_each_domain_doubling(monkeypatch):
-    # every grid solve_auto solves on gets its own levels; near the sonic
-    # speed neither L / 4 holds the tail, so each grid is seeded from N / 4
+    # near the sonic speed L / 4 does not hold the tail, so the first grid is
+    # seeded from N / 4; the doubled domain runs no narrow level (L / 2 lies
+    # inside the L already measured too narrow) and is seeded from its N / 4
     grids = _spy_newton(monkeypatch)
     sol, tail = solve_auto(exp_repulsive(1.0, 3.0), 1.3, half_length=32.0, size=4096)
     assert sol.converged and tail < 1e-10
     assert grids == [Grid(8.0, 1024), Grid(32.0, 1024), Grid(32.0, 4096),
-                     Grid(16.0, 2048), Grid(64.0, 2048), Grid(64.0, 8192)]
+                     Grid(64.0, 2048), Grid(64.0, 8192)]
     assert sol.grid == Grid(64.0, 8192)
     assert (sol.coarse.size, sol.coarse.half_length) == (2048, 64.0)
 
@@ -329,13 +330,27 @@ def test_sonic_sweeps_of_the_default_grid_kernels_skip_no_gap():
 
 @pytest.mark.parametrize("c", [0.8, 1.0])
 def test_solve_auto_runs_no_coarse_level_when_the_contact_seed_solves(monkeypatch, c):
-    # the contact kernel's closed form leaves a residual of ~4e-13 on the
-    # default grid, below tol_newton: Newton takes it as it is
+    # the contact kernel's closed form leaves a residual below tol_newton on
+    # the L / 4 level as on the default grid: Newton takes it as it is on
+    # both, and the level's vacuum pad seeds the default grid
     grids = _spy_newton(monkeypatch)
     sol, _ = solve_auto(delta(), c)
     assert sol.converged and sol.identity_report.passed
-    assert grids == [sol.grid] and sol.coarse is None and sol.newton_iters == 0
+    assert grids == [NARROW, sol.grid] and sol.newton_iters == 0
+    assert sol.coarse == CoarseLevel(1024, 32.0, 0, 0)
     assert np.abs(sol.fields.rho - initial_guess(sol.grid, c)).max() <= 1e-12
+
+
+def test_solve_auto_evaluates_the_contact_residual_once_per_grid(grid, monkeypatch):
+    core, grids = solver.rho_equation, []
+
+    def spy(g, *args):
+        grids.append(g)
+        return core(g, *args)
+    monkeypatch.setattr(solver, "rho_equation", spy)
+    sol, _ = solve_auto(delta(), 0.8)
+    assert sol.converged and sol.grid == grid
+    assert grids.count(grid) == 1
 
 
 @pytest.mark.xfail(strict=True, reason="vanishing_amplitude from the contact "
