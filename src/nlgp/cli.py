@@ -20,7 +20,7 @@ from .errors import (ConfigError, NlgpError, NoSoundSpeedError, OutOfRegimeError
                      SupersonicMultiplierError, UnderresolvedTailError)
 from .hydro import (IDENTITY_TOL, assemble, identity_suite,
                     momentum_conditioning_warning, nonvanishing_check,
-                    residual_rho, residual_tw)
+                    residual_amplitude, residual_tw)
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -216,12 +216,17 @@ def _cmd_branch(args, cfg):
     if out:
         nio.write_branch_csv(out, branch)
     failures, rejected = branch.identity_failures, branch.rejected_steps
+    # near-vortex members, whose momentum is ill-conditioned
+    near_vortex = [(s.c, s.fields.min_rho, warn) for s in branch.solutions
+                   if (warn := momentum_conditioning_warning(s.fields))]
     doc = {"spec": spec.label(), "members": len(branch.solutions),
            "termination": branch.termination,
            "rows": branch.table().tolist(),
            "identity_failures": [{"c": c, "max_residual": r} for c, r in failures],
            "rejected_steps": [{"c": c, "status": st, "newton_iters": it}
-                              for c, st, it in rejected]}
+                              for c, st, it in rejected],
+           "momentum_conditioning_warnings": [{"c": c, "min_rho": m}
+                                              for c, m, _ in near_vortex]}
     lines = [f"{spec.label()}: branch of {len(branch.solutions)} members, "
              f"terminated: {branch.termination}"]
     if rejected:
@@ -232,6 +237,7 @@ def _cmd_branch(args, cfg):
         lines.append(f"  {len(failures)} of {len(branch.solutions)} members "
                      "fail the identity suite:")
         lines += [f"    c = {c:g}: max residual {r:.3e}" for c, r in failures]
+    lines += [f"  momentum conditioning at c = {c:g}: {warn}" for c, _, warn in near_vortex]
     # a dark soliton is stable iff dp/dc < 0; nan (no tangent) is flagged too
     rising = [(s.c, d) for s, d in zip(branch.solutions, branch.dp_dc) if not d < 0.0]
     if rising:
@@ -250,7 +256,7 @@ def _cmd_verify(args, cfg):
     spec, grid, c, arrays, doc = nio.read_solution(args.input)
     fields = assemble(grid, arrays["rho"], c, spec)
     report = identity_suite(fields, tol=args.tol)
-    sup, l2 = residual_rho(grid, arrays["rho"], c, spec)
+    sup, l2 = residual_amplitude(fields)
     nv = nonvanishing_check(fields)
     ok = report.passed and sup <= max(10 * doc["residuals"]["sup"], 1e-9)
     # report-only checks of the paper's claims; the verdict ignores them

@@ -9,6 +9,7 @@ spectral accuracy for profiles whose phase jumps across the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,12 @@ class WaveFields:
         """u = rho e^{i theta}, formed on each read and never stored."""
         return self.rho * np.exp(1j * self.theta)
 
+    @cached_property
+    def rho_xx(self) -> np.ndarray:
+        """rho'', formed on first read and kept: only the residuals read it,
+        so a solve's finalize stage never pays for it."""
+        return derivative(self.grid, self.rho, 2)
+
 
 def _phase(grid: Grid, rho: np.ndarray, c: float):
     """(theta, theta') from theta' = (c/2)(rho^-2 - 1), with theta(0) = 0."""
@@ -100,7 +107,7 @@ def residual_tw(fields: WaveFields):
     + rho (W*eta) + i (2 rho' theta' + rho theta'' + c rho'), whose norms are taken."""
     g, c = fields.grid, fields.c
     rho, rho_x, thp = fields.rho, fields.rho_x, fields.theta_prime
-    res = (derivative(g, rho, 2) - rho * thp ** 2 - c * rho * thp + rho * fields.weta
+    res = (fields.rho_xx - rho * thp ** 2 - c * rho * thp + rho * fields.weta
            + 1j * (2.0 * rho_x * thp + rho * derivative(g, thp) + c * rho_x))
     return residual_norms(g, res)
 
@@ -108,6 +115,12 @@ def residual_tw(fields: WaveFields):
 def residual_rho(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec):
     """(sup, L2) norms of the scalar amplitude equation; the solver's F(rho)."""
     return residual_norms(grid, rho_equation(grid, rho, c, spec))
+
+
+def residual_amplitude(fields: WaveFields):
+    """``residual_rho`` of an assembled profile, from its rho'' and W*eta."""
+    return residual_norms(fields.grid, plus_local_part(-fields.rho_xx, fields.rho,
+                                                       fields.c, fields.weta))
 
 
 def residual_norms(grid: Grid, res: np.ndarray):

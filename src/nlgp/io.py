@@ -84,10 +84,26 @@ def solution_to_dict(sol, seed=None, extra=None) -> dict:
     return doc
 
 
+def _solution_text(doc: dict) -> str:
+    """json.dumps(doc, indent=1), with the payload's strings spliced in
+    as they are: base64 needs no JSON escape, so they are never scanned.
+    A JSON text holds no raw newline, so each other member is dumped alone
+    and nested one level deeper by indenting each of its lines once more."""
+    members = []
+    for key, value in doc.items():
+        if key == "payload":
+            text = "{\n" + ",\n".join(f'  {json.dumps(k)}: "{v}"'
+                                       for k, v in value.items()) + "\n }"
+        else:
+            text = json.dumps(value, indent=1).replace("\n", "\n ")
+        members.append(f" {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
 def write_solution(path, sol, seed=None, extra=None) -> dict:
     """Write the solution file; returns the document written."""
     doc = solution_to_dict(sol, seed, extra)
-    atomic_write_text(path, json.dumps(doc, indent=1))
+    atomic_write_text(path, _solution_text(doc))
     return doc
 
 

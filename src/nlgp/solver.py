@@ -31,6 +31,7 @@ MAX_DAMPINGS = 20        # trials per Newton step before vanishing_amplitude
 KRYLOV_MAXITER = 400     # GMRES iterations per Newton step
 KRYLOV_RESTART = 20      # GMRES iterations per restart cycle
 FORCING_MAX = 0.1        # loosest relative GMRES tolerance of a Newton step
+STOP_MARGIN = 0.01       # share of tol_newton the last Newton step aims its sup |F| at
 TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
@@ -234,9 +235,10 @@ def _newton(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
             return rho, "converged", it, krylov, res
+        forcing = min(FORCING_MAX, max(nrm, STOP_MARGIN * opts.tol_newton / nrm))
         y, info, its = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
                              half_spectrum(grid, res),
-                             rtol=max(opts.krylov_tol, min(FORCING_MAX, nrm)),
+                             rtol=max(opts.krylov_tol, forcing),
                              maxiter=KRYLOV_MAXITER)
         krylov += its
         if info != 0:
@@ -264,11 +266,15 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     iterate stays even about x = 0, where the trough of a dark soliton sits.
     Linear solves are matrix-free GMRES, right-preconditioned by 1/M_c, on
     the half-lattice coordinates of the correction's spectrum, each to the
-    relative tolerance max(krylov_tol, min(FORCING_MAX, sup |F|)): an
-    inexact Newton method whose forcing term is O(|F|), so it keeps local
-    quadratic convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
-    19, 1982).  Steps that would push the amplitude through the positivity
-    floor are rejected and shrunk.  Convergence to a flat profile is flagged
+    relative tolerance max(krylov_tol, min(FORCING_MAX, max(sup |F|,
+    STOP_MARGIN tol_newton / sup |F|))): an inexact Newton method whose
+    forcing term is O(|F|), so it keeps local quadratic convergence (Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), bounded below so
+    that a step aims sup |F| at STOP_MARGIN tol_newton and no lower, past
+    which the stop test has nothing left to gain (Kelley, Solving Nonlinear
+    Equations with Newton's Method, SIAM, 2003, sec. 3.2).  Steps that
+    would push the amplitude through the positivity floor are rejected and
+    shrunk.  Convergence to a flat profile is flagged
     ``trivialized`` rather than treated as a soliton.
     """
     rho, status, iters, krylov, res = _newton(spec, grid, c, rho0, opts)
@@ -295,17 +301,21 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     Each grid Grid(L, N) is seeded by the first of its levels, unfinalized
     ``_newton`` solves on fewer nodes, that gives a seed:
 
-    1. on the first grid and for an exponential tail, the narrower domains
-       Grid(L / COARSE_FACTOR^k, N / COARSE_FACTOR^k) at grid's spacing,
-       smallest first, the first from the contact seed and each later one
-       from the level below.  1 - rho is carried up by ``zero_extend``: the
-       soliton decays exponentially, so past its tail the wider domain holds
-       the vacuum rho = 1.  A level whose tail exceeds TAIL_TOL seeds only
-       the next narrow level, never grid: near the sonic speed such a seed
-       leaves grid's Newton steps ending just under ``tol_newton``, short of
-       what the identity suite needs.  A doubled domain runs none, as each
-       would be no wider than a domain already measured not to hold the tail;
-    2. Grid(L, N / COARSE_FACTOR) from the contact seed, its rho padded up by
+    1. on the first grid, the narrower domains of half-length L / COARSE_FACTOR^k
+       at the spacing of the level above them, smallest first, the first
+       from the contact seed and each later one from the level below.
+       1 - rho is carried up by ``zero_extend``: the soliton decays, so past
+       its tail the wider domain holds the vacuum rho = 1.  For an
+       exponential tail they are at grid's spacing.  A level whose tail
+       exceeds TAIL_TOL seeds only the next narrow level, never grid: near
+       the sonic speed such a seed leaves grid's Newton steps ending just
+       under ``tol_newton``, short of what the identity suite needs.  An
+       algebraic tail exceeds it on every narrower domain, so its levels are
+       at the spacing of level 2, which the last one seeds.  A doubled
+       domain runs none, as each would be no wider than a domain already
+       measured not to hold the tail;
+    2. Grid(L, N / COARSE_FACTOR), from the narrow level below it at its
+       spacing or else from the contact seed, its rho padded up by
        ``zero_pad``: the soliton is analytic, so the coarse grid already
        carries nearly all of its spectrum;
     3. the contact seed on grid itself.
@@ -320,20 +330,20 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     for n in range(MAX_REFINEMENTS + 1):
         if n:
             grid = grid.refined()
-        levels, level = [], grid
-        while (n == 0 and not spec.algebraic_tail
-               and level.size // COARSE_FACTOR >= COARSE_MIN_SIZE):
-            level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
-            levels.insert(0, level)
+        levels = []
         if grid.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
             levels.append(Grid(grid.half_length, grid.size // COARSE_FACTOR))
+            level = levels[0] if spec.algebraic_tail else grid
+            while n == 0 and level.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
+                level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
+                levels.insert(0, level)
         below = None                  # the narrow level whose v seeds the next one
         for level in levels:
             narrow = level.half_length < grid.half_length
-            if narrow and level is not levels[0]:
-                if below is None:     # the narrow level below gave none
-                    continue
+            if below is not None and below.spacing == level.spacing:
                 start = 1.0 - zero_extend(below, v, level)
+            elif narrow and level is not levels[0]:
+                continue              # the narrow level below gave none
             else:
                 start = initial_guess(level, c)
             rho, status, iters, krylov, _ = _newton(spec, level, c, start, opts)
@@ -343,7 +353,7 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
             v = 1.0 - rho
             if not narrow:
                 carried = zero_pad(level, rho, grid)
-            elif tail_magnitude(level, v) > TAIL_TOL:
+            elif level.spacing != grid.spacing or tail_magnitude(level, v) > TAIL_TOL:
                 below = level
                 continue
             else:

@@ -55,6 +55,10 @@ class Grid:
         if N < 4 or (N & (N - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 4, got {N}")
         h = 2.0 * L / N
+        # the nodes are spaced h apart and the lattice reaches pi / h
+        if not (0.0 < h < math.inf and 1.0 / h < math.inf):
+            raise ConfigError(f"grid spacing 2L/N = {h!r} and its reciprocal must be "
+                              f"finite and positive (L = {L!r}, N = {N})")
         try:
             object.__setattr__(self, "x", -L + h * np.arange(N))
             object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))

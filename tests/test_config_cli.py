@@ -201,6 +201,32 @@ def test_cli_solve_records_the_coarse_level(tmp_path, capsys):
     assert "seeded from the contact seed" in capsys.readouterr().out
 
 
+def test_cli_verify_takes_both_residuals_from_one_profile(tmp_path, monkeypatch,
+                                                         capsys):
+    # assemble and the identity suite take 10 transforms, rho'' and theta''
+    # 2 each; F reads W*eta from the profile.  18 while residual_rho formed
+    # rho'' and W*eta again and residual_tw rho'' once more
+    from nlgp.hydro import residual_rho
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--potential", "gaussian", "--lambda", "0.3",
+                   "--c", "1.0", "--out", str(out)) == 0
+    capsys.readouterr()
+    transforms = [0]
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            transforms[0] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    assert run_cli("--json", "verify", str(out)) == 0
+    monkeypatch.undo()
+    assert transforms[0] <= 14
+    doc = json.loads(capsys.readouterr().out)
+    spec, grid, c, arrays, _ = read_solution(out)
+    assert grid.size == 4096
+    assert (doc["residual_sup"], doc["residual_l2"]) == residual_rho(grid, arrays["rho"],
+                                                                     c, spec)
+
+
 def test_cli_verify_exit_ignores_the_report_only_checks(tmp_path, capsys):
     # a fat tail on a short domain warns, yet the identities pass and so does verify
     from nlgp import Grid, delta, initial_guess, newton_solve
@@ -265,6 +291,15 @@ def test_cli_grid_too_large_to_allocate_exits_2(n, capsys):
     assert run_cli("solve", "--potential", "delta", "--c", "0.8", "--N", str(n)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(n) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("L", ["1e308", "1e-320"])
+def test_cli_grid_spacing_out_of_range_exits_2_one_line(L, capsys):
+    # 1e308 gave a zero_extend traceback (exit 1), 1e-320 a nan residual (exit 3)
+    assert run_cli("solve", "--potential", "delta", "--c", "0.8", "--L", L) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid spacing 2L/N = ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -414,6 +449,22 @@ def test_cli_branch_reports_identity_failures(capsys):
     assert fails[0]["c"] == 0.1
     assert all(f["max_residual"] > 1e-6 for f in fails)
     assert [f["c"] for f in fails] == [r[0] for r in doc["rows"][:len(fails)]]
+
+
+def test_cli_branch_flags_near_vortex_members(capsys):
+    # min rho is 0.0356 at c = 0.05, below the momentum conditioning floor,
+    # and 0.0707 at c = 0.1; every member fails the identity suite (exit 4)
+    argv = ("branch", "--potential", "delta", "--c-from", "0.05", "--c-to", "0.2")
+    assert run_cli("--json", *argv) == cli.EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    flagged = doc["momentum_conditioning_warnings"]
+    assert [w["c"] for w in flagged] == [0.05]
+    assert flagged[0]["min_rho"] == pytest.approx(0.0356, abs=5e-5)
+    assert run_cli(*argv) == cli.EXIT_VERIFY
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "momentum conditioning" in line]
+    assert lines == ["  momentum conditioning at c = 0.05: min rho = 0.0356 < 0.05: "
+                     "momentum integrand is near-singular; accuracy not asserted"]
 
 
 def test_cli_branch_text_names_failing_members(capsys):

@@ -35,6 +35,33 @@ def test_write_solution_returns_the_document_it_wrote(tmp_path):
     assert path.read_text() == json.dumps(doc, indent=1)
 
 
+def test_write_solution_splices_the_payload_unscanned(tmp_path, monkeypatch):
+    # the file is json.dumps(doc, indent=1) byte for byte, nested members,
+    # escapes and non-finite floats included, yet no payload string reaches
+    # the JSON string encoder
+    import json.encoder
+    grid = Grid(16.0, 512)
+    f = assemble(grid, np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2), 0.7,
+                 tabulated(_XS, np.exp(-0.3 * _XS ** 2)))
+    sol = SolitonSolution(fields=f, converged=True, status="converged",
+                          newton_iters=0, krylov_iters=0, residual_sup=1e-12,
+                          residual_l2=1e-12)
+    extra = {"tail": float("nan"), "coarse_level": {"size": 1024, "half_length": 32.0},
+             "note": 'a "quoted"\nline \u00e9', "empty": {}, "list": [1, [2, {}], []]}
+    encoded = []
+
+    def spy(s, _encode=json.encoder.encode_basestring_ascii):
+        encoded.append(s)
+        return _encode(s)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", spy)
+    path = tmp_path / "sol.json"
+    doc = write_solution(path, sol, seed=3, extra=extra)
+    assert "w" in doc["spec"]["table"] and len(encoded) > 20
+    assert not set(encoded) & {doc["payload"][k] for k in ("rho", "theta", "eta")}
+    monkeypatch.undo()
+    assert path.read_text() == json.dumps(doc, indent=1)
+
+
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind)
 def test_solution_file_roundtrip(spec, tmp_path):
     grid = Grid(16.0, 512)

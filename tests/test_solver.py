@@ -124,33 +124,64 @@ def test_newton_fails_when_gmres_runs_out_of_iterations(grid, monkeypatch):
     assert sol.status == "newton_failed" and sol.newton_iters == 0
 
 
-def test_gmres_rtol_follows_the_newton_residual(grid, monkeypatch):
-    # inexact Newton: each step solves to max(krylov_tol, min(FORCING_MAX,
-    # sup |F|)), so the tolerance tightens as the residual falls
-    opts, calls = SolverOptions(), []
+def _forcing(opts, sup):
+    """The relative GMRES tolerance of a Newton step from sup |F| = sup."""
+    return max(opts.krylov_tol, min(solver.FORCING_MAX,
+                                    max(sup, solver.STOP_MARGIN * opts.tol_newton / sup)))
+
+
+def _spy_rtols(grid, monkeypatch):
+    """Record (rtol, sup |F|, Krylov iterations) of every GMRES call."""
+    calls = []
 
     def spy(A, b, _gmres=solver.gmres, **kw):
         res = from_half_spectrum(grid, b, np.ones(grid.xi_half.size))
-        calls.append((kw["rtol"], float(np.abs(res).max())))
-        return _gmres(A, b, **kw)
+        out = _gmres(A, b, **kw)
+        calls.append((kw["rtol"], float(np.abs(res).max()), out[2]))
+        return out
     monkeypatch.setattr(solver, "gmres", spy)
+    return calls
+
+
+def test_gmres_rtol_follows_the_newton_residual(grid, monkeypatch):
+    # inexact Newton: each step solves to max(krylov_tol, min(FORCING_MAX,
+    # max(sup |F|, STOP_MARGIN tol_newton / sup |F|))), so the tolerance
+    # tightens as the residual falls while sup |F| >= 1e-6, where the two
+    # terms meet; the last step starts at 3.3e-7 and solves to 3.0e-6
+    opts = SolverOptions()
+    calls = _spy_rtols(grid, monkeypatch)
     sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0), opts)
     assert sol.converged and len(calls) == sol.newton_iters >= 3
-    for rtol, sup in calls:
-        assert rtol == pytest.approx(
-            max(opts.krylov_tol, min(solver.FORCING_MAX, sup)), rel=1e-9)
-    rtols = [rtol for rtol, _ in calls]
+    for rtol, sup, _ in calls:
+        assert rtol == pytest.approx(_forcing(opts, sup), rel=1e-9)
+    rtols = [rtol for rtol, sup, _ in calls if sup >= 1e-6]
+    assert len(rtols) == sol.newton_iters - 1
     assert all(b <= a for a, b in zip(rtols, rtols[1:]))
-    assert rtols[0] > 100 * rtols[-1]
+    assert calls[0][0] > 100 * calls[-1][0]
+    assert calls[-1][0] > calls[-1][1]
+
+
+def test_the_last_newton_step_solves_only_to_the_stop_margin(grid, monkeypatch):
+    # the last step starts at sup |F| = 3.2e-9: to 1e-8 it took 8 Krylov
+    # iterations, to STOP_MARGIN tol_newton / sup |F| = 3.1e-4 it takes 5
+    opts = SolverOptions()
+    calls = _spy_rtols(grid, monkeypatch)
+    sol = newton_solve(gaussian(0.3), grid, 0.6, initial_guess(grid, 0.6), opts)
+    assert sol.converged and sol.residual_sup < opts.tol_newton
+    assert sol.identity_report.passed
+    for rtol, sup, _ in calls:
+        assert rtol == pytest.approx(_forcing(opts, sup), rel=1e-9)
+    assert calls[-1][2] <= 5
 
 
 @pytest.mark.parametrize("c", [0.6, 1.0, 1.2])
 def test_krylov_tol_sets_the_tightest_step(grid, c):
     # krylov_tol floors each step's tolerance, so 1e-3 makes fewer Krylov
-    # iterations than the default.  1e-12 makes more at c = 1.2, whose last
-    # step starts at sup |F| = 1.7e-10.  At c = 1.0 the last step starts at
-    # 3.3e-7, above both floors; at c = 0.6 at 3.2e-9, which its eight
-    # iterations meet under either floor
+    # iterations than the default at c = 0.6 and 1.0.  At c = 1.2 it ties:
+    # its looser fourth step saves one iteration, and its last step, which
+    # starts at 4.6e-10 instead of 1.7e-10, takes one more.  The default and
+    # 1e-12 tie everywhere: with tol_newton = 1e-10 the safeguard
+    # STOP_MARGIN tol_newton / sup |F| keeps every tolerance above 1e-6
     sols = {tol: newton_solve(gaussian(0.3), grid, c, initial_guess(grid, c),
                               SolverOptions(krylov_tol=tol))
             for tol in (1e-3, 1e-8, 1e-12)}
@@ -158,8 +189,8 @@ def test_krylov_tol_sets_the_tightest_step(grid, c):
         assert sol.converged and sol.residual_sup < SolverOptions().tol_newton
         assert sol.identity_report.passed
     loose, default, tight = (sols[tol].krylov_iters for tol in (1e-3, 1e-8, 1e-12))
-    assert loose < default <= tight
-    assert (default < tight) == (c == 1.2)
+    assert loose <= default == tight
+    assert (loose < default) == (c != 1.2)
 
 
 @pytest.mark.parametrize("spec,c,newton", [
@@ -214,7 +245,9 @@ def test_solve_auto_seeds_wide_grids_from_a_coarse_level(wide_direct, spec, c):
     # at most one Newton iteration on the requested grid against four or five.
     # The gaussian soliton's tail fits on L / 64 (rho within 8e-16, no Newton
     # step); bochner_riesz's algebraic tail fits on no narrower domain, so
-    # its seed is the N / 4 level on L
+    # its seed is the N / 4 level on L, itself seeded from narrower domains
+    # at its spacing and solved in one Newton step (four or five from the
+    # contact seed)
     direct = wide_direct(spec, c)
     L = direct.grid.half_length
     sol, _ = solve_auto(spec, c, half_length=L, size=65536)
@@ -225,7 +258,10 @@ def test_solve_auto_seeds_wide_grids_from_a_coarse_level(wide_direct, spec, c):
     assert sol.newton_iters <= 1
     level = (16384, L) if spec.algebraic_tail else (1024, L / 64)
     assert (sol.coarse.size, sol.coarse.half_length) == level
-    assert sol.coarse.newton_iters >= 4
+    if spec.algebraic_tail:
+        assert sol.coarse.newton_iters <= 2
+    else:
+        assert sol.coarse.newton_iters >= 4
     assert direct.coarse is None
 
 
@@ -250,20 +286,40 @@ NARROW, COARSE = Grid(32.0, 1024), Grid(128.0, 1024)   # the default grid's leve
 def test_solve_auto_seeds_the_wide_grid_from_the_narrowest_level_holding_the_tail(
         monkeypatch, spec):
     # gaussian: the L / 64 level holds the tail, and its vacuum-padded
-    # solution solves the requested grid as it is.  bochner_riesz skips the
-    # narrower domains and solves on the N / 4 level of its own L
+    # solution solves the requested grid as it is.  bochner_riesz's tail
+    # fits on no narrower domain: it is seeded from the N / 4 level of its
+    # own L, which the narrower domains at that level's spacing seed in turn
+    # (one Newton step there, five from the contact seed)
     grids = _spy_newton(monkeypatch)
     grid = Grid(potentials.kink_aligned_half_length(spec, 2048.0), 65536)
-    sol, _ = solve_auto(spec, 0.95, half_length=grid.half_length, size=grid.size)
+    L = grid.half_length
+    sol, _ = solve_auto(spec, 0.95, half_length=L, size=grid.size)
     assert sol.converged and sol.identity_report.passed
     if spec.algebraic_tail:
-        level = Grid(grid.half_length, 16384)
-        assert sol.newton_iters <= 1
+        level = Grid(L, 16384)
+        assert sol.newton_iters <= 1 and sol.coarse.newton_iters <= 2
+        assert grids == [Grid(L / 16, 1024), Grid(L / 4, 4096), level, grid]
     else:
-        level = Grid(grid.half_length / 64, 1024)
+        level = Grid(L / 64, 1024)
         assert sol.newton_iters == 0
-    assert grids == [level, grid]
+        assert grids == [level, grid]
     assert (sol.coarse.size, sol.coarse.half_length) == (level.size, level.half_length)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["seeded", "fallback"])
+def test_solve_auto_seeds_an_algebraic_tail_coarse_level_from_a_narrow_one(
+        monkeypatch, fail):
+    # on N = 16384, bochner_riesz's N / 4 level Grid(L, 4096) is seeded from
+    # Grid(L / 4, 1024) at its spacing, or from the contact seed when that
+    # level fails; either way the N / 4 level seeds the requested grid
+    L = potentials.kink_aligned_half_length(bochner_riesz(0.4), 2048.0)
+    narrow, coarse, grid = Grid(L / 4, 1024), Grid(L, 4096), Grid(L, 16384)
+    grids = _spy_newton(monkeypatch, fail=(narrow,) if fail else ())
+    sol, _ = solve_auto(bochner_riesz(0.4), 0.95, half_length=L, size=grid.size)
+    assert sol.converged and sol.identity_report.passed
+    assert grids == [narrow, coarse, grid]
+    assert (sol.coarse.size, sol.coarse.half_length) == (coarse.size, L)
+    assert (sol.coarse.newton_iters <= 2) == (not fail)
 
 
 def test_solve_auto_falls_back_to_the_coarse_level(grid, monkeypatch):

@@ -35,6 +35,14 @@ def test_grid_validation():
         Grid(10.0, 300)  # not a power of two
 
 
+@pytest.mark.parametrize("L,N", [(1e308, 4096), (1e-320, 4096), (1e-320, 1024)])
+def test_grid_refuses_a_spacing_or_lattice_out_of_range(L, N):
+    # a finite L whose spacing 2L/N overflows to inf, or whose spacing is so
+    # small that the frequency lattice pi / h overflows, made inf and nan nodes
+    with pytest.raises(ConfigError, match="grid spacing"):
+        Grid(L, N)
+
+
 def test_integrate_constant():
     g = Grid(40.0, 256)
     assert integrate(g, np.ones(g.size)) == pytest.approx(80.0)
