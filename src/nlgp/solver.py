@@ -34,6 +34,7 @@ FORCING_MAX = 0.1        # loosest relative GMRES tolerance of a Newton step
 STOP_MARGIN = 0.01       # share of tol_newton the last Newton step aims its sup |F| at
 TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
 DC_MIN = 1e-5            # continuation step below which a branch stops
+PREDICTOR_TOL = 1e-2     # sup |seed - rho| the continuation step aims each prediction at
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
 MAX_REFINEMENTS = 3      # domain doublings solve_auto may make
 COARSE_FACTOR = 4        # solve_auto seeds Grid(L, N) from levels of N / COARSE_FACTOR^k nodes
@@ -44,8 +45,11 @@ COARSE_MIN_SIZE = 1024   # smallest level solve_auto runs
 class SolverOptions:
     tol_newton: float = 1e-10        # on sup |F(rho)|
     max_iter: int = 50
-    dc_init: float = 0.05            # first continuation step
-    krylov_tol: float = 1e-8         # tightest relative GMRES tolerance of a Newton step
+    dc_init: float = 0.05            # first continuation step; no step exceeds 4 dc_init
+    # relative GMRES tolerance of branch_tangent; also the floor of Newton's
+    # forcing term, which never binds at the default tol_newton (the forcing
+    # term stays at or above STOP_MARGIN tol_newton / sup |F| >= 1e-6)
+    krylov_tol: float = 1e-8
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -410,18 +414,29 @@ def _predict(grid: Grid, sols: list, tangents: list, c: float) -> np.ndarray:
     return seed if admissible(seed) else b.fields.rho
 
 
+def _next_speed(c: float, dc: float, c_stop: float) -> float:
+    """c + dc, or c_stop when that step would leave less than DC_MIN before it."""
+    return c_stop if c + dc > c_stop - DC_MIN else c + dc
+
+
 def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
                     opts: SolverOptions = SolverOptions()) -> SolitonBranch:
-    """March the branch in speed with adaptive steps and a Hermite predictor.
+    """March the branch in speed with a Hermite predictor and steps sized
+    from its measured error.
 
     Each member's tangent (``branch_tangent``) is kept on the branch, and
-    members are seeded by ``_predict``.  The step halves on failure (down
-    to DC_MIN, then the partial branch is returned), each halving is recorded
-    in ``rejected_steps``, a halved step that the sonic cap clamps back onto
-    the rejected speed halves again without a solve, and the step grows by 1.3x after a solve of at
-    most two Newton iterations.  Marching stops just below the lattice sonic
-    speed when c_to lies beyond it: M_c = M_0 - c^2 is positive on the
-    lattice iff c^2 < min M_0.
+    members are seeded by ``_predict``.  The first step is ``dc_init``.
+    After a member whose seed was a prediction, the step is scaled by
+    (PREDICTOR_TOL / e)^(1/q) clipped to [1/2, 2], with e = sup |seed - rho|
+    and q the predictor's order in dc (2 for the Euler step, 4 for the
+    Hermite cubic), and capped at 4 dc_init (Allgower & Georg, Introduction
+    to Numerical Continuation Methods, 2003, sec. 6.1).  A step that would
+    leave less than DC_MIN before the last speed goes to it.  The step halves
+    on failure (down to DC_MIN, then the partial branch is returned), each
+    halving is recorded in ``rejected_steps``, and a halved step that lands
+    back on a rejected last speed halves again without a solve.  Marching
+    stops just below the lattice sonic speed when c_to lies beyond it:
+    M_c = M_0 - c^2 is positive on the lattice iff c^2 < min M_0.
     """
     if c_to < c_from:
         raise ConfigError(f"speed range reversed: c_to = {c_to:g} "
@@ -434,28 +449,33 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
     c = c_from
     dc = opts.dc_init
     while True:
-        sol = newton_solve(spec, grid, c, _predict(grid, sols, tangents, c), opts)
+        seed = _predict(grid, sols, tangents, c)
+        sol = newton_solve(spec, grid, c, seed, opts)
         if sol.status == "trivialized":
             return SolitonBranch(spec, sols, "trivialized", rejected, tangents)
         while not sol.converged and dc > DC_MIN and sols:
             rejected.append((c, sol.status, sol.newton_iters))
             c_rejected = c
-            while c == c_rejected and dc > DC_MIN:  # the sonic cap clamps c
+            while c == c_rejected and dc > DC_MIN:  # _next_speed clamps c to c_stop
                 dc *= 0.5
-                c = min(sols[-1].c + dc, c_stop)
+                c = _next_speed(sols[-1].c, dc, c_stop)
             if c != c_rejected:
-                sol = newton_solve(spec, grid, c, _predict(grid, sols, tangents, c), opts)
+                seed = _predict(grid, sols, tangents, c)
+                sol = newton_solve(spec, grid, c, seed, opts)
         if not sol.converged:
             return SolitonBranch(spec, sols, "newton_failed", rejected, tangents)
+        if sols:
+            order = 2.0 if len(sols) == 1 else 4.0
+            err = float(np.max(np.abs(seed - sol.fields.rho)))
+            ratio = PREDICTOR_TOL / err if err > 0.0 else math.inf
+            dc = min(dc * min(2.0, max(0.5, ratio ** (1.0 / order))), opts.dc_init * 4.0)
         sols.append(sol)
         tangents.append(branch_tangent(sol, opts))
         if c >= c_stop:
             return SolitonBranch(spec, sols,
                                  "sonic_limit" if sonic_capped else "reached_cmax",
                                  rejected, tangents)
-        if sol.newton_iters <= 2:
-            dc = min(dc * 1.3, opts.dc_init * 4.0)
-        c = min(c + dc, c_stop)
+        c = _next_speed(c, dc, c_stop)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlgp import (Grid, UnderresolvedTailError, analyticity_strip, assemble,
-                  continue_branch, delta, decay_prediction, exp_repulsive,
+from nlgp import (Grid, SolverOptions, UnderresolvedTailError, analyticity_strip,
+                  assemble, continue_branch, delta, decay_prediction, exp_repulsive,
                   fit_algebraic, fit_exponential, gaussian, initial_guess,
                   newton_solve, phase_limits, symmetry_metrics)
 from nlgp.analysis import algebraic_envelope_check, select_model
@@ -50,9 +50,11 @@ def test_fit_exponential_underresolved(fit_grid):
 def test_branch_decay_rate_fit_every_member(spec, grid128, tmp_path):
     # on the default grid the tail reaches roundoff well inside the domain
     # and, at small c, sits on the solver's residual plateau: the amplitude
-    # band must skip both for every member of the branch
+    # band must skip both for every member of the branch; steps of at most
+    # 4 dc_init = 0.1 keep more than ten members on [0.2, 1.35]
     out = tmp_path / "branch.csv"
-    write_branch_csv(out, continue_branch(spec, grid128, 0.2, 1.35))
+    write_branch_csv(out, continue_branch(spec, grid128, 0.2, 1.35,
+                                          SolverOptions(dc_init=0.025)))
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     pred = [decay_prediction(spec, c).value for c in data[:, 0]]
     assert len(data) > 10 and np.all(np.isfinite(data[:, 6]))

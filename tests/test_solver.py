@@ -11,7 +11,7 @@ from nlgp import (ConfigError, Grid, NlgpError, OutOfRegimeError, SolverOptions,
                   SupersonicMultiplierError, VortexError, bochner_riesz,
                   continue_branch, delta, exp_repulsive, gaussian,
                   initial_guess, newton_solve, potentials, residual_rho,
-                  shifted_deltas, solve_auto, sonic_sweep)
+                  shifted_deltas, soft_core, solve_auto, sonic_sweep)
 from nlgp import solver
 from nlgp.hydro import POSITIVITY_FLOOR, rho_equation, rho_jacobian_preconditioned
 from nlgp.potentials import inverse_mc
@@ -518,7 +518,8 @@ def test_solve_auto_keeps_first_grid_for_algebraic_tail():
 
 
 def test_branch_contact_energy_law(grid):
-    branch = continue_branch(delta(), grid, 0.3, 1.2)
+    # steps of at most 4 dc_init = 0.08 keep ten members or more on [0.3, 1.2]
+    branch = continue_branch(delta(), grid, 0.3, 1.2, SolverOptions(dc_init=0.02))
     assert branch.termination == "reached_cmax"
     assert len(branch.solutions) >= 10
     cs = [s.c for s in branch.solutions]
@@ -584,9 +585,11 @@ def test_branch_records_rejected_steps(fail_nth_solve, grid):
 
 
 def test_branch_hermite_predictor_work(monkeypatch):
-    # the Hermite predictor takes 12 solves and 31 Newton iterations here;
-    # the secant through the last two members took 19 and 58, and seeding
-    # with the last member alone 121, with a 50-iteration failed corrector
+    # the Hermite predictor with steps sized from its error takes 8 solves
+    # and 24 Newton iterations here; 12 and 31 while the step grew by 1.3x
+    # after a solve of at most two iterations.  The secant through the last
+    # two members took 19 and 58 with that rule, and seeding with the last
+    # member alone 121, with a 50-iteration failed corrector
     solve, calls = solver.newton_solve, []
 
     def spy(spec, grid, c, rho0, opts):
@@ -611,6 +614,93 @@ def test_branch_hermite_predictor_work(monkeypatch):
     cubic = ((2 * s ** 3 - 3 * s ** 2 + 1) * a.fields.rho + (s ** 3 - 2 * s ** 2 + s) * h * ta
              + (3 * s ** 2 - 2 * s ** 3) * b.fields.rho + (s ** 3 - s ** 2) * h * tb)
     np.testing.assert_allclose(seed_3, cubic, rtol=0.0, atol=1e-13)
+
+
+def test_branch_steps_follow_the_predictor_error(monkeypatch):
+    # each step after a predicted member is the last one scaled by
+    # (PREDICTOR_TOL / e)^(1/q), e = sup |seed - rho|, clipped to [1/2, 2]
+    # and capped at 4 dc_init
+    solve, errors = solver.newton_solve, []
+
+    def spy(spec, grid, c, rho0, opts):
+        sol = solve(spec, grid, c, rho0, opts)
+        errors.append(float(np.max(np.abs(rho0 - sol.fields.rho))))
+        return sol
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    branch = continue_branch(delta(), Grid(64.0, 4096), 0.2, 1.35)
+    assert branch.termination == "reached_cmax"
+    assert len(branch.solutions) <= 8
+    assert sum(s.newton_iters for s in branch.solutions) <= 26
+    assert branch.rejected_steps == []
+    assert all(s.converged and s.identity_report.passed for s in branch.solutions)
+    cs = [s.c for s in branch.solutions]
+    dc = dc_init = SolverOptions().dc_init
+    for k in range(1, len(cs) - 1):
+        assert cs[k] - cs[k - 1] == pytest.approx(dc, abs=1e-12)
+        q = 2.0 if k == 1 else 4.0
+        dc = min(dc * min(2.0, max(0.5, (solver.PREDICTOR_TOL / errors[k]) ** (1 / q))),
+                 4 * dc_init)
+    assert 0 < cs[-1] - cs[-2] <= dc + 1e-12
+
+
+def test_branch_perturbed_prediction_halves_the_next_step(monkeypatch):
+    # a seed 0.2 off its member (16 PREDICTOR_TOL) halves the next step;
+    # unperturbed, the step doubles after the third member
+    grid = Grid(64.0, 4096)
+    clean = [s.c for s in continue_branch(delta(), grid, 0.2, 0.8).solutions]
+    predict, calls = solver._predict, []
+
+    def perturbed(grid, sols, tangents, c):
+        calls.append(c)
+        seed = predict(grid, sols, tangents, c)
+        return seed + 0.2 * sech(grid.x) ** 2 if len(calls) == 3 else seed
+
+    monkeypatch.setattr(solver, "_predict", perturbed)
+    branch = continue_branch(delta(), grid, 0.2, 0.8)
+    assert branch.termination == "reached_cmax" and branch.rejected_steps == []
+    cs = [s.c for s in branch.solutions]
+    assert cs[:3] == clean[:3]
+    step = cs[2] - cs[1]
+    assert clean[3] - clean[2] == pytest.approx(2 * step, abs=1e-12)
+    assert cs[3] - cs[2] == pytest.approx(0.5 * step, abs=1e-12)
+
+
+@pytest.mark.parametrize("dc_init", [0.02, 0.05])
+def test_branch_steps_never_exceed_four_dc_init(dc_init):
+    branch = continue_branch(delta(), Grid(64.0, 4096), 0.2, 1.35,
+                             SolverOptions(dc_init=dc_init))
+    cs = [s.c for s in branch.solutions]
+    assert branch.termination == "reached_cmax"
+    assert all(b <= a + 4 * dc_init for a, b in zip(cs[:-1], cs[1:-1])), cs
+    assert max(np.diff(cs)) == pytest.approx(4 * dc_init, abs=1e-12)  # the cap binds
+    # the last step may stretch by less than DC_MIN to land on c_to
+    assert cs[-1] <= cs[-2] + 4 * dc_init + DC_MIN
+
+
+@pytest.mark.parametrize("spec, c_from, dc_init", [(delta(), 0.2, 0.05),
+                                                   (gaussian(0.3), 1.15, 0.2)],
+                         ids=["delta", "gaussian"])
+def test_branch_members_lie_dc_min_apart(spec, c_from, dc_init):
+    # 1.15 + 0.2 = 1.3499999999999999 lies one ulp short of c_to = 1.35; a
+    # step that would leave less than DC_MIN before c_to goes to c_to
+    branch = continue_branch(spec, Grid(64.0, 4096), c_from, 1.35,
+                             SolverOptions(dc_init=dc_init))
+    cs = [s.c for s in branch.solutions]
+    assert branch.termination == "reached_cmax"
+    assert cs[-1] == 1.35
+    assert np.min(np.diff(cs)) >= DC_MIN, cs
+
+
+def test_branch_soft_core_past_the_sonic_cap():
+    # the march from 0.5 toward 1.6 stops at the lattice sonic speed; only
+    # that member, on the vanishing amplitude, fails the identity suite
+    # (38 Newton iterations, 22 of them at the cap)
+    branch = continue_branch(soft_core(1.0), Grid(64.0, 4096), 0.5, 1.6)
+    assert branch.termination == "sonic_limit"
+    assert sum(s.newton_iters for s in branch.solutions) <= 40
+    assert [s.c for s in branch.solutions if not s.identity_report.passed] == \
+        [branch.solutions[-1].c]
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
