@@ -107,6 +107,7 @@ def _load_config(args) -> config.RunConfig:
     # every float read must be finite: nan passes no range check and reaches a
     # solver.  The integer keys are counts; the dispersion slope needs two
     # positive frequencies besides xi = 0, so n counts at least three samples
+    # and xi_max is positive
     named = [(f"--{k} ([potential] {k})", v) for k, v in pot.items()]
     named.append(("--L ([grid] half_length, NLGP_GRID_L)", cfg.grid.half_length))
     for k, v in cfg.command.items():
@@ -114,6 +115,8 @@ def _load_config(args) -> config.RunConfig:
         least = 3 if k == "n" else 0
         if isinstance(v, int) and v < least:
             raise ConfigError(f"{named[-1][0]} must be >= {least}, got {v}")
+        if k == "xi_max" and v <= 0.0:
+            raise ConfigError(f"{named[-1][0]} must be > 0, got {v!r}")
     for where, v in named:
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"{where} must be finite, got {v!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
                     plus_local_part, rho_equation)
-from .potentials import HypothesisCertificate, PotentialSpec, inverse_mc
+from .potentials import HypothesisCertificate, PotentialSpec, bisect, inverse_mc
 from .spectral import (Grid, convolve, from_spectrum, integrate, per_row,
                        spectral_density_integral, spectrum)
 
@@ -175,14 +175,7 @@ def _r_sup(cert: HypothesisCertificate, c: float) -> float:
         raise OutOfRegimeError(
             f"no admissible sphere radius at c = {c:g} under (sigma, kappa) = "
             f"({sigma:g}, {kappa:g})")
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(ok, 0.0, 1.0, 80)[0]
 
 
 def sphere_ell(cert: HypothesisCertificate, c: float, r: float) -> float:

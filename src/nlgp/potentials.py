@@ -356,6 +356,18 @@ def make_potential(kind: str, **params) -> PotentialSpec:
 # sound speed, certificates
 
 
+def bisect(keeps_lo, lo: float, hi: float, steps: int):
+    """(lo, hi) after ``steps`` halvings, each midpoint replacing lo where
+    keeps_lo(midpoint) holds and hi elsewhere."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if keeps_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def sound_speed(spec: PotentialSpec) -> float:
     """c_* = sqrt(2 W_hat(0)), the conjectured supremum of soliton speeds."""
     w0 = float(spec.symbol(0.0))
@@ -433,14 +445,8 @@ def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     if i_first == 0:
         kappa_star = 0.0
     else:
-        lo, hi = kappas[i_first - 1], kappas[i_first]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if sigma_of(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        kappa_star = hi
+        _, kappa_star = bisect(lambda k: sigma_of(k) < target,
+                               kappas[i_first - 1], kappas[i_first], 60)
     sigma_star = sigma_of(kappa_star)
 
     critical = None
@@ -545,15 +551,8 @@ def roton_maxon(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     out = []
     signs = np.sign(sl)
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        lo, hi = xs[i], xs[i + 1]
-        flo = sl[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = float(_dispersion_slope(spec, mid))
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
+        lo, hi = bisect(lambda x: sl[i] * _dispersion_slope(spec, x) > 0,
+                        xs[i], xs[i + 1], 80)
         xstar = 0.5 * (lo + hi)
         kind = "max" if sl[i] > 0 else "min"
         out.append((float(xstar), float(dispersion(spec, xstar)), kind))

@@ -33,6 +33,7 @@ KRYLOV_RESTART = 20      # GMRES iterations per restart cycle
 FORCING_MAX = 0.1        # loosest relative GMRES tolerance of a Newton step
 STOP_MARGIN = 0.01       # share of tol_newton the last Newton step aims its sup |F| at
 TRIVIAL_ETA_TOL = 1e-8   # max eta below which a converged profile is flat
+TANGENT_TOL = 1e-8       # relative GMRES tolerance of branch_tangent
 DC_MIN = 1e-5            # continuation step below which a branch stops
 PREDICTOR_TOL = 1e-2     # sup |seed - rho| the continuation step aims each prediction at
 TAIL_TOL = 1e-10         # |1 - rho| at the domain edges that solve_auto accepts
@@ -46,18 +47,12 @@ class SolverOptions:
     tol_newton: float = 1e-10        # on sup |F(rho)|
     max_iter: int = 50
     dc_init: float = 0.05            # first continuation step; no step exceeds 4 dc_init
-    # relative GMRES tolerance of branch_tangent; also the floor of Newton's
-    # forcing term, which never binds at the default tol_newton (the forcing
-    # term stays at or above STOP_MARGIN tol_newton / sup |F| >= 1e-6)
-    krylov_tol: float = 1e-8
 
     def __post_init__(self):
         # each test is written so that NaN fails it
         if not 0.0 < self.tol_newton < math.inf:
             raise ValueError(f"tol_newton must be finite and positive, "
                              f"got {self.tol_newton!r}")
-        if not 0.0 < self.krylov_tol < 1.0:
-            raise ValueError(f"krylov_tol must lie in (0, 1), got {self.krylov_tol!r}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if not DC_MIN < self.dc_init < math.inf:
@@ -207,13 +202,16 @@ def _symmetrize(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 0.5 * (f + grid.reflect(f))
 
 
-def _newton_operator(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec,
-                     inv_mc: np.ndarray):
-    """F'(rho), right-preconditioned by ``inv_mc``, on the half lattice: the
-    operator of every Krylov solve."""
+def _solve_linearized(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec,
+                      inv_mc: np.ndarray, rhs: np.ndarray, rtol: float):
+    """F'(rho) d = rhs by GMRES to the relative tolerance rtol, on the half
+    lattice and right-preconditioned by ``inv_mc``: every Krylov solve.
+    Returns (d, Krylov iterations), d None when GMRES does not converge."""
     n = grid.size + 2
-    return SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
-                           matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
+    A = SimpleNamespace(shape=(n, n), dtype=np.dtype(float),
+                        matvec=rho_jacobian_preconditioned(grid, rho, c, spec, inv_mc))
+    y, info, its = gmres(A, half_spectrum(grid, rhs), rtol=rtol, maxiter=KRYLOV_MAXITER)
+    return (from_half_spectrum(grid, y, inv_mc) if info == 0 else None), its
 
 
 def _speed_derivative(rho: np.ndarray, c: float) -> np.ndarray:
@@ -224,7 +222,8 @@ def _speed_derivative(rho: np.ndarray, c: float) -> np.ndarray:
 def _newton(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
             opts: SolverOptions):
     """The iteration of ``newton_solve`` without its finalize stage:
-    (rho, status, Newton iterations, Krylov iterations, last residual)."""
+    (rho, status, Newton iterations, Krylov iterations, last residual).
+    A converged rho with 1 - min rho^2 < TRIVIAL_ETA_TOL is ``trivialized``."""
     if not admissible(rho0):
         raise VortexError("seed amplitude at or below the positivity floor")
     inv_mc = inverse_mc(spec, c, grid)
@@ -238,16 +237,13 @@ def _newton(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         res = _symmetrize(grid, res)
         nrm = float(np.abs(res).max())
         if nrm < opts.tol_newton:
-            return rho, "converged", it, krylov, res
+            flat = 1.0 - rho.min() ** 2 < TRIVIAL_ETA_TOL
+            return rho, "trivialized" if flat else "converged", it, krylov, res
         forcing = min(FORCING_MAX, max(nrm, STOP_MARGIN * opts.tol_newton / nrm))
-        y, info, its = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
-                             half_spectrum(grid, res),
-                             rtol=max(opts.krylov_tol, forcing),
-                             maxiter=KRYLOV_MAXITER)
+        d, its = _solve_linearized(grid, rho, c, spec, inv_mc, res, forcing)
         krylov += its
-        if info != 0:
+        if d is None:
             return rho, "newton_failed", it, krylov, res
-        d = from_half_spectrum(grid, y, inv_mc)
         t = 1.0
         for _ in range(MAX_DAMPINGS):
             trial = rho - t * d
@@ -270,13 +266,14 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     iterate stays even about x = 0, where the trough of a dark soliton sits.
     Linear solves are matrix-free GMRES, right-preconditioned by 1/M_c, on
     the half-lattice coordinates of the correction's spectrum, each to the
-    relative tolerance max(krylov_tol, min(FORCING_MAX, max(sup |F|,
-    STOP_MARGIN tol_newton / sup |F|))): an inexact Newton method whose
-    forcing term is O(|F|), so it keeps local quadratic convergence (Dembo,
-    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), bounded below so
-    that a step aims sup |F| at STOP_MARGIN tol_newton and no lower, past
-    which the stop test has nothing left to gain (Kelley, Solving Nonlinear
-    Equations with Newton's Method, SIAM, 2003, sec. 3.2).  Steps that
+    relative tolerance min(FORCING_MAX, max(sup |F|, STOP_MARGIN tol_newton
+    / sup |F|)): an inexact Newton method whose forcing term is O(|F|), so
+    it keeps local quadratic convergence (Dembo, Eisenstat & Steihaug, SIAM
+    J. Numer. Anal. 19, 1982), bounded below so that a step aims sup |F| at
+    STOP_MARGIN tol_newton and no lower, past which the stop test has
+    nothing left to gain (Kelley, Solving Nonlinear Equations with Newton's
+    Method, SIAM, 2003, sec. 3.2).  The bound is never below
+    sqrt(STOP_MARGIN tol_newton) = 0.1 sqrt(tol_newton).  Steps that
     would push the amplitude through the positivity floor are rejected and
     shrunk.  Convergence to a flat profile is flagged
     ``trivialized`` rather than treated as a soliton.
@@ -284,11 +281,8 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     rho, status, iters, krylov, res = _newton(spec, grid, c, rho0, opts)
     sup, l2 = residual_norms(grid, res)
     fields = assemble(grid, rho, c, spec)
-    converged = status == "converged"
-    if converged and fields.eta.max() < TRIVIAL_ETA_TOL:
-        status, converged = "trivialized", False
     return SolitonSolution(
-        fields=fields, converged=converged, status=status,
+        fields=fields, converged=status == "converged", status=status,
         newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
         residual_l2=l2, identity_report=identity_suite(fields),
         E=energy(fields), p=momentum(fields), J=action(fields))
@@ -352,7 +346,7 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
                 start = initial_guess(level, c)
             rho, status, iters, krylov, _ = _newton(spec, level, c, start, opts)
             below = None
-            if status != "converged" or 1.0 - rho.min() ** 2 < TRIVIAL_ETA_TOL:
+            if status != "converged":
                 continue
             v = 1.0 - rho
             if not narrow:
@@ -374,23 +368,21 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     return sol, tail
 
 
-def branch_tangent(sol: SolitonSolution, opts: SolverOptions = SolverOptions()) -> np.ndarray:
+def branch_tangent(sol: SolitonSolution) -> np.ndarray:
     """rho_c = d rho / dc along the branch through the converged member sol.
 
     Differentiating F(rho(c), c) = 0 gives F'(rho) rho_c = -g with
-    g = ``_speed_derivative``: one GMRES solve, to ``krylov_tol``, with the
+    g = ``_speed_derivative``: one GMRES solve, to TANGENT_TOL, with the
     operator of ``newton_solve``.  The right side is even, so the odd
     translation mode rho' of F'(rho) is excluded.  A solve that does not
     converge gives a nan tangent, which ``_predict`` refuses.
     """
     grid, rho, c, spec = sol.grid, sol.fields.rho, sol.c, sol.spec
-    inv_mc = inverse_mc(spec, c, grid)
-    y, info, _ = gmres(_newton_operator(grid, rho, c, spec, inv_mc),
-                       half_spectrum(grid, -_speed_derivative(rho, c)),
-                       rtol=opts.krylov_tol, maxiter=KRYLOV_MAXITER)
-    if info != 0:
+    d, _ = _solve_linearized(grid, rho, c, spec, inverse_mc(spec, c, grid),
+                             -_speed_derivative(rho, c), TANGENT_TOL)
+    if d is None:
         return np.full(grid.size, math.nan)
-    return _symmetrize(grid, from_half_spectrum(grid, y, inv_mc))
+    return _symmetrize(grid, d)
 
 
 def _predict(grid: Grid, sols: list, tangents: list, c: float) -> np.ndarray:
@@ -470,7 +462,7 @@ def continue_branch(spec: PotentialSpec, grid: Grid, c_from: float, c_to: float,
             ratio = PREDICTOR_TOL / err if err > 0.0 else math.inf
             dc = min(dc * min(2.0, max(0.5, ratio ** (1.0 / order))), opts.dc_init * 4.0)
         sols.append(sol)
-        tangents.append(branch_tangent(sol, opts))
+        tangents.append(branch_tangent(sol))
         if c >= c_stop:
             return SolitonBranch(spec, sols,
                                  "sonic_limit" if sonic_capped else "reached_cmax",

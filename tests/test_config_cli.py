@@ -271,7 +271,6 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "tol_newton = 0", "tol_newton = nan", "tol_newton = inf",
-    "krylov_tol = 0", "krylov_tol = 1", "krylov_tol = nan",
     "max_iter = 0", "dc_init = 1e-6", "dc_init = nan", "dc_init = inf",
 ])
 def test_cli_solver_value_out_of_range_exit_2_naming_key(line, tmp_path, capsys):
@@ -304,13 +303,17 @@ def test_cli_grid_spacing_out_of_range_exits_2_one_line(L, capsys):
 
 
 def test_cli_auto_refine_is_an_unknown_key(tmp_path, capsys):
-    # solve_auto always refines exponential tails; there is no switch
+    # solve_auto always refines exponential tails; there is no switch.  Nor a
+    # Krylov tolerance: Newton's forcing term and branch_tangent's TANGENT_TOL
+    # set every one
     bad = tmp_path / "old.ini"
-    bad.write_text("[grid]\nauto_refine = true\n")
-    with pytest.raises(ConfigError, match=re.escape("unknown key [grid] auto_refine")):
-        config.parse(bad.read_text())
-    assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
-    capsys.readouterr()
+    for section, key in (("grid", "auto_refine = true"), ("solver", "krylov_tol = 1e-8")):
+        bad.write_text(f"[{section}]\n{key}\n")
+        message = f"unknown key [{section}] {key.split()[0]}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.parse(bad.read_text())
+        assert run_cli("--config", str(bad), "solve", "--c", "1.0") == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -430,7 +433,7 @@ def test_cli_branch_dp_dc(capsys):
 
 def test_cli_branch_text_flags_nonnegative_dp_dc(monkeypatch, capsys):
     # a zero tangent leaves dp/dc = p/c > 0 on every member
-    monkeypatch.setattr(solver, "branch_tangent", lambda sol, opts: np.zeros(sol.grid.size))
+    monkeypatch.setattr(solver, "branch_tangent", lambda sol: np.zeros(sol.grid.size))
     assert run_cli("branch", "--potential", "delta", "--c-from", "0.6",
                    "--c-to", "0.7", "--L", "64", "--N", "2048") == 0
     out = capsys.readouterr().out
@@ -817,6 +820,11 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
     (("mpass", "--c", "nan"), "", "--c ([command] c) must be finite"),
     (("branch", "--c-to", "nan"), "", "--c-to ([command] c_to) must be finite"),
     (("dispersion", "--xi-max", "nan"), "", "--xi-max ([command] xi_max) must be finite"),
+    # a lattice up to xi_max <= 0 has no positive frequency, yet dispersion
+    # reported it monotone and exited 0
+    (("dispersion", "--xi-max", "0"), "", "--xi-max ([command] xi_max) must be > 0"),
+    (("dispersion", "--xi-max", "-5"), "", "--xi-max ([command] xi_max) must be > 0"),
+    (("dispersion",), "[command]\nxi_max = 0\n", "--xi-max ([command] xi_max) must be > 0"),
     (("solve", "--c", "1", "--L", "inf"), "", "--L ([grid] half_length, NLGP_GRID_L)"),
     (("solve", "--c", "1"), "NLGP_GRID_L=inf", "--L ([grid] half_length, NLGP_GRID_L)"),
     (("solve", "--c", "1"), "[grid]\nhalf_length = inf\n",
@@ -827,7 +835,8 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
      "--lam ([potential] lam) must be finite"),
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
         "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg", "c_nan_solve",
-        "c_nan_mpass", "c_to_nan", "xi_max_nan", "L_inf", "L_env_inf", "L_key_inf", "lambda_nan",
+        "c_nan_mpass", "c_to_nan", "xi_max_nan", "xi_max_0", "xi_max_neg", "xi_max_key_0",
+        "L_inf", "L_env_inf", "L_key_inf", "lambda_nan",
         "lam_key_nan"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,
                                    monkeypatch, capsys):

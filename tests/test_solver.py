@@ -126,8 +126,7 @@ def test_newton_fails_when_gmres_runs_out_of_iterations(grid, monkeypatch):
 
 def _forcing(opts, sup):
     """The relative GMRES tolerance of a Newton step from sup |F| = sup."""
-    return max(opts.krylov_tol, min(solver.FORCING_MAX,
-                                    max(sup, solver.STOP_MARGIN * opts.tol_newton / sup)))
+    return min(solver.FORCING_MAX, max(sup, solver.STOP_MARGIN * opts.tol_newton / sup))
 
 
 def _spy_rtols(grid, monkeypatch):
@@ -144,8 +143,8 @@ def _spy_rtols(grid, monkeypatch):
 
 
 def test_gmres_rtol_follows_the_newton_residual(grid, monkeypatch):
-    # inexact Newton: each step solves to max(krylov_tol, min(FORCING_MAX,
-    # max(sup |F|, STOP_MARGIN tol_newton / sup |F|))), so the tolerance
+    # inexact Newton: each step solves to min(FORCING_MAX, max(sup |F|,
+    # STOP_MARGIN tol_newton / sup |F|)), so the tolerance
     # tightens as the residual falls while sup |F| >= 1e-6, where the two
     # terms meet; the last step starts at 3.3e-7 and solves to 3.0e-6
     opts = SolverOptions()
@@ -174,23 +173,20 @@ def test_the_last_newton_step_solves_only_to_the_stop_margin(grid, monkeypatch):
     assert calls[-1][2] <= 5
 
 
-@pytest.mark.parametrize("c", [0.6, 1.0, 1.2])
-def test_krylov_tol_sets_the_tightest_step(grid, c):
-    # krylov_tol floors each step's tolerance, so 1e-3 makes fewer Krylov
-    # iterations than the default at c = 0.6 and 1.0.  At c = 1.2 it ties:
-    # its looser fourth step saves one iteration, and its last step, which
-    # starts at 4.6e-10 instead of 1.7e-10, takes one more.  The default and
-    # 1e-12 tie everywhere: with tol_newton = 1e-10 the safeguard
-    # STOP_MARGIN tol_newton / sup |F| keeps every tolerance above 1e-6
-    sols = {tol: newton_solve(gaussian(0.3), grid, c, initial_guess(grid, c),
-                              SolverOptions(krylov_tol=tol))
-            for tol in (1e-3, 1e-8, 1e-12)}
-    for sol in sols.values():
-        assert sol.converged and sol.residual_sup < SolverOptions().tol_newton
-        assert sol.identity_report.passed
-    loose, default, tight = (sols[tol].krylov_iters for tol in (1e-3, 1e-8, 1e-12))
-    assert loose <= default == tight
-    assert (loose < default) == (c != 1.2)
+def test_branch_solves_tangents_to_tangent_tol_and_newton_steps_to_the_forcing_term(
+        monkeypatch):
+    # each member's Newton steps, then its tangent: no other Krylov solve
+    opts = SolverOptions()
+    grid = Grid(64.0, 2048)
+    calls = _spy_rtols(grid, monkeypatch)
+    branch = continue_branch(gaussian(0.3), grid, 0.8, 1.0, opts)
+    assert branch.termination == "reached_cmax" and len(branch.solutions) >= 3
+    for sol in branch.solutions:
+        steps, calls = calls[:sol.newton_iters], calls[sol.newton_iters:]
+        for rtol, sup, _ in steps:
+            assert rtol == pytest.approx(_forcing(opts, sup), rel=1e-9)
+        assert calls.pop(0)[0] == solver.TANGENT_TOL
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec,c,newton", [
@@ -457,7 +453,7 @@ def test_newton_quadratic_convergence(grid):
     exact = initial_guess(grid, 1.0)
     rho = exact + 0.05 * sech(0.5 * grid.x)
     errors = []
-    opts = SolverOptions(max_iter=1, krylov_tol=1e-12)
+    opts = SolverOptions(max_iter=1)
     for _ in range(6):
         errors.append(np.abs(rho - exact).max())
         sol = newton_solve(spec, grid, 1.0, rho, opts)

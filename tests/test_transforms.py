@@ -174,7 +174,7 @@ def test_newton_and_gmres_iterations_gaussian_n4096(monkeypatch):
     # its first cycle forms no true residual b - A x, and the forcing term
     # lets the early steps solve loosely (8 iterations a step at a fixed 1e-8)
     # and the last only to STOP_MARGIN tol_newton (8, 7 and 8 iterations to
-    # krylov_tol); the finalize stage (assemble and identity_suite) takes 10
+    # 1e-8); the finalize stage (assemble and identity_suite) takes 10
     # transforms
     for c, newton, krylov, n_transforms in ((0.6, 4, [4, 5, 6, 5], 126),
                                             (1.0, 4, [4, 4, 5, 6], 122),
