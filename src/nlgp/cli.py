@@ -73,7 +73,8 @@ def _build_parser():
                    help="sampled kernel-hypothesis certificates")
     sp = sub.add_parser("mpass", parents=[kernel, grid, out, seed, speed],
                         help="mountain-pass bracket at one speed")
-    sp.add_argument("--refine-steps", type=int, default=None)
+    sp.add_argument("--refine-steps", type=int, default=None,
+                    help="at most this many string-method sweeps (default 200)")
     sub.add_parser("decay", parents=[kernel, grid, speed],
                    help="tail fit against the multiplier prediction")
     sub.add_parser("sonic", parents=[kernel, grid, out],
@@ -358,18 +359,19 @@ def _cmd_mpass(args, cfg):
     spec, c, _, _ = _one_speed(args, cfg, solve=False)
     cert = potentials.certify(spec)
     grid = Grid(cfg.grid.half_length, cfg.grid.size)
-    bracket = functionals.mountain_pass_bracket(
-        c, spec, cert, grid, refine_steps=cfg.command.get("refine_steps", 200))
+    refine_steps = cfg.command.get("refine_steps", 200)
+    bracket = functionals.mountain_pass_bracket(c, spec, cert, grid, refine_steps=refine_steps)
     doc = bracket.as_dict()
     doc["seed"] = cfg.seed
-    del doc["upper_history"]
     out = cfg.command.get("out")
     if out:
         nio.atomic_write_text(out, json.dumps(doc, indent=1))
     _emit(args, doc, [
         f"{spec.label()} at c = {c:g}: mountain-pass bracket",
         f"  lower (sphere bound) = {bracket.lower!r}",
-        f"  upper (best path max) = {bracket.upper!r}",
+        f"  upper (least path max) = {bracket.upper!r} after {bracket.sweeps} sweeps "
+        f"(at most {refine_steps})",
+        "  path max at each checkpoint: " + ", ".join(f"{u:.8g}" for u in bracket.upper_history),
         f"  endpoint J = {bracket.endpoint_J!r} "
         f"(delta = {bracket.phi_delta:g}, r = {bracket.phi_r:g})",
     ] + ([f"  wrote {out}"] if out else []))

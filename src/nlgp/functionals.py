@@ -112,7 +112,9 @@ def pairing_identity(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec):
 
 PATH_NODES = 33       # string-method nodes, endpoints included
 DESCENT_STEP = 0.5    # first trial step of each node's line search
-SUBDIVISIONS = 8      # interior points per segment in the final path maximum
+SUBDIVISIONS = 8      # interior points per segment in each path maximum
+CHECK_EVERY = 5       # sweeps between checkpoints of the path maximum
+STOP_RTOL = 1e-4      # two successive checkpoints this close stop the sweeps
 SAMPLE_BANDWIDTH = 2.0  # Gaussian frequency envelope of the sphere-bound samples
 
 
@@ -228,14 +230,15 @@ class MountainPassBracket:
     phi_delta: float
     phi_r: float
     endpoint_J: float
-    upper_history: list
+    upper_history: list           # the path maximum at each checkpoint
+    sweeps: int                   # string-method sweeps run
 
     def as_dict(self):
         return {"c": self.c, "lower": self.lower, "upper": self.upper,
                 "path_nodes": len(self.path),
                 "phi_params": {"delta": self.phi_delta, "r": self.phi_r},
                 "endpoint_J": self.endpoint_J,
-                "upper_history": self.upper_history}
+                "upper_history": self.upper_history, "sweeps": self.sweeps}
 
 
 def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
@@ -245,17 +248,18 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     The initial path is the straight segment t (1 - phi_c), which stays in
     the nonvanishing set; interior nodes then descend along the multiplier-
     preconditioned gradient with fixed endpoints (a string method),
-    re-parameterized by H1 arc length after each sweep.  ``upper_history``
-    tracks the running minimum of the nodal path maxima.  The reported upper
-    bound is the largest action found on the final path: at the nodes, at
-    SUBDIVISIONS interior points per segment, and by a golden-section
-    search between the neighbours of the best of those samples, since
-    fixed samples can step over the ridge.  The lower bound is the sphere
-    constant at radius r_sup / 2.
+    re-parameterized by H1 arc length after each sweep.  Every CHECK_EVERY
+    sweeps, and after the last, a checkpoint takes the largest action found
+    on the path (``_path_max``); ``upper_history`` lists these values.  The
+    sweeps stop when two successive checkpoints agree to STOP_RTOL relative,
+    or after ``refine_steps``, which is therefore a cap; ``refine_steps = 0``
+    evaluates the straight path alone.  Each checkpoint is the maximum over
+    an admissible path, so the least of them is reported as the upper
+    bound.  The lower bound is the sphere constant at radius r_sup / 2.
 
     The path is one (PATH_NODES, N) array; each node keeps its half-lattice
     spectrum and that of its eta beside it.  Line-search trials,
-    reparameterized nodes and final samples are linear combinations of
+    reparameterized nodes and checkpoint samples are linear combinations of
     nodes, formed on samples and spectra alike, so an action costs one
     transform, a descent direction three and the H1 arc lengths none.
     Between reparameterizations the nodes move independently, one stack per
@@ -276,8 +280,8 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         return np.where(parts.B == math.inf, math.inf, parts.J), ehs
 
     Js, eta_spectra = J_of(path, spectra)
-    history = [float(Js.max())]
-    for _ in range(refine_steps):
+    history, sweeps = [], 0
+    while sweeps < refine_steps:
         # frozen downhill tail: the action is steeply unbounded below near
         # the positivity floor, and chasing it only stretches the path until
         # reparameterization drags nodes off the barrier
@@ -296,8 +300,25 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
                 s *= 0.5
         path, spectra = _reparameterize(grid, path, spectra)
         Js[1:-1], eta_spectra[1:-1] = J_of(path[1:-1], spectra[1:-1])
-        history.append(min(history[-1], float(Js.max())))
+        sweeps += 1
+        if sweeps % CHECK_EVERY == 0 or sweeps == refine_steps:
+            history.append(_path_max(J_of, path, spectra, Js))
+            if len(history) > 1 and abs(history[-1] - history[-2]) <= STOP_RTOL * history[-1]:
+                break
+    if not history:
+        history.append(_path_max(J_of, path, spectra, Js))
+    return MountainPassBracket(c=c, lower=lower, upper=min(history), path=path,
+                               phi_delta=endpoint.delta, phi_r=endpoint.r,
+                               endpoint_J=endpoint.J, upper_history=history,
+                               sweeps=sweeps)
 
+
+def _path_max(J_of, path: np.ndarray, spectra: np.ndarray, Js: np.ndarray) -> float:
+    """The largest action found on the polyline through the nodes ``path``
+    (spectra ``spectra``, actions ``Js``): at the nodes, at SUBDIVISIONS
+    interior points per segment, and by a golden-section search between the
+    neighbours of the best of those samples, since fixed samples can step
+    over the ridge.  The samples are evaluated one segment at a time."""
     def J_at(t):
         # J at the points t of the polyline, node k at t = k
         k = np.minimum(t.astype(int), len(path) - 2)
@@ -311,11 +332,8 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     inner = step * np.arange(1, SUBDIVISIONS + 1)
     samples = np.column_stack([Js[:-1], [J_at(k + inner) for k in range(len(path) - 1)]]).ravel()
     t = np.argmax(samples) * step
-    upper = max(samples.max(), _golden_max(lambda x: J_at(np.array([x]))[0],
-                                           max(t - step, 0.0), min(t + step, len(path) - 1.0)))
-    return MountainPassBracket(c=c, lower=lower, upper=float(upper), path=path,
-                               phi_delta=endpoint.delta, phi_r=endpoint.r,
-                               endpoint_J=endpoint.J, upper_history=history)
+    return float(max(samples.max(), _golden_max(lambda x: J_at(np.array([x]))[0],
+                                                max(t - step, 0.0), min(t + step, len(path) - 1.0))))
 
 
 def _golden_max(f, a: float, b: float) -> float:

@@ -638,10 +638,13 @@ class DecayPrediction:
 
 
 def _strip_zeros(fz, xi_max: float, w_max: float, nxi: int, nw: int):
-    """Zeros of an analytic function on [0, xi_max] x (0, w_max].
+    """Zeros of an analytic function, real on the real axis, on
+    [0, xi_max] x (0, w_max].
 
-    Dense sampling of |f| locates candidate minima which are polished by
-    complex Newton (derivative by central differences); only candidates that
+    Dense sampling of |f| locates candidate minima, and each positive
+    minimum of f on the real axis gives one more candidate, for a zero
+    closer to the axis than the first sampled row.  Candidates are polished
+    by complex Newton (derivative by central differences); only those that
     polish to |f| < 1e-9 count as zeros.
     """
     xs = np.linspace(0.0, xi_max, nxi)
@@ -663,6 +666,18 @@ def _strip_zeros(fz, xi_max: float, w_max: float, nxi: int, nw: int):
     for i in range(1, nw - 1):  # imaginary-axis column
         if A[i, 0] <= thr and A[i, 0] <= A[i - 1, 0] and A[i, 0] <= A[i + 1, 0] and A[i, 0] <= A[i, 1]:
             cand.append(Z[i, 0])
+    # a positive minimum f_m of f at xi_m on the real axis has a pair of
+    # zeros near xi_m +- i sqrt(2 f_m / f''), which may lie below the first
+    # row; xi_m, f_m and f'' come from the parabola through three samples
+    with np.errstate(all="ignore"):
+        fr = fz(xs + 0j).real
+    lo, mid, hi = fr[:-2], fr[1:-1], fr[2:]
+    curv, h = lo - 2.0 * mid + hi, xs[1] - xs[0]
+    for i in np.nonzero((mid <= lo) & (mid <= hi) & (curv > 0))[0]:
+        fm = mid[i] - (hi[i] - lo[i]) ** 2 / (8.0 * curv[i])
+        if fm > 0:
+            cand.append(xs[i + 1] + h * (lo[i] - hi[i]) / (2.0 * curv[i])
+                        + 1j * h * math.sqrt(2.0 * fm / curv[i]))
     zeros = []
     for z0 in cand:
         z = complex(z0)

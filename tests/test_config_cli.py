@@ -741,6 +741,19 @@ def test_cli_mpass(capsys, tmp_path):
     assert doc["phi_params"]["delta"] > 0
     saved = json.loads(out.read_text())
     assert saved["upper"] == doc["upper"]
+    # every checkpoint is a bound, and the least one is reported
+    assert saved["upper_history"] == doc["upper_history"]
+    assert doc["upper"] == min(doc["upper_history"])
+    from nlgp.functionals import CHECK_EVERY
+    assert len(doc["upper_history"]) == -(-doc["sweeps"] // CHECK_EVERY) and doc["sweeps"] <= 40
+
+
+def test_cli_mpass_text_names_sweeps_and_checkpoints(capsys):
+    assert run_cli("mpass", "--potential", "delta", "--c", "1.0", "--L", "32", "--N", "512",
+                   "--refine-steps", "7") == 0
+    text = capsys.readouterr().out
+    assert "after 7 sweeps (at most 7)" in text
+    assert text.count("path max at each checkpoint: ") == 1
 
 
 def test_cli_mpass_out_of_regime_exit_5(capsys):

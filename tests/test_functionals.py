@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nlgp import (Grid, OutOfRegimeError, VortexError, build_phi_c, delta,
-                  functional_J, functionals, gaussian, grad_J,
+                  exp_repulsive, functional_J, functionals, gaussian, grad_J,
                   initial_guess, mountain_pass_bracket, pairing_identity,
-                  newton_solve, residual_rho, sphere_bound)
+                  newton_solve, residual_rho, soft_core, sphere_bound)
 from nlgp.functionals import (sobolev_norm, _descent, _random_band_limited,
                               _r_sup)
 from nlgp.hydro import action_parts, admissible, rho_equation, rho_jacobian
@@ -272,21 +272,27 @@ def test_mountain_pass_checks_regime_before_building_endpoint(grid, monkeypatch)
 
 
 def test_mountain_pass_bracket_pinned(grid):
-    # exact values of the string method in half-lattice coordinates
+    # exact values of the string method in half-lattice coordinates; with
+    # 5 sweeps the one checkpoint is the evaluation after the last sweep
     bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
     assert repr(bracket.lower) == "0.0016819959113241322"
     assert repr(bracket.upper) == "0.04968072294686865"
-    history = [repr(h) for h in bracket.upper_history]
-    assert history == [
+    assert bracket.upper_history == [bracket.upper] and bracket.sweeps == 5
+    assert bracket.path.shape == (33, grid.size)
+    # the largest nodal action after 0 to 5 sweeps, recomputed from each
+    # returned path
+    nodal = [functional_J(grid, mountain_pass_bracket(1.0, delta(), certify(delta()), grid,
+                                                      refine_steps=n).path, 1.0, delta()).J.max()
+             for n in range(6)]
+    assert [repr(float(h)) for h in nodal] == [
         "0.11131831582990781", "0.06833934555558235", "0.057255695724214295",
         "0.05202083364140697", "0.0497104887381149", "0.045484000016593834"]
-    assert bracket.path.shape == (33, grid.size)
     # the values of the string method in physical coordinates, with the
     # upper bound read from the fixed samples only: the same path to
     # roundoff, and the golden-section search only raises the maximum
     physical = [0.11131831582990781, 0.06833934555558235, 0.05725569572421421,
                 0.052020833641406944, 0.049710488738114816, 0.04548400001659403]
-    np.testing.assert_allclose(bracket.upper_history, physical, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(nodal, physical, rtol=1e-14, atol=0.0)
     assert bracket.upper > 0.04960773352832476
 
 
@@ -333,6 +339,38 @@ def test_mountain_pass_upper_is_above_the_soliton(grid, c):
     sol = newton_solve(delta(), grid, c, initial_guess(grid, c))
     assert sol.converged
     assert sol.J <= bracket.upper
+
+
+@pytest.mark.parametrize("spec", [delta(), gaussian(0.3), soft_core(1.0),
+                                  exp_repulsive(1.0, 3.0)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("c", [0.8, 1.0, 1.2])
+def test_mountain_pass_stops_once_the_bound_settles(grid, spec, c):
+    # two checkpoints that agree to STOP_RTOL stop the sweeps well before the
+    # cap, and the least checkpoint still lies above the soliton's action
+    bracket = mountain_pass_bracket(c, spec, certify(spec), grid, refine_steps=200)
+    sol = newton_solve(spec, grid, c, initial_guess(grid, c))
+    assert sol.converged
+    assert sol.J <= bracket.upper <= sol.J * (1.0 + 1e-4)
+    assert bracket.sweeps <= 40
+    assert bracket.upper == min(bracket.upper_history)
+    assert len(bracket.upper_history) == bracket.sweeps // functionals.CHECK_EVERY
+    assert (abs(bracket.upper_history[-1] - bracket.upper_history[-2])
+            <= functionals.STOP_RTOL * bracket.upper_history[-1])
+
+
+def test_mountain_pass_checks_at_the_cap(grid, monkeypatch):
+    # a cap below CHECK_EVERY runs every sweep and checks the path once
+    checks = []
+    inner = functionals._path_max
+
+    def spy(*args):
+        checks.append(inner(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(functionals, "_path_max", spy)
+    bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=3)
+    assert bracket.sweeps == 3
+    assert checks == bracket.upper_history == [bracket.upper]
 
 
 def _kernels():

@@ -362,6 +362,29 @@ def test_decay_prediction_exp_repulsive_matches_root_solver():
         assert pred.value == pytest.approx(min(b1, b2), abs=1e-8)
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_decay_prediction_finds_the_roton_zero(gap):
+    # just below the Landau speed c_L = min sqrt(xi^2 + 2 W_hat) the zero
+    # that sets the tail sits at the roton, about 0.29 sqrt(c_L - c) above
+    # the real axis: below the strip's first sampled row
+    a, b, lam = -36.0, 2687.0, 30.0
+    spec = berloff(a, b, lam)
+    xs = np.linspace(0.5, 0.6, 100001)
+    m0 = mc_symbol(spec, 0.0, xs)
+    c = math.sqrt(m0.min()) - gap
+    z = xs[np.argmin(m0)] + 0.29j * math.sqrt(gap)
+    for _ in range(50):  # complex Newton with the symbol's exact derivative
+        e = np.exp(-lam * z * z)
+        w = (1.0 + a * z * z + b * z ** 4) * e
+        dw = (2.0 * a * z + 4.0 * b * z ** 3) * e - 2.0 * lam * z * w
+        z -= (z * z + 2.0 * w - c * c) / (2.0 * z + 2.0 * dw)
+    assert abs(complex(mc_symbol(spec, c, np.array(z)))) < 1e-14
+    pred = decay_prediction(spec, c)
+    assert not pred.censored
+    assert abs(pred.zero - z) <= 1e-8
+    assert pred.value == pytest.approx(z.imag, abs=1e-8)
+
+
 def test_decay_prediction_models():
     assert decay_prediction(bochner_riesz(0.5), 1.0).model == "algebraic"
     xs = np.linspace(0.0, 20.0, 512)
