@@ -258,10 +258,11 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     bound.  The lower bound is the sphere constant at radius r_sup / 2.
 
     The path is one (PATH_NODES, N) array; each node keeps its half-lattice
-    spectrum and that of its eta beside it.  Line-search trials,
-    reparameterized nodes and checkpoint samples are linear combinations of
-    nodes, formed on samples and spectra alike, so an action costs one
-    transform, a descent direction three and the H1 arc lengths none.
+    spectrum and that of its eta beside it.  Line-search trials and
+    reparameterized nodes are linear combinations of nodes, formed on
+    samples and spectra alike, so an action costs one transform, a descent
+    direction three and the H1 arc lengths none.  A checkpoint takes one
+    transform for the whole path and one quadrature per sample.
     Between reparameterizations the nodes move independently, one stack per
     stage; each node has its own acceptance test, and the pending nodes
     share the step, halved every round.  Each node's action is evaluated
@@ -275,7 +276,8 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     inv_mc = inverse_mc(spec, c, grid)
 
     def J_of(vs, vhs):
-        # a path through the boundary (B = +inf) is inadmissible: +inf, never a bound
+        # a node outside the nonvanishing set (B = +inf) gets +inf, so the
+        # line search rejects it and every node, hence every segment, stays admissible
         parts, ehs = _action(grid, vs, vhs, c, spec)
         return np.where(parts.B == math.inf, math.inf, parts.J), ehs
 
@@ -302,38 +304,90 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         Js[1:-1], eta_spectra[1:-1] = J_of(path[1:-1], spectra[1:-1])
         sweeps += 1
         if sweeps % CHECK_EVERY == 0 or sweeps == refine_steps:
-            history.append(_path_max(J_of, path, spectra, Js))
+            history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec))
             if len(history) > 1 and abs(history[-1] - history[-2]) <= STOP_RTOL * history[-1]:
                 break
     if not history:
-        history.append(_path_max(J_of, path, spectra, Js))
+        history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec))
     return MountainPassBracket(c=c, lower=lower, upper=min(history), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history,
                                sweeps=sweeps)
 
 
-def _path_max(J_of, path: np.ndarray, spectra: np.ndarray, Js: np.ndarray) -> float:
+def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np.ndarray,
+              Js: np.ndarray, c: float, spec: PotentialSpec) -> float:
     """The largest action found on the polyline through the nodes ``path``
-    (spectra ``spectra``, actions ``Js``): at the nodes, at SUBDIVISIONS
-    interior points per segment, and by a golden-section search between the
-    neighbours of the best of those samples, since fixed samples can step
-    over the ridge.  The samples are evaluated one segment at a time."""
-    def J_at(t):
-        # J at the points t of the polyline, node k at t = k
-        k = np.minimum(t.astype(int), len(path) - 2)
-        w = (t - k)[:, None]
-        return J_of((1.0 - w) * path[k] + w * path[k + 1],
-                    (1.0 - w) * spectra[k] + w * spectra[k + 1])[0]
-
+    (spectra ``spectra``, eta spectra ``eta_spectra``, actions ``Js``): at
+    the nodes, at SUBDIVISIONS interior points per segment, and by a
+    golden-section search between the neighbours of the best of those
+    samples, since fixed samples can step over the ridge.  The samples are
+    evaluated one segment at a time, each by the quadrature of B alone
+    (``_polyline_action``)."""
+    J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec)
     # the nodes and SUBDIVISIONS interior points per segment, at t = j * step;
     # the last node is the endpoint, whose J < 0 = J(path[0])
     step = 1.0 / (SUBDIVISIONS + 1)
     inner = step * np.arange(1, SUBDIVISIONS + 1)
-    samples = np.column_stack([Js[:-1], [J_at(k + inner) for k in range(len(path) - 1)]]).ravel()
+    samples = np.column_stack([Js[:-1], [J_at(k, inner) for k in range(len(path) - 1)]]).ravel()
     t = np.argmax(samples) * step
-    return float(max(samples.max(), _golden_max(lambda x: J_at(np.array([x]))[0],
-                                                max(t - step, 0.0), min(t + step, len(path) - 1.0))))
+
+    def J_along(t):
+        # J at the point t of the polyline, node k at t = k
+        k = min(int(t), len(path) - 2)
+        return J_at(k, t - k)
+
+    return float(max(samples.max(), _golden_max(J_along, max(t - step, 0.0),
+                                                min(t + step, len(path) - 1.0))))
+
+
+def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
+                     eta_spectra: np.ndarray, c: float, spec: PotentialSpec):
+    """J on the polyline through the admissible nodes ``path`` (spectra
+    ``spectra``, eta spectra ``eta_spectra``): a function of the segment k
+    and a weight w, or an array of weights, which gives J at
+    (1 - w) path[k] + w path[k + 1].
+
+    On the segment v = (1 - w) a + w b both quadratic integrals of A are
+    polynomials in w: int (v')^2 a quadratic, and, since eta = (1 - w)^2
+    eta_a + w^2 eta_b + 2 w (1 - w) g with g = a + b - a b, int (W*eta) eta
+    a quartic.  Their coefficients are weighted Parseval sums of the node
+    spectra and of the spectra of g, taken here with one transform for all
+    segments, so a point costs only the quadrature of B.  rho is linear in
+    w, so min rho >= (1 - w) min rho_a + w min rho_b > POSITIVITY_FLOOR: a
+    segment between two admissible nodes is admissible, and its points need
+    no membership test.
+    """
+    xi2, W = grid.xi_half_squared, spec.lattice_symbol(grid)
+    a, b = path[:-1], path[1:]
+    ea, eb = eta_spectra[:-1], eta_spectra[1:]
+    gh = spectrum(a + b - a * b)
+    kin = spectral_density_integral(grid, xi2, spectra).tolist()
+    kin_ab = _pairing(grid, xi2, spectra[:-1], spectra[1:]).tolist()
+    ee = spectral_density_integral(grid, W, eta_spectra).tolist()
+    gg = spectral_density_integral(grid, W, gh).tolist()
+    ab, ag, bg = (_pairing(grid, W, f, g).tolist() for f, g in ((ea, eb), (ea, gh), (eb, gh)))
+
+    def J_at(k, w):
+        s = 1.0 - w
+        p0, p1, p2 = s * s, w * w, 2.0 * w * s
+        kinetic = p0 * kin[k] + p1 * kin[k + 1] + p2 * kin_ab[k]
+        interaction = (p0 * p0 * ee[k] + p1 * p1 * ee[k + 1] + p2 * p2 * gg[k]
+                       + 2.0 * p0 * p1 * ab[k] + 2.0 * p0 * p2 * ag[k] + 2.0 * p1 * p2 * bg[k])
+        v = np.multiply.outer(s, path[k]) + np.multiply.outer(w, path[k + 1])
+        return action_parts(grid, c, 1.0 - v, _f(v), kinetic, interaction).J
+
+    return J_at
+
+
+def _pairing(grid: Grid, weights: np.ndarray, fh: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    """(1/2pi) int weights(xi) Re(f_hat conj(g_hat)) d(xi), row by row: the
+    bilinear form of ``spectral_density_integral``, int (W*f) g for
+    weights = W_hat."""
+    density = fh.real * gh.real
+    density += fh.imag * gh.imag
+    density *= weights * grid.hermitian_weights
+    return np.sum(density, axis=-1) * (grid.spacing / grid.size)
 
 
 def _golden_max(f, a: float, b: float) -> float:

@@ -668,16 +668,26 @@ def _strip_zeros(fz, xi_max: float, w_max: float, nxi: int, nw: int):
             cand.append(Z[i, 0])
     # a positive minimum f_m of f at xi_m on the real axis has a pair of
     # zeros near xi_m +- i sqrt(2 f_m / f''), which may lie below the first
-    # row; xi_m, f_m and f'' come from the parabola through three samples
+    # row.  From each sampled minimum, Newton on f' (central differences at
+    # a step ~ eps^(1/4)) places xi_m, where f_m and f'' are read: a parabola
+    # through the samples misreads an f_m smaller than its own error
     with np.errstate(all="ignore"):
         fr = fz(xs + 0j).real
     lo, mid, hi = fr[:-2], fr[1:-1], fr[2:]
-    curv, h = lo - 2.0 * mid + hi, xs[1] - xs[0]
-    for i in np.nonzero((mid <= lo) & (mid <= hi) & (curv > 0))[0]:
-        fm = mid[i] - (hi[i] - lo[i]) ** 2 / (8.0 * curv[i])
-        if fm > 0:
-            cand.append(xs[i + 1] + h * (lo[i] - hi[i]) / (2.0 * curv[i])
-                        + 1j * h * math.sqrt(2.0 * fm / curv[i]))
+    for i in np.nonzero((mid <= lo) & (mid <= hi) & (lo - 2.0 * mid + hi > 0))[0]:
+        x = xs[i + 1]
+        for _ in range(20):
+            d = 1e-4 * (1.0 + abs(x))
+            fm, fl, fh = fz(x + np.array([0.0, -d, d]) + 0j).real
+            curv = (fl - 2.0 * fm + fh) / d ** 2
+            if not curv > 0:
+                break
+            dx = (fh - fl) / (2.0 * d * curv)
+            x -= dx
+            if abs(dx) < 1e-12 * (1.0 + abs(x)):
+                break
+        if fm > 0 and curv > 0:
+            cand.append(x + 1j * math.sqrt(2.0 * fm / curv))
     zeros = []
     for z0 in cand:
         z = complex(z0)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nlgp import (Grid, OutOfRegimeError, VortexError, build_phi_c, delta,
+from nlgp import (Grid, OutOfRegimeError, VortexError, berloff, build_phi_c, delta,
                   exp_repulsive, functional_J, functionals, gaussian, grad_J,
                   initial_guess, mountain_pass_bracket, pairing_identity,
-                  newton_solve, residual_rho, soft_core, sphere_bound)
+                  newton_solve, residual_rho, shifted_deltas, soft_core,
+                  sphere_bound)
 from nlgp.functionals import (sobolev_norm, _descent, _random_band_limited,
                               _r_sup)
 from nlgp.hydro import action_parts, admissible, rho_equation, rho_jacobian
@@ -319,8 +320,10 @@ def test_reparameterize_equal_arc_length(grid):
 
 
 def test_mountain_pass_transforms_per_bracket(grid, monkeypatch):
-    # an action costs one transform and a descent direction three; the
-    # string method in physical coordinates took 220 for these 5 sweeps
+    # an action costs one transform, a descent direction three and a
+    # checkpoint one (the spectra of a + b - a b over all segments): 30 for
+    # the 5 sweeps and 1 for the checkpoint.  The string method in physical
+    # coordinates took 220, and checkpoints by per-sample actions 99
     count = [0]
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _transform=getattr(np.fft, name), **kwargs):
@@ -328,7 +331,7 @@ def test_mountain_pass_transforms_per_bracket(grid, monkeypatch):
             return _transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=5)
-    assert count[0] == 99
+    assert count[0] == 31
 
 
 @pytest.mark.parametrize("c", [0.8, 1.0, 1.2])
@@ -371,6 +374,32 @@ def test_mountain_pass_checks_at_the_cap(grid, monkeypatch):
     bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=3)
     assert bracket.sweeps == 3
     assert checks == bracket.upper_history == [bracket.upper]
+
+
+@pytest.mark.parametrize("spec", [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5),
+                                  gaussian(0.3), soft_core(1.0), berloff(-36.0, 2687.0, 30.0)],
+                         ids=lambda s: s.kind)
+def test_polyline_action_matches_functional_J(grid, spec, monkeypatch):
+    # the per-segment polynomials of A with B by quadrature give J at any
+    # point of an admissible polyline, and a checkpoint evaluates no action
+    rng = np.random.default_rng(5)
+    a, b = random_smooth(grid, rng, 0.5), random_smooth(grid, rng, 0.3)
+    s = np.linspace(0.0, 1.0, 9)
+    path = s[:, None] * a + np.sin(np.pi * s)[:, None] * b   # 9 admissible nodes
+    spectra, eta_spectra = spectrum(path), spectrum(path * (2.0 - path))
+    c = 0.8
+    J_at = functionals._polyline_action(grid, path, spectra, eta_spectra, c, spec)
+    ts = np.array([0.0, 0.1, 0.37, 0.5, 0.9, 1.0])
+    for k in range(len(path) - 1):
+        ref = functional_J(grid, (1.0 - ts[:, None]) * path[k] + ts[:, None] * path[k + 1],
+                           c, spec)
+        assert np.all(np.abs(J_at(k, ts) - ref.J) <= 1e-13 * ref.A)
+    Js = functional_J(grid, path, c, spec).J
+    calls = []
+    monkeypatch.setattr(functionals, "_action", lambda *args: calls.append(args))
+    top = functionals._path_max(grid, path, spectra, eta_spectra, Js, c, spec)
+    assert calls == []
+    assert top >= Js[:-1].max()   # the last node, an endpoint, is not sampled
 
 
 def _kernels():

@@ -362,7 +362,7 @@ def test_decay_prediction_exp_repulsive_matches_root_solver():
         assert pred.value == pytest.approx(min(b1, b2), abs=1e-8)
 
 
-@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6])
 def test_decay_prediction_finds_the_roton_zero(gap):
     # just below the Landau speed c_L = min sqrt(xi^2 + 2 W_hat) the zero
     # that sets the tail sits at the roton, about 0.29 sqrt(c_L - c) above
