@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 verification failure,
-5 out of regime (speed at or beyond the sound speed).
+5 out of regime (speed at or beyond the sound speed, or for mpass too slow
+for the negative-action endpoint).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def _build_parser():
     """The nlgp parser, built once per process: ``parse_args`` makes a fresh
     namespace per call, and every default is a constant."""
     # each subcommand takes only the flags it reads, from these parents
-    kernel, grid, out, seed, speed = (argparse.ArgumentParser(add_help=False)
-                                      for _ in range(5))
+    kernel, grid, out, speed = (argparse.ArgumentParser(add_help=False)
+                                for _ in range(4))
     kernel.add_argument("--potential", help="catalog kind, e.g. delta, gaussian")
     for f in _PARAM_FLAGS:
         kernel.add_argument(f"--{f}", default=None)
@@ -47,7 +48,6 @@ def _build_parser():
     grid.add_argument("--L", type=float, default=None, help="grid half-length")
     grid.add_argument("--N", type=int, default=None, help="grid size (power of two)")
     out.add_argument("--out", default=None)
-    seed.add_argument("--seed", type=int, default=None)
     speed.add_argument("--c", type=float, default=None)
 
     p = argparse.ArgumentParser(prog="nlgp",
@@ -56,7 +56,7 @@ def _build_parser():
     p.add_argument("--config", help="key-value config file (INI sections)")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
     sub = p.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("solve", parents=[kernel, grid, out, seed, speed],
+    sub.add_parser("solve", parents=[kernel, grid, out, speed],
                    help="compute one soliton")
     sp = sub.add_parser("branch", parents=[kernel, grid, out],
                         help="continue a branch over a speed range")
@@ -71,7 +71,7 @@ def _build_parser():
     sp.add_argument("--n", type=int, default=None)
     sub.add_parser("certify", parents=[kernel],
                    help="sampled kernel-hypothesis certificates")
-    sp = sub.add_parser("mpass", parents=[kernel, grid, out, seed, speed],
+    sp = sub.add_parser("mpass", parents=[kernel, grid, out, speed],
                         help="mountain-pass bracket at one speed")
     sp.add_argument("--refine-steps", type=int, default=None,
                     help="at most this many string-method sweeps (default 200)")
@@ -86,9 +86,10 @@ def _build_parser():
 
 
 def _load_config(args) -> config.RunConfig:
-    """Flags override the environment, which overrides the config file; a set
-    command flag replaces its ``[command]`` key, which commands read alone."""
-    cfg = config.parse_file(args.config) if args.config else config.parse("")
+    """The run's settings: flags override the config file, which overrides
+    the defaults; a set command flag replaces its ``[command]`` key, which
+    commands read alone."""
+    cfg = config.parse_file(args.config) if args.config else config.RunConfig()
     pot = dict(cfg.potential)
     if getattr(args, "potential", None):
         pot = {"kind": args.potential}
@@ -101,8 +102,6 @@ def _load_config(args) -> config.RunConfig:
         cfg.grid.half_length = args.L
     if getattr(args, "N", None) is not None:
         cfg.grid.size = args.N
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     cfg.command.update({k: getattr(args, k) for k in config.COMMAND_KEYS
                         if getattr(args, k, None) is not None})
     # every float read must be finite: nan passes no range check and reaches a
@@ -110,7 +109,7 @@ def _load_config(args) -> config.RunConfig:
     # positive frequencies besides xi = 0, so n counts at least three samples
     # and xi_max is positive
     named = [(f"--{k} ([potential] {k})", v) for k, v in pot.items()]
-    named.append(("--L ([grid] half_length, NLGP_GRID_L)", cfg.grid.half_length))
+    named.append(("--L ([grid] half_length)", cfg.grid.half_length))
     for k, v in cfg.command.items():
         named.append((f"--{k.replace('_', '-')} ([command] {k})", v))
         least = 3 if k == "n" else 0
@@ -194,9 +193,9 @@ def _cmd_solve(args, cfg):
              "momentum_conditioning_warning": mom_warn}
     out = cfg.command.get("out")
     if out:
-        doc = nio.write_solution(out, sol, seed=cfg.seed, extra=extra)
+        doc = nio.write_solution(out, sol, extra=extra)
     else:
-        doc = nio.solution_to_dict(sol, seed=cfg.seed, extra=extra)
+        doc = nio.solution_to_dict(sol, extra=extra)
     _emit(args, doc, [
         f"{spec.label()} at c = {c:g}: converged in {sol.newton_iters} Newton "
         f"iterations ({sol.krylov_iters} Krylov)",
@@ -305,7 +304,8 @@ def _cmd_dispersion(args, cfg):
     cs = potentials.sound_speed(spec)
     xi = np.linspace(0.0, cfg.command.get("xi_max", 8.0 * cs),
                      cfg.command.get("n", 2048))
-    w, imag = potentials.dispersion(spec, xi, with_flag=True)
+    w = potentials.dispersion(spec, xi)
+    imag = np.isnan(w)
     crit = potentials.roton_maxon(spec, xi)
     c = cfg.command.get("c")
     mc = potentials.mc_symbol(spec, c, xi) if c is not None else None
@@ -362,7 +362,6 @@ def _cmd_mpass(args, cfg):
     refine_steps = cfg.command.get("refine_steps", 200)
     bracket = functionals.mountain_pass_bracket(c, spec, cert, grid, refine_steps=refine_steps)
     doc = bracket.as_dict()
-    doc["seed"] = cfg.seed
     out = cfg.command.get("out")
     if out:
         nio.atomic_write_text(out, json.dumps(doc, indent=1))

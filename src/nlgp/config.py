@@ -3,19 +3,15 @@
 The schema is strict: unknown sections or keys are rejected so that a typo
 never silently falls back to a default, and a value that does not parse as
 its key's type is rejected naming the section and key.  Comments start with
-``;``, on a line of their own or after a value.  ``serialize`` followed by
-``parse`` is the identity on RunConfig values.  Environment variables NLGP_GRID_L and
-NLGP_GRID_N override the grid size only (batch sweeps on shared machines).
-Precedence, highest first: command-line flags, environment, config file,
-defaults.
+``;``, on a line of their own or after a value.  Precedence, highest first:
+command-line flags, config file, defaults; nothing else, the environment
+included, sets a run.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-import os
-from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 from .errors import ConfigError
 from .solver import SolverOptions
@@ -33,12 +29,10 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
     command: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 _SOLVER_FIELDS = {f.name: type(f.default) for f in dc_fields(SolverOptions)}
 _GRID_FIELDS = {"half_length": float, "size": int}
-_RUN_KEYS = {"seed": int}
 COMMAND_KEYS = {
     "c": float, "c_from": float, "c_to": float, "out": str,
     "refine_steps": int, "xi_max": float, "n": int,
@@ -87,38 +81,11 @@ def parse(text: str) -> RunConfig:
                 cfg.solver = replace(cfg.solver, **_typed(section, items, _SOLVER_FIELDS))
             except ValueError as exc:
                 raise ConfigError(f"[solver] {exc}") from exc
-        elif section == "run":
-            cfg.seed = _typed(section, items, _RUN_KEYS).get("seed", cfg.seed)
         elif section == "command":
             cfg.command.update(_typed(section, items, COMMAND_KEYS))
         else:
             raise ConfigError(f"unknown section [{section}]")
-    _apply_env_overrides(cfg)
     return cfg
-
-
-def _apply_env_overrides(cfg: RunConfig):
-    L = os.environ.get("NLGP_GRID_L")
-    N = os.environ.get("NLGP_GRID_N")
-    if L is not None:
-        cfg.grid.half_length = parse_value("NLGP_GRID_L", L, float)
-    if N is not None:
-        cfg.grid.size = parse_value("NLGP_GRID_N", N, int)
-
-
-def serialize(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    sections = {"potential": cfg.potential, "grid": asdict(cfg.grid),
-                "solver": asdict(cfg.solver), "run": {"seed": cfg.seed},
-                "command": cfg.command}
-    for name, values in sections.items():
-        if values:
-            cp[name] = {k: repr(v) if isinstance(v, float) else str(v)
-                        for k, v in values.items()}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def parse_file(path) -> RunConfig:

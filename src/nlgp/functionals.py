@@ -130,12 +130,20 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid) -> PhiEndpoint:
     """Negative-action endpoint: phi^2 = delta on [-r, r], cosine ramp to 1.
 
     delta is chosen below c^2 / (2 ||W_hat||_inf) so that widening the core
-    strictly lowers the action; r doubles until J_c(1 - phi) < 0.
+    strictly lowers the action; r doubles until J_c(1 - phi) < 0.  The core
+    amplitude sqrt(delta) must lie above POSITIVITY_FLOOR, which takes
+    c > 2 POSITIVITY_FLOOR sqrt(||W_hat||_inf); a slower c raises
+    OutOfRegimeError.
     """
     if c <= 0:
         raise OutOfRegimeError("endpoint construction needs c > 0")
     wsup = float(np.abs(spec.lattice_symbol(grid)).max())
     delta = 0.5 * min(1.0 - 2.0 * POSITIVITY_FLOOR, c ** 2 / (2.0 * wsup))
+    if math.sqrt(delta) <= POSITIVITY_FLOOR:
+        raise OutOfRegimeError(
+            f"negative endpoint's core amplitude {math.sqrt(delta):g} is not above "
+            f"the positivity floor {POSITIVITY_FLOOR:g}: needs "
+            f"c > {2.0 * POSITIVITY_FLOOR * math.sqrt(wsup):g}")
     ax = np.abs(grid.x)
     r = 2.0
     while True:
@@ -363,10 +371,11 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
     ea, eb = eta_spectra[:-1], eta_spectra[1:]
     gh = spectrum(a + b - a * b)
     kin = spectral_density_integral(grid, xi2, spectra).tolist()
-    kin_ab = _pairing(grid, xi2, spectra[:-1], spectra[1:]).tolist()
+    kin_ab = spectral_density_integral(grid, xi2, spectra[:-1], spectra[1:]).tolist()
     ee = spectral_density_integral(grid, W, eta_spectra).tolist()
     gg = spectral_density_integral(grid, W, gh).tolist()
-    ab, ag, bg = (_pairing(grid, W, f, g).tolist() for f, g in ((ea, eb), (ea, gh), (eb, gh)))
+    ab, ag, bg = (spectral_density_integral(grid, W, f, g).tolist()
+                  for f, g in ((ea, eb), (ea, gh), (eb, gh)))
 
     def J_at(k, w):
         s = 1.0 - w
@@ -378,16 +387,6 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
         return action_parts(grid, c, 1.0 - v, _f(v), kinetic, interaction).J
 
     return J_at
-
-
-def _pairing(grid: Grid, weights: np.ndarray, fh: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    """(1/2pi) int weights(xi) Re(f_hat conj(g_hat)) d(xi), row by row: the
-    bilinear form of ``spectral_density_integral``, int (W*f) g for
-    weights = W_hat."""
-    density = fh.real * gh.real
-    density += fh.imag * gh.imag
-    density *= weights * grid.hermitian_weights
-    return np.sum(density, axis=-1) * (grid.spacing / grid.size)
 
 
 def _golden_max(f, a: float, b: float) -> float:

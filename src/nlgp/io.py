@@ -49,7 +49,7 @@ def _decode(s: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8").copy()
 
 
-def solution_to_dict(sol, seed=None, extra=None) -> dict:
+def solution_to_dict(sol, extra=None) -> dict:
     f = sol.fields
     spec = {"kind": sol.spec.kind, "params": dict(sol.spec.params)}
     if sol.spec.table is not None:
@@ -77,8 +77,6 @@ def solution_to_dict(sol, seed=None, extra=None) -> dict:
             "eta": _encode(f.eta),
         },
     }
-    if seed is not None:
-        doc["seed"] = seed
     if extra:
         doc.update(extra)
     return doc
@@ -100,9 +98,9 @@ def _solution_text(doc: dict) -> str:
     return "{\n" + ",\n".join(members) + "\n}"
 
 
-def write_solution(path, sol, seed=None, extra=None) -> dict:
+def write_solution(path, sol, extra=None) -> dict:
     """Write the solution file; returns the document written."""
-    doc = solution_to_dict(sol, seed, extra)
+    doc = solution_to_dict(sol, extra)
     atomic_write_text(path, _solution_text(doc))
     return doc
 

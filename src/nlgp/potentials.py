@@ -513,19 +513,15 @@ def certify(spec: PotentialSpec, lattice: Optional[np.ndarray] = None) -> Hypoth
 # dispersion
 
 
-def dispersion(spec: PotentialSpec, xi, with_flag: bool = False):
+def dispersion(spec: PotentialSpec, xi):
     """Bogoliubov curve w(xi) = sqrt(xi^4 + 2 W_hat(xi) xi^2).
 
     A negative radicand marks an imaginary branch; those samples come back as
-    NaN together with a diagnostic mask when ``with_flag`` is set.
+    NaN.
     """
     xi = np.asarray(xi, dtype=float)
     rad = xi ** 4 + 2.0 * spec.symbol(xi) * xi ** 2
-    imag = rad < 0.0
-    w = np.sqrt(np.where(imag, np.nan, rad))
-    if with_flag:
-        return w, imag
-    return w
+    return np.sqrt(np.where(rad < 0.0, np.nan, rad))
 
 
 def _dispersion_slope(spec: PotentialSpec, xi):

@@ -20,19 +20,6 @@ from nlgp.io import read_solution
 # config
 
 
-def test_config_roundtrip():
-    cfg = config.RunConfig()
-    cfg.potential = {"kind": "gaussian", "lam": 0.3}
-    cfg.grid.half_length = 64.0
-    cfg.grid.size = 2048
-    cfg.seed = 17
-    cfg.command = {"c": 1.0, "out": "sol.json"}
-    text = config.serialize(cfg)
-    back = config.parse(text)
-    assert back == cfg
-    assert config.serialize(back) == text
-
-
 def test_config_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         config.parse("[grid]\nhalf_len = 10\n")
@@ -77,19 +64,13 @@ def test_config_readme_example_parses():
     assert cfg.command == {"c": 1.0, "out": "sol.json"}
 
 
-def test_config_env_override_unparsable(monkeypatch):
-    monkeypatch.setenv("NLGP_GRID_N", "abc")
-    with pytest.raises(ConfigError, match="NLGP_GRID_N"):
-        config.parse("")
-
-
-def test_config_env_overrides_grid_only(monkeypatch):
-    monkeypatch.setenv("NLGP_GRID_L", "32")
-    monkeypatch.setenv("NLGP_GRID_N", "512")
-    cfg = config.parse("[potential]\nkind = delta\n")
-    assert cfg.grid.half_length == 32.0
-    assert cfg.grid.size == 512
-    assert cfg.solver.tol_newton == 1e-10  # untouched
+def test_config_run_section_rejected_one_line(tmp_path, capsys):
+    # nothing a command runs is random, so there is no seed to configure
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nseed = 0\n")
+    assert cli.main(["--config", str(path), "certify"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: unknown section [run]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +81,14 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def test_cli_grid_flags_beat_environment(monkeypatch, capsys):
-    # precedence: flags > environment > config file > defaults
-    monkeypatch.setenv("NLGP_GRID_L", "64")
+def test_cli_grid_ignores_the_environment(monkeypatch, capsys):
+    # a run's grid comes from its flags, its config file and the defaults
+    # alone
+    monkeypatch.setenv("NLGP_GRID_L", "32")
     monkeypatch.setenv("NLGP_GRID_N", "512")
-    assert run_cli("--json", "solve", "--potential", "delta", "--c", "1",
-                   "--L", "32", "--N", "1024") == 0
+    assert run_cli("--json", "solve", "--potential", "delta", "--c", "1") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["grid"] == {"half_length": 32.0, "size": 1024}
+    assert doc["grid"] == {"half_length": 128.0, "size": 4096}
 
 
 def test_cli_solve_verify_roundtrip(tmp_path, capsys):
@@ -393,7 +374,7 @@ def test_cli_reproducible_json(tmp_path):
     for out in (a, b):
         assert run_cli("solve", "--potential", "gaussian", "--lambda", "0.3",
                        "--c", "0.8", "--L", "64", "--N", "2048",
-                       "--seed", "7", "--out", str(out)) == 0
+                       "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -576,6 +557,7 @@ def test_cli_unconverged_solve_exit_3(cmd, tmp_path, capsys):
     ("certify", "--L"), ("certify", "--N"), ("certify", "--out"), ("certify", "--seed"),
     ("dispersion", "--L"), ("dispersion", "--N"), ("dispersion", "--seed"),
     ("decay", "--out"), ("decay", "--seed"), ("sonic", "--seed"), ("branch", "--seed"),
+    ("solve", "--seed"), ("mpass", "--seed"),
 ])
 def test_cli_refuses_flags_a_command_never_reads(cmd, flag, tmp_path, capsys):
     value = {"--L": "64", "--N": "512", "--out": str(tmp_path / "x.out"), "--seed": "7"}
@@ -625,6 +607,17 @@ def test_cli_verify_bad_file_exit_2_one_line(corrupt, solution_doc, tmp_path, ca
     assert run_cli("verify", str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_reads_a_solution_file_with_a_seed(solution_doc, tmp_path, capsys):
+    # files written by earlier versions carry a "seed" key, which verify
+    # and report ignore
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**solution_doc, "seed": 0}))
+    assert run_cli("verify", str(old)) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--dir", str(tmp_path)) == 0
+    assert "| old.json | delta |" in capsys.readouterr().out
 
 
 def test_cli_report(tmp_path, capsys):
@@ -762,6 +755,17 @@ def test_cli_mpass_out_of_regime_exit_5(capsys):
     assert err.startswith("out of regime: ") and len(err.strip().splitlines()) == 1
 
 
+def test_cli_mpass_below_the_least_speed_exit_5(capsys):
+    # the endpoint's core would leave the nonvanishing set: no bracket, and
+    # no "endpoint_J": -Infinity, which is not JSON
+    assert run_cli("--json", "mpass", "--potential", "delta", "--c", "0.001",
+                   "--L", "64", "--N", "2048") == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("out of regime: ") and len(err.strip().splitlines()) == 1
+    assert "0.002" in err
+
+
 def test_cli_sonic(capsys, tmp_path):
     out = tmp_path / "sonic.csv"
     code = run_cli("--json", "sonic", "--potential", "delta", "--out", str(out))
@@ -838,10 +842,8 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
     (("dispersion", "--xi-max", "0"), "", "--xi-max ([command] xi_max) must be > 0"),
     (("dispersion", "--xi-max", "-5"), "", "--xi-max ([command] xi_max) must be > 0"),
     (("dispersion",), "[command]\nxi_max = 0\n", "--xi-max ([command] xi_max) must be > 0"),
-    (("solve", "--c", "1", "--L", "inf"), "", "--L ([grid] half_length, NLGP_GRID_L)"),
-    (("solve", "--c", "1"), "NLGP_GRID_L=inf", "--L ([grid] half_length, NLGP_GRID_L)"),
-    (("solve", "--c", "1"), "[grid]\nhalf_length = inf\n",
-     "--L ([grid] half_length, NLGP_GRID_L)"),
+    (("solve", "--c", "1", "--L", "inf"), "", "--L ([grid] half_length)"),
+    (("solve", "--c", "1"), "[grid]\nhalf_length = inf\n", "--L ([grid] half_length)"),
     (("solve", "--potential", "gaussian", "--lambda", "nan", "--c", "1"), "",
      "--lam ([potential] lam) must be finite"),
     (("solve", "--c", "1"), _GAUSSIAN + "lam = nan\n",
@@ -849,15 +851,12 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
         "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg", "c_nan_solve",
         "c_nan_mpass", "c_to_nan", "xi_max_nan", "xi_max_0", "xi_max_neg", "xi_max_key_0",
-        "L_inf", "L_env_inf", "L_key_inf", "lambda_nan",
+        "L_inf", "L_key_inf", "lambda_nan",
         "lam_key_nan"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,
                                    monkeypatch, capsys):
     (tmp_path / "sol.json").write_text(json.dumps(solution_doc))  # a file verify passes
     monkeypatch.chdir(tmp_path)
-    if cfg_text.startswith("NLGP_"):    # an environment override, not a file
-        monkeypatch.setenv(*cfg_text.split("="))
-        cfg_text = ""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text if cfg_text.startswith("[potential]")
                    else "[potential]\nkind = delta\n" + cfg_text)

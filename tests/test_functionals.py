@@ -210,6 +210,14 @@ def test_build_phi_c_negative_endpoint(grid):
         assert admissible(1.0 - ep.v)
 
 
+def test_build_phi_c_refuses_a_core_below_the_positivity_floor():
+    # at c = 0.001 the core's delta = c^2 / (4 sup W_hat) = 2.5e-7 puts rho =
+    # sqrt(delta) = 5e-4 under the floor, where the action is -inf; the
+    # least speed is 2 POSITIVITY_FLOOR sqrt(sup W_hat) = 0.002 for delta
+    with pytest.raises(OutOfRegimeError, match=r"c > 0\.002\b"):
+        build_phi_c(0.001, delta(), Grid(64.0, 2048))
+
+
 def test_build_phi_c_grid_too_small():
     from nlgp import GridTooSmallError
     small = Grid(4.0, 128)

@@ -30,8 +30,8 @@ def test_write_solution_returns_the_document_it_wrote(tmp_path):
                           newton_iters=0, krylov_iters=0, residual_sup=1e-12,
                           residual_l2=1e-12)
     path, extra = tmp_path / "sol.json", {"tail": 1e-15, "coarse_level": "contact seed"}
-    doc = write_solution(path, sol, seed=3, extra=extra)
-    assert doc == solution_to_dict(sol, 3, extra)
+    doc = write_solution(path, sol, extra=extra)
+    assert doc == solution_to_dict(sol, extra)
     assert path.read_text() == json.dumps(doc, indent=1)
 
 
@@ -55,7 +55,7 @@ def test_write_solution_splices_the_payload_unscanned(tmp_path, monkeypatch):
         return _encode(s)
     monkeypatch.setattr(json.encoder, "encode_basestring_ascii", spy)
     path = tmp_path / "sol.json"
-    doc = write_solution(path, sol, seed=3, extra=extra)
+    doc = write_solution(path, sol, extra=extra)
     assert "w" in doc["spec"]["table"] and len(encoded) > 20
     assert not set(encoded) & {doc["payload"][k] for k in ("rho", "theta", "eta")}
     monkeypatch.undo()

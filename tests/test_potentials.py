@@ -258,8 +258,7 @@ def test_dispersion_values():
 def test_dispersion_imaginary_branch():
     xs = np.linspace(0.0, 5.0, 64)
     spec = tabulated(xs, -np.ones_like(xs) * 0.9 + 0.0 * xs)
-    w, flag = dispersion(spec, np.array([0.5]), with_flag=True)
-    assert flag[0] and np.isnan(w[0])
+    assert np.isnan(dispersion(spec, np.array([0.5]))[0])
 
 
 def test_roton_maxon():
