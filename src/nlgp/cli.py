@@ -370,7 +370,9 @@ def _cmd_mpass(args, cfg):
         f"  lower (sphere bound) = {bracket.lower!r}",
         f"  upper (least path max) = {bracket.upper!r} after {bracket.sweeps} sweeps "
         f"(at most {refine_steps})",
-        "  path max at each checkpoint: " + ", ".join(f"{u:.8g}" for u in bracket.upper_history),
+        "  path max at each checkpoint: " + ", ".join(
+            f"{u:.8g} ({n}/{len(bracket.path) - 1} segments sampled)"
+            for u, n in zip(bracket.upper_history, bracket.segments_sampled)),
         f"  endpoint J = {bracket.endpoint_J!r} "
         f"(delta = {bracket.phi_delta:g}, r = {bracket.phi_r:g})",
     ] + ([f"  wrote {out}"] if out else []))

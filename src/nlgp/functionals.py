@@ -12,7 +12,7 @@ functions and gets one value per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
 from .potentials import HypothesisCertificate, PotentialSpec, bisect, inverse_mc
 from .spectral import (Grid, convolve, from_spectrum, integrate, per_row,
                        spectral_density_integral, spectrum)
+
+BLOCK_POINTS = 16384   # samples per row block of a stack pass: 128 KB of floats
 
 
 def sobolev_norm(grid: Grid, v: np.ndarray) -> float | np.ndarray:
@@ -49,18 +51,38 @@ def _action(grid: Grid, v: np.ndarray, vh: np.ndarray, c: float, spec: Potential
 
     A is taken by Parseval from vh and from the spectrum of eta = v (2 - v),
     which is returned for the caller to keep; B is a quadrature.  One
-    transform.  Outside the nonvanishing set B = +inf and J = -inf.
+    transform, of the whole stack; the passes over samples and spectra run
+    in row blocks (``_row_blocks``).  Outside the nonvanishing set B = +inf
+    and J = -inf.
     """
-    rho, eta = 1.0 - v, _f(v)
+    blocks = _row_blocks(grid, v)
+    eta = np.empty_like(v)
+    for rows in blocks:
+        np.multiply(v[rows], 2.0 - v[rows], out=eta[rows])   # _f(v)
     eh = spectrum(eta)
-    parts = action_parts(grid, c, rho, eta,
-                         spectral_density_integral(grid, grid.xi_half_squared, vh),
-                         spectral_density_integral(grid, spec.lattice_symbol(grid), eh))
-    inside = admissible(rho)
-    if not np.all(inside):
-        parts = replace(parts, J=per_row(np.where(inside, parts.J, -math.inf)),
-                        B=per_row(np.where(inside, parts.B, math.inf)))
-    return parts, eh
+    W = spec.lattice_symbol(grid)
+    J, A, B = (np.empty(v.shape[:-1]) for _ in range(3))
+    for rows in blocks:
+        rho = 1.0 - v[rows]
+        parts = action_parts(grid, c, rho, eta[rows],
+                             spectral_density_integral(grid, grid.xi_half_squared, vh[rows]),
+                             spectral_density_integral(grid, W, eh[rows]))
+        inside = admissible(rho)
+        J[rows] = np.where(inside, parts.J, -math.inf)
+        A[rows] = parts.A
+        B[rows] = np.where(inside, parts.B, math.inf)
+    return ActionParts(J=per_row(J), A=per_row(A), B=per_row(B)), eh
+
+
+def _row_blocks(grid: Grid, stack: np.ndarray) -> list:
+    """Index expressions that split a stack of fields on ``grid`` (samples
+    or spectra, one per row) into blocks of max(1, BLOCK_POINTS // N) rows,
+    so that an elementwise pass keeps each temporary near 128 KB; one field
+    is one block.  Every row is reduced alone, so blocks change no bits."""
+    if stack.ndim == 1:
+        return [...]
+    rows, n = max(1, BLOCK_POINTS // grid.size), len(stack)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def grad_J(grid: Grid, v: np.ndarray, c: float, spec: PotentialSpec) -> np.ndarray:
@@ -78,13 +100,16 @@ def _descent(grid: Grid, v: np.ndarray, vh: np.ndarray, eh: np.ndarray, c: float
 
     grad_J = -v'' - (local part of F) has the spectrum xi^2 vh minus that of
     the local part, whose W*eta is irfft(W_hat eh): three transforms.  Its
-    temporaries end with the call.
+    temporaries end with the call; the local part is formed in row blocks
+    (``_row_blocks``), in place of W*eta.
     """
-    rho = 1.0 - v
-    if not np.all(admissible(rho)):
-        raise VortexError("gradient undefined outside the nonvanishing set")
-    weta = from_spectrum(grid, spec.lattice_symbol(grid) * eh)
-    dh = grid.xi_half_squared * vh - spectrum(plus_local_part(0.0, rho, c, weta))
+    local = from_spectrum(grid, spec.lattice_symbol(grid) * eh)
+    for rows in _row_blocks(grid, v):
+        rho = 1.0 - v[rows]
+        if not np.all(admissible(rho)):
+            raise VortexError("gradient undefined outside the nonvanishing set")
+        local[rows] = plus_local_part(0.0, rho, c, local[rows])
+    dh = grid.xi_half_squared * vh - spectrum(local)
     dh *= inv_mc
     return from_spectrum(grid, dh), dh
 
@@ -116,6 +141,7 @@ SUBDIVISIONS = 8      # interior points per segment in each path maximum
 CHECK_EVERY = 5       # sweeps between checkpoints of the path maximum
 STOP_RTOL = 1e-4      # two successive checkpoints this close stop the sweeps
 SAMPLE_BANDWIDTH = 2.0  # Gaussian frequency envelope of the sphere-bound samples
+BOUND_MARGIN = 1e-9   # rounding margin of a segment bound, relative to A and c^2 B
 
 
 @dataclass(frozen=True)
@@ -239,6 +265,7 @@ class MountainPassBracket:
     phi_r: float
     endpoint_J: float
     upper_history: list           # the path maximum at each checkpoint
+    segments_sampled: list        # how many segments each checkpoint sampled
     sweeps: int                   # string-method sweeps run
 
     def as_dict(self):
@@ -246,7 +273,8 @@ class MountainPassBracket:
                 "path_nodes": len(self.path),
                 "phi_params": {"delta": self.phi_delta, "r": self.phi_r},
                 "endpoint_J": self.endpoint_J,
-                "upper_history": self.upper_history, "sweeps": self.sweeps}
+                "upper_history": self.upper_history,
+                "segments_sampled": self.segments_sampled, "sweeps": self.sweeps}
 
 
 def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
@@ -258,9 +286,10 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     preconditioned gradient with fixed endpoints (a string method),
     re-parameterized by H1 arc length after each sweep.  Every CHECK_EVERY
     sweeps, and after the last, a checkpoint takes the largest action found
-    on the path (``_path_max``); ``upper_history`` lists these values.  The
-    sweeps stop when two successive checkpoints agree to STOP_RTOL relative,
-    or after ``refine_steps``, which is therefore a cap; ``refine_steps = 0``
+    on the path (``_path_max``); ``upper_history`` lists these values and
+    ``segments_sampled`` how many segments each one sampled.  The sweeps
+    stop when two successive checkpoints agree to STOP_RTOL relative, or
+    after ``refine_steps``, which is therefore a cap; ``refine_steps = 0``
     evaluates the straight path alone.  Each checkpoint is the maximum over
     an admissible path, so the least of them is reported as the upper
     bound.  The lower bound is the sphere constant at radius r_sup / 2.
@@ -270,7 +299,9 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
     reparameterized nodes are linear combinations of nodes, formed on
     samples and spectra alike, so an action costs one transform, a descent
     direction three and the H1 arc lengths none.  A checkpoint takes one
-    transform for the whole path and one quadrature per sample.
+    transform for the segments it samples, those whose bound reaches the
+    best node, and one quadrature per sample.  Elementwise passes over the
+    stack run in row blocks (``_row_blocks``).
     Between reparameterizations the nodes move independently, one stack per
     stage; each node has its own acceptance test, and the pending nodes
     share the step, halved every round.  Each node's action is evaluated
@@ -290,7 +321,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         return np.where(parts.B == math.inf, math.inf, parts.J), ehs
 
     Js, eta_spectra = J_of(path, spectra)
-    history, sweeps = [], 0
+    history, sampled, sweeps = [], [], 0
     while sweeps < refine_steps:
         # frozen downhill tail: the action is steeply unbounded below near
         # the positivity floor, and chasing it only stretches the path until
@@ -312,32 +343,47 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         Js[1:-1], eta_spectra[1:-1] = J_of(path[1:-1], spectra[1:-1])
         sweeps += 1
         if sweeps % CHECK_EVERY == 0 or sweeps == refine_steps:
-            history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec))
+            history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec, sampled))
             if len(history) > 1 and abs(history[-1] - history[-2]) <= STOP_RTOL * history[-1]:
                 break
     if not history:
-        history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec))
+        history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec, sampled))
     return MountainPassBracket(c=c, lower=lower, upper=min(history), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history,
-                               sweeps=sweeps)
+                               segments_sampled=sampled, sweeps=sweeps)
 
 
 def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np.ndarray,
-              Js: np.ndarray, c: float, spec: PotentialSpec) -> float:
+              Js: np.ndarray, c: float, spec: PotentialSpec, sampled=None) -> float:
     """The largest action found on the polyline through the nodes ``path``
     (spectra ``spectra``, eta spectra ``eta_spectra``, actions ``Js``): at
     the nodes, at SUBDIVISIONS interior points per segment, and by a
     golden-section search between the neighbours of the best of those
     samples, since fixed samples can step over the ridge.  The samples are
     evaluated one segment at a time, each by the quadrature of B alone
-    (``_polyline_action``)."""
-    J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec)
+    (``_polyline_action``).
+
+    Only the segments whose bound (``_segment_bounds``) reaches the best
+    node are sampled: no sample of another can be the largest.  The two
+    segments next to the best node reach it, so the golden-section search,
+    which stays within a step of the best sample, never leaves the sampled
+    segments.  The number sampled is appended to the list ``sampled`` when
+    one is given.
+    """
+    kept = np.flatnonzero(_segment_bounds(grid, path, spectra, c, spec) >= Js[:-1].max())
+    if sampled is not None:
+        sampled.append(len(kept))
+    J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec, kept)
     # the nodes and SUBDIVISIONS interior points per segment, at t = j * step;
     # the last node is the endpoint, whose J < 0 = J(path[0])
     step = 1.0 / (SUBDIVISIONS + 1)
     inner = step * np.arange(1, SUBDIVISIONS + 1)
-    samples = np.column_stack([Js[:-1], [J_at(k, inner) for k in range(len(path) - 1)]]).ravel()
+    samples = np.full((len(path) - 1, SUBDIVISIONS + 1), -math.inf)
+    samples[:, 0] = Js[:-1]
+    for k in kept:
+        samples[k, 1:] = J_at(k, inner)
+    samples = samples.ravel()
     t = np.argmax(samples) * step
 
     def J_along(t):
@@ -349,12 +395,51 @@ def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np
                                                 min(t + step, len(path) - 1.0))))
 
 
+def _segment_bounds(grid: Grid, path: np.ndarray, spectra: np.ndarray, c: float,
+                    spec: PotentialSpec) -> np.ndarray:
+    """An upper bound of J over each whole segment of the polyline through
+    the admissible nodes ``path`` (spectra ``spectra``), widened by
+    BOUND_MARGIN times the scale of A and c^2 B, so no computed J on the
+    segment exceeds it.
+
+    On v = (1 - w) a + w b the kinetic sum (1 - w)^2 kin_a + w^2 kin_b +
+    2 w (1 - w) kin_ab is at most max(kin_a, kin_b, kin_ab), the weights
+    being non-negative with sum one, and so at most max(kin_a, kin_b), as
+    kin_ab <= sqrt(kin_a kin_b) by Cauchy-Schwarz.  eta = v (2 - v)
+    increases for v < 1, so eta lies between eta_a and eta_b and
+    int (W*eta) eta <= max(sup W, 0) int max(eta_a^2, eta_b^2).
+    B = (1/8) int (1/rho - rho)^2, and |1/rho - rho| shrinks toward
+    rho = 1, so B >= (1/8) int (1/r - r)^2 with r the point of
+    [min(rho_a, rho_b), max(rho_a, rho_b)] nearest 1.
+    """
+    W = spec.lattice_symbol(grid)
+    kin = spectral_density_integral(grid, grid.xi_half_squared, spectra)
+    kinetic = np.maximum(kin[:-1], kin[1:])
+    eta_sq, b_low = np.empty(len(path) - 1), np.empty(len(path) - 1)
+    for rows in _row_blocks(grid, path[1:]):   # one row per segment
+        nodes = path[rows.start:rows.stop + 1]
+        eta = _f(nodes)
+        q = eta / (1.0 - nodes)   # 1/rho - rho
+        q *= q
+        eta *= eta
+        eta_sq[rows] = integrate(grid, np.maximum(eta[:-1], eta[1:]))
+        # r = 1 where rho_a - 1 and rho_b - 1 differ in sign, else the node nearest 1
+        q = np.minimum(q[:-1], q[1:])
+        q[(nodes[:-1] > 0.0) != (nodes[1:] > 0.0)] = 0.0
+        b_low[rows] = 0.125 * integrate(grid, q)
+    upper = 0.5 * kinetic + 0.25 * max(float(W.max()), 0.0) * eta_sq - c ** 2 * b_low
+    scale = 0.5 * kinetic + 0.25 * float(np.abs(W).max()) * eta_sq + c ** 2 * b_low
+    return upper + BOUND_MARGIN * scale
+
+
 def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
-                     eta_spectra: np.ndarray, c: float, spec: PotentialSpec):
+                     eta_spectra: np.ndarray, c: float, spec: PotentialSpec,
+                     segments=None):
     """J on the polyline through the admissible nodes ``path`` (spectra
     ``spectra``, eta spectra ``eta_spectra``): a function of the segment k
     and a weight w, or an array of weights, which gives J at
-    (1 - w) path[k] + w path[k + 1].
+    (1 - w) path[k] + w path[k + 1].  Only the segments listed in
+    ``segments`` (all by default) are prepared.
 
     On the segment v = (1 - w) a + w b both quadratic integrals of A are
     polynomials in w: int (v')^2 a quadratic, and, since eta = (1 - w)^2
@@ -364,27 +449,38 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
     segments, so a point costs only the quadrature of B.  rho is linear in
     w, so min rho >= (1 - w) min rho_a + w min rho_b > POSITIVITY_FLOOR: a
     segment between two admissible nodes is admissible, and its points need
-    no membership test.
+    no membership test.  One weight forms its one row directly, with the
+    same floating-point operations as a stack of them.
     """
+    seg = np.arange(len(path) - 1) if segments is None else np.asarray(segments)
     xi2, W = grid.xi_half_squared, spec.lattice_symbol(grid)
-    a, b = path[:-1], path[1:]
-    ea, eb = eta_spectra[:-1], eta_spectra[1:]
+    a, b = path[seg], path[seg + 1]
+    va, vb, ea, eb = spectra[seg], spectra[seg + 1], eta_spectra[seg], eta_spectra[seg + 1]
     gh = spectrum(a + b - a * b)
-    kin = spectral_density_integral(grid, xi2, spectra).tolist()
-    kin_ab = spectral_density_integral(grid, xi2, spectra[:-1], spectra[1:]).tolist()
-    ee = spectral_density_integral(grid, W, eta_spectra).tolist()
-    gg = spectral_density_integral(grid, W, gh).tolist()
-    ab, ag, bg = (spectral_density_integral(grid, W, f, g).tolist()
-                  for f, g in ((ea, eb), (ea, gh), (eb, gh)))
+    coefficients = dict(zip(seg.tolist(), zip(*(
+        spectral_density_integral(grid, weights, f, g).tolist()
+        for weights, f, g in ((xi2, va, None), (xi2, vb, None), (xi2, va, vb),
+                              (W, ea, None), (W, eb, None), (W, gh, None),
+                              (W, ea, eb), (W, ea, gh), (W, eb, gh))))))
+    h = grid.spacing
 
     def J_at(k, w):
+        kin_a, kin_b, kin_ab, ee_a, ee_b, gg, ab, ag, bg = coefficients[k]
         s = 1.0 - w
         p0, p1, p2 = s * s, w * w, 2.0 * w * s
-        kinetic = p0 * kin[k] + p1 * kin[k + 1] + p2 * kin_ab[k]
-        interaction = (p0 * p0 * ee[k] + p1 * p1 * ee[k + 1] + p2 * p2 * gg[k]
-                       + 2.0 * p0 * p1 * ab[k] + 2.0 * p0 * p2 * ag[k] + 2.0 * p1 * p2 * bg[k])
-        v = np.multiply.outer(s, path[k]) + np.multiply.outer(w, path[k + 1])
-        return action_parts(grid, c, 1.0 - v, _f(v), kinetic, interaction).J
+        kinetic = p0 * kin_a + p1 * kin_b + p2 * kin_ab
+        interaction = (p0 * p0 * ee_a + p1 * p1 * ee_b + p2 * p2 * gg
+                       + 2.0 * p0 * p1 * ab + 2.0 * p0 * p2 * ag + 2.0 * p1 * p2 * bg)
+        if np.ndim(w):
+            v = np.multiply.outer(s, path[k]) + np.multiply.outer(w, path[k + 1])
+            return action_parts(grid, c, 1.0 - v, _f(v), kinetic, interaction).J
+        # action_parts' arithmetic on the one row
+        v = s * path[k]
+        v += w * path[k + 1]
+        q = _f(v)
+        q /= 1.0 - v
+        q *= q
+        return 0.5 * kinetic + 0.25 * interaction - c ** 2 * (0.125 * (h * float(np.sum(q))))
 
     return J_at
 
@@ -415,7 +511,10 @@ def _reparameterize(grid: Grid, path: np.ndarray, spectra: np.ndarray):
     nodes' spectra (rows of ``spectra``) give the lengths by Parseval and
     move with them."""
     n = len(path)
-    d = np.concatenate(([0.0], np.cumsum(_h1_norm(grid, np.diff(spectra, axis=0)))))
+    d = np.zeros(n)
+    for rows in _row_blocks(grid, spectra[1:]):   # one row per segment
+        d[1:][rows] = _h1_norm(grid, spectra[1:][rows] - spectra[rows])
+    np.cumsum(d, out=d)
     if d[-1] == 0.0:
         return path, spectra
     d /= d[-1]

@@ -749,6 +749,20 @@ def test_cli_mpass_text_names_sweeps_and_checkpoints(capsys):
     assert text.count("path max at each checkpoint: ") == 1
 
 
+def test_cli_mpass_reports_segments_sampled(capsys):
+    # one count per checkpoint, in the JSON and on the checkpoint line
+    args = ("mpass", "--potential", "delta", "--c", "1.0", "--L", "32", "--N", "512",
+            "--refine-steps", "12")
+    assert run_cli("--json", *args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    segments = doc["path_nodes"] - 1
+    assert len(doc["segments_sampled"]) == len(doc["upper_history"]) == 3
+    assert all(1 <= n <= segments for n in doc["segments_sampled"])
+    assert run_cli(*args) == 0
+    line, = [ln for ln in capsys.readouterr().out.splitlines() if "path max at each" in ln]
+    assert line.count(f"/{segments} segments sampled") == 3
+
+
 def test_cli_mpass_out_of_regime_exit_5(capsys):
     assert run_cli("mpass", "--potential", "delta", "--c", "1.45") == 5
     err = capsys.readouterr().err

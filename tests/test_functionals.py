@@ -414,6 +414,65 @@ def _kernels():
     return [spec for _, spec, _, _ in reference_cases()]
 
 
+@pytest.mark.parametrize("spec", _kernels() + [berloff(-36.0, 2687.0, 30.0)],
+                         ids=lambda s: s.label())
+@pytest.mark.parametrize("c", [0.5, 1.2, 3.0])
+def test_segment_bound_holds_along_each_segment(grid, spec, c):
+    # each segment's bound lies above J at 33 points of it, endpoints
+    # included: on a bent polyline of one-signed nodes (the string method's
+    # shape, where the lower bound of B binds), on independent nodes of
+    # either sign, whose segments cross rho = 1, and on the flat segment
+    # from v = 0.2 to -0.2, whose J peaks at v = 0 once c^2 > 2, so B's
+    # lower bound must vanish where a segment crosses rho = 1
+    ws = np.linspace(0.0, 1.0, 33)[:, None]
+    flat = np.array([np.full(grid.size, 0.2), np.full(grid.size, -0.2)])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        a, b = np.abs(random_smooth(grid, rng, 0.6)), random_smooth(grid, rng, 0.3)
+        s = np.linspace(0.0, 1.0, 9)
+        bent = s[:, None] * a + np.sin(np.pi * s)[:, None] * b
+        mixed = np.array([random_smooth(grid, rng, 0.7) for _ in range(9)])
+        for path in (bent, mixed, flat):
+            bounds = functionals._segment_bounds(grid, path, spectrum(path), c, spec)
+            assert bounds.shape == (len(path) - 1,) and np.all(np.isfinite(bounds))
+            for k, bound in enumerate(bounds):
+                J = functional_J(grid, (1.0 - ws) * path[k] + ws * path[k + 1], c, spec).J
+                assert J.max() <= bound
+
+
+@pytest.mark.parametrize("spec", [delta(), exp_repulsive(1.0, 3.0)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("c", [0.8, 1.2])
+def test_pruned_checkpoints_equal_sampling_every_segment(grid, spec, c, monkeypatch):
+    # no sample of a segment whose bound lies below the best node can be the
+    # path maximum, so each checkpoint of a whole bracket equals, to the bit,
+    # the one that samples every segment (every bound +inf)
+    inner = functionals._path_max
+    pairs = []
+
+    def spy(*args):
+        pruned = inner(*args)
+        with monkeypatch.context() as m:
+            m.setattr(functionals, "_segment_bounds",
+                      lambda grid, path, *rest: np.full(len(path) - 1, math.inf))
+            pairs.append((pruned, inner(*args[:7])))
+        return pruned
+
+    monkeypatch.setattr(functionals, "_path_max", spy)
+    bracket = mountain_pass_bracket(c, spec, certify(spec), grid, refine_steps=200)
+    assert [pruned for pruned, _ in pairs] == bracket.upper_history
+    assert all(pruned == every for pruned, every in pairs)
+    assert len(bracket.segments_sampled) == len(pairs)
+    assert max(bracket.segments_sampled) < len(bracket.path) - 1
+
+
+def test_bench_bracket_samples_few_segments(grid):
+    # delta at c = 1, as the benchmark runs it: the bound leaves at most 6
+    # of the 32 segments to sample at every checkpoint
+    bracket = mountain_pass_bracket(1.0, delta(), certify(delta()), grid, refine_steps=200)
+    assert len(bracket.segments_sampled) == len(bracket.upper_history)
+    assert all(1 <= n <= 6 for n in bracket.segments_sampled), bracket.segments_sampled
+
+
 def test_parseval_action_matches_quadrature(grid, stack):
     # A by Parseval from the spectra equals A by quadrature of the samples
     inside = stack[[0, 2]]
