@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GridTooSmallError, OutOfRegimeError, VortexError
 from .hydro import (POSITIVITY_FLOOR, ActionParts, action_parts, admissible,
-                    plus_local_part, rho_equation)
+                    b_quadrature, plus_local_part, rho_equation)
 from .potentials import HypothesisCertificate, PotentialSpec, bisect, inverse_mc
 from .spectral import (Grid, convolve, from_spectrum, integrate, per_row,
                        spectral_density_integral, spectrum)
@@ -320,6 +320,12 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         parts, ehs = _action(grid, vs, vhs, c, spec)
         return np.where(parts.B == math.inf, math.inf, parts.J), ehs
 
+    def checkpoint():
+        # sample only the segments whose bound reaches the best node
+        kept = np.flatnonzero(_segment_bounds(grid, path, spectra, c, spec) >= Js[:-1].max())
+        sampled.append(len(kept))
+        history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec, kept))
+
     Js, eta_spectra = J_of(path, spectra)
     history, sampled, sweeps = [], [], 0
     while sweeps < refine_steps:
@@ -343,11 +349,11 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
         Js[1:-1], eta_spectra[1:-1] = J_of(path[1:-1], spectra[1:-1])
         sweeps += 1
         if sweeps % CHECK_EVERY == 0 or sweeps == refine_steps:
-            history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec, sampled))
+            checkpoint()
             if len(history) > 1 and abs(history[-1] - history[-2]) <= STOP_RTOL * history[-1]:
                 break
     if not history:
-        history.append(_path_max(grid, path, spectra, eta_spectra, Js, c, spec, sampled))
+        checkpoint()
     return MountainPassBracket(c=c, lower=lower, upper=min(history), path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history,
@@ -355,7 +361,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
 
 
 def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np.ndarray,
-              Js: np.ndarray, c: float, spec: PotentialSpec, sampled=None) -> float:
+              Js: np.ndarray, c: float, spec: PotentialSpec, segments=None) -> float:
     """The largest action found on the polyline through the nodes ``path``
     (spectra ``spectra``, eta spectra ``eta_spectra``, actions ``Js``): at
     the nodes, at SUBDIVISIONS interior points per segment, and by a
@@ -364,24 +370,22 @@ def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np
     evaluated one segment at a time, each by the quadrature of B alone
     (``_polyline_action``).
 
-    Only the segments whose bound (``_segment_bounds``) reaches the best
-    node are sampled: no sample of another can be the largest.  The two
-    segments next to the best node reach it, so the golden-section search,
-    which stays within a step of the best sample, never leaves the sampled
-    segments.  The number sampled is appended to the list ``sampled`` when
-    one is given.
+    Only the segments listed in ``segments`` (all by default) are sampled.
+    A list that keeps every segment whose bound (``_segment_bounds``)
+    reaches the best node loses no candidate for the largest sample, and it
+    holds the two segments next to the best node, so the golden-section
+    search, which stays within a step of the best sample, never leaves it.
     """
-    kept = np.flatnonzero(_segment_bounds(grid, path, spectra, c, spec) >= Js[:-1].max())
-    if sampled is not None:
-        sampled.append(len(kept))
-    J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec, kept)
+    if segments is None:
+        segments = range(len(path) - 1)
+    J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec, segments)
     # the nodes and SUBDIVISIONS interior points per segment, at t = j * step;
     # the last node is the endpoint, whose J < 0 = J(path[0])
     step = 1.0 / (SUBDIVISIONS + 1)
     inner = step * np.arange(1, SUBDIVISIONS + 1)
     samples = np.full((len(path) - 1, SUBDIVISIONS + 1), -math.inf)
     samples[:, 0] = Js[:-1]
-    for k in kept:
+    for k in segments:
         samples[k, 1:] = J_at(k, inner)
     samples = samples.ravel()
     t = np.argmax(samples) * step
@@ -449,8 +453,8 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
     segments, so a point costs only the quadrature of B.  rho is linear in
     w, so min rho >= (1 - w) min rho_a + w min rho_b > POSITIVITY_FLOOR: a
     segment between two admissible nodes is admissible, and its points need
-    no membership test.  One weight forms its one row directly, with the
-    same floating-point operations as a stack of them.
+    no membership test.  J is formed as ``action_parts`` forms it, without
+    its record of the parts, which a golden-section point does not need.
     """
     seg = np.arange(len(path) - 1) if segments is None else np.asarray(segments)
     xi2, W = grid.xi_half_squared, spec.lattice_symbol(grid)
@@ -462,7 +466,6 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
         for weights, f, g in ((xi2, va, None), (xi2, vb, None), (xi2, va, vb),
                               (W, ea, None), (W, eb, None), (W, gh, None),
                               (W, ea, eb), (W, ea, gh), (W, eb, gh))))))
-    h = grid.spacing
 
     def J_at(k, w):
         kin_a, kin_b, kin_ab, ee_a, ee_b, gg, ab, ag, bg = coefficients[k]
@@ -471,16 +474,9 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
         kinetic = p0 * kin_a + p1 * kin_b + p2 * kin_ab
         interaction = (p0 * p0 * ee_a + p1 * p1 * ee_b + p2 * p2 * gg
                        + 2.0 * p0 * p1 * ab + 2.0 * p0 * p2 * ag + 2.0 * p1 * p2 * bg)
-        if np.ndim(w):
-            v = np.multiply.outer(s, path[k]) + np.multiply.outer(w, path[k + 1])
-            return action_parts(grid, c, 1.0 - v, _f(v), kinetic, interaction).J
-        # action_parts' arithmetic on the one row
-        v = s * path[k]
-        v += w * path[k + 1]
-        q = _f(v)
-        q /= 1.0 - v
-        q *= q
-        return 0.5 * kinetic + 0.25 * interaction - c ** 2 * (0.125 * (h * float(np.sum(q))))
+        v = np.multiply.outer(s, path[k])
+        v += np.multiply.outer(w, path[k + 1])
+        return 0.5 * kinetic + 0.25 * interaction - c ** 2 * b_quadrature(grid, 1.0 - v, _f(v))
 
     return J_at
 

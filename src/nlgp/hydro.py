@@ -342,10 +342,15 @@ def action_parts(grid: Grid, c: float, rho: np.ndarray, eta: np.ndarray,
     each part holds one value per row.
     """
     A = 0.5 * kinetic + 0.25 * interaction
+    B = b_quadrature(grid, rho, eta)
+    return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
+
+
+def b_quadrature(grid: Grid, rho: np.ndarray, eta: np.ndarray):
+    """B = (1/8) int eta^2 / rho^2 by quadrature, one value per row of a stack."""
     q = eta / rho
     q *= q
-    B = 0.125 * integrate(grid, q)
-    return ActionParts(J=per_row(A - c ** 2 * B), A=per_row(A), B=per_row(B))
+    return 0.125 * integrate(grid, q)
 
 
 def action(fields: WaveFields) -> float:

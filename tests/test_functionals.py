@@ -444,25 +444,18 @@ def test_segment_bound_holds_along_each_segment(grid, spec, c):
 @pytest.mark.parametrize("c", [0.8, 1.2])
 def test_pruned_checkpoints_equal_sampling_every_segment(grid, spec, c, monkeypatch):
     # no sample of a segment whose bound lies below the best node can be the
-    # path maximum, so each checkpoint of a whole bracket equals, to the bit,
-    # the one that samples every segment (every bound +inf)
-    inner = functionals._path_max
-    pairs = []
-
-    def spy(*args):
-        pruned = inner(*args)
-        with monkeypatch.context() as m:
-            m.setattr(functionals, "_segment_bounds",
-                      lambda grid, path, *rest: np.full(len(path) - 1, math.inf))
-            pairs.append((pruned, inner(*args[:7])))
-        return pruned
-
-    monkeypatch.setattr(functionals, "_path_max", spy)
-    bracket = mountain_pass_bracket(c, spec, certify(spec), grid, refine_steps=200)
-    assert [pruned for pruned, _ in pairs] == bracket.upper_history
-    assert all(pruned == every for pruned, every in pairs)
-    assert len(bracket.segments_sampled) == len(pairs)
-    assert max(bracket.segments_sampled) < len(bracket.path) - 1
+    # path maximum, so a whole bracket equals, to the bit, the one whose
+    # checkpoints sample every segment (every bound +inf)
+    pruned = mountain_pass_bracket(c, spec, certify(spec), grid, refine_steps=200)
+    monkeypatch.setattr(functionals, "_segment_bounds",
+                        lambda grid, path, *rest: np.full(len(path) - 1, math.inf))
+    every = mountain_pass_bracket(c, spec, certify(spec), grid, refine_steps=200)
+    assert pruned.upper_history == every.upper_history
+    assert pruned.sweeps == every.sweeps and np.array_equal(pruned.path, every.path)
+    segments = len(pruned.path) - 1
+    assert every.segments_sampled == [segments] * len(every.upper_history)
+    assert len(pruned.segments_sampled) == len(pruned.upper_history)
+    assert max(pruned.segments_sampled) < segments
 
 
 def test_bench_bracket_samples_few_segments(grid):
