@@ -151,6 +151,11 @@ def _emit(args, doc: dict, text_lines):
         print("\n".join(text_lines))
 
 
+def _recorded(fact) -> str:
+    """A kernel fact as text; one the kernel does not record says so."""
+    return "unknown (not recorded for this kernel)" if fact is None else f"{fact}"
+
+
 def _check_subsonic(spec, c):
     cs = potentials.sound_speed(spec)
     if not (0.0 < c < cs):
@@ -283,8 +288,8 @@ def _cmd_verify(args, cfg):
                "pass": bool(ok)}
     lines = [f"verify {args.input}: residual sup = {sup:.3e}"]
     for e in report.entries:
-        state = "skip" if e.skipped else ("pass" if e.passed else "FAIL")
-        lines.append(f"  {e.name:18s} {state:4s} residual = {e.residual_rel:.3e}"
+        state = "pass" if e.passed else "FAIL"
+        lines.append(f"  {e.name:18s} {state} residual = {e.residual_rel:.3e}"
                      + (" (holds by construction)" if e.by_construction else ""))
     lines.append(f"  nonvanishing bound: {'pass' if nv.passed else 'FAIL'} "
                  f"({nv.weta_sup:.4f} >= {nv.bound:.4f})")
@@ -348,7 +353,7 @@ def _cmd_certify(args, cfg):
         lines.append(f"  derivative bound m = {cert.m:.6f} "
                      f"({'full' if cert.h3_full else 'slope only'})")
     lines.append(f"  second-derivative class: {cert.h2_class}; "
-                 f"total variation: {cert.h4_norm}")
+                 f"total variation: {_recorded(cert.h4_norm)}")
     for note in cert.notes:
         lines.append(f"  note: {note}")
     _emit(args, doc, lines)
@@ -391,11 +396,12 @@ def _cmd_decay(args, cfg):
            "fit_exponential": {"rate": fe.rate_or_power, "r2": fe.r_squared},
            "fit_algebraic": {"power": fa.rate_or_power, "r2": fa.r_squared},
            "selected": chosen}
+    prediction = {"exponential": f"exponential rate {pred.value:.6f}",
+                  "algebraic": f"algebraic every power below {pred.value:g}"}.get(
+        pred.model, "none (the symbol has neither an analytic extension nor a kink)")
     lines = [f"{spec.label()} at c = {c:g}:",
              f"  solved on L = {grid.half_length:g}, N = {grid.size}, tail = {tail:.3e}",
-             f"  prediction: {pred.model} "
-             + (f"rate {pred.value:.6f}" if pred.model == 'exponential'
-                else f"every power below {pred.value:g}"),
+             "  prediction: " + prediction,
              f"  fitted exponential rate = {fe.rate_or_power:.6f} (r2 = {fe.r_squared:.4f})",
              f"  fitted algebraic power = {fa.rate_or_power:.6f} (r2 = {fa.r_squared:.4f})",
              f"  selected model: {chosen}"]
@@ -420,7 +426,7 @@ def _cmd_sonic(args, cfg):
     _emit(args, doc, [
         f"{sweep.spec_label}: amplitude exponent gamma = {sweep.gamma:.4f} "
         f"(eta_max ~ (2 - c^2)^gamma)",
-        f"  symbol curvature at 0: {sweep.d2_symbol_at_zero}",
+        f"  symbol curvature at 0: {_recorded(sweep.d2_symbol_at_zero)}",
         f"  nonvanishing bound held at every sample: {sweep.all_nonvanishing_ok}",
     ] + ([f"  skipped gaps (unconverged or failing the identity suite): {skipped}"]
          if skipped else [])

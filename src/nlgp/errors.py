@@ -9,8 +9,8 @@ class ConfigError(NlgpError):
     """Malformed or inconsistent run configuration."""
 
 
-class OutOfRangeError(NlgpError):
-    """Tabulated symbol queried outside its sample range."""
+class OutOfRangeError(ConfigError):
+    """Tabulated symbol queried beyond its table: an input too short for the run."""
 
 
 class NoSoundSpeedError(NlgpError):

@@ -361,7 +361,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
 
 
 def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np.ndarray,
-              Js: np.ndarray, c: float, spec: PotentialSpec, segments=None) -> float:
+              Js: np.ndarray, c: float, spec: PotentialSpec, segments) -> float:
     """The largest action found on the polyline through the nodes ``path``
     (spectra ``spectra``, eta spectra ``eta_spectra``, actions ``Js``): at
     the nodes, at SUBDIVISIONS interior points per segment, and by a
@@ -370,14 +370,12 @@ def _path_max(grid: Grid, path: np.ndarray, spectra: np.ndarray, eta_spectra: np
     evaluated one segment at a time, each by the quadrature of B alone
     (``_polyline_action``).
 
-    Only the segments listed in ``segments`` (all by default) are sampled.
+    Only the segments listed in ``segments`` are sampled.
     A list that keeps every segment whose bound (``_segment_bounds``)
     reaches the best node loses no candidate for the largest sample, and it
     holds the two segments next to the best node, so the golden-section
     search, which stays within a step of the best sample, never leaves it.
     """
-    if segments is None:
-        segments = range(len(path) - 1)
     J_at = _polyline_action(grid, path, spectra, eta_spectra, c, spec, segments)
     # the nodes and SUBDIVISIONS interior points per segment, at t = j * step;
     # the last node is the endpoint, whose J < 0 = J(path[0])
@@ -438,12 +436,11 @@ def _segment_bounds(grid: Grid, path: np.ndarray, spectra: np.ndarray, c: float,
 
 def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
                      eta_spectra: np.ndarray, c: float, spec: PotentialSpec,
-                     segments=None):
+                     segments):
     """J on the polyline through the admissible nodes ``path`` (spectra
     ``spectra``, eta spectra ``eta_spectra``): a function of the segment k
     and a weight w, or an array of weights, which gives J at
-    (1 - w) path[k] + w path[k + 1].  Only the segments listed in
-    ``segments`` (all by default) are prepared.
+    (1 - w) path[k] + w path[k + 1], for k among the listed ``segments``.
 
     On the segment v = (1 - w) a + w b both quadratic integrals of A are
     polynomials in w: int (v')^2 a quadratic, and, since eta = (1 - w)^2
@@ -456,7 +453,7 @@ def _polyline_action(grid: Grid, path: np.ndarray, spectra: np.ndarray,
     no membership test.  J is formed as ``action_parts`` forms it, without
     its record of the parts, which a golden-section point does not need.
     """
-    seg = np.arange(len(path) - 1) if segments is None else np.asarray(segments)
+    seg = np.asarray(segments)
     xi2, W = grid.xi_half_squared, spec.lattice_symbol(grid)
     a, b = path[seg], path[seg + 1]
     va, vb, ea, eb = spectra[seg], spectra[seg + 1], eta_spectra[seg], eta_spectra[seg + 1]

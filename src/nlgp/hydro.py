@@ -209,7 +209,6 @@ class IdentityEntry:
     rhs_norm: float
     residual_rel: float
     passed: bool
-    skipped: bool = False
 
     @property
     def by_construction(self) -> bool:
@@ -218,8 +217,7 @@ class IdentityEntry:
     def as_dict(self):
         return {"name": self.name, "lhs_norm": self.lhs_norm,
                 "rhs_norm": self.rhs_norm, "residual_rel": self.residual_rel,
-                "pass": self.passed, "skipped": self.skipped,
-                "by_construction": self.by_construction}
+                "pass": self.passed, "by_construction": self.by_construction}
 
 
 @dataclass(frozen=True)
@@ -229,12 +227,11 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.passed or e.skipped for e in self.entries)
+        return all(e.passed for e in self.entries)
 
     @property
     def max_residual(self) -> float:
-        vals = [e.residual_rel for e in self.entries if not e.skipped]
-        return max(vals) if vals else 0.0
+        return max(e.residual_rel for e in self.entries)
 
     def __getitem__(self, name: str) -> IdentityEntry:
         for e in self.entries:
@@ -262,8 +259,7 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
 
     For a converged solution every residual should sit below ``tol``
     (relative); for arbitrary fields the entries are still well-defined
-    diagnostics.  The two spectral-density identities need the symbol
-    derivative and are marked skipped when it is unavailable.
+    diagnostics.
     """
     g, spec = fields.grid, fields.spec
     c, eta, eta_x, weta, K = fields.c, fields.eta, fields.eta_x, fields.weta, fields.K
@@ -286,20 +282,16 @@ def identity_suite(fields: WaveFields, tol: float = IDENTITY_TOL) -> IdentityRep
     entries.append(_entry("kinetic_closure", 2.0 * K,
                           (c ** 2 * eta ** 2 + eta_x ** 2) / (2.0 * (1.0 - eta)),
                           tol, scale))
-    if spec.has_deriv:
-        wk = spec.lattice_symbol(g)
-        xwp = spec.xi_symbol_deriv(g.xi_half)
-        eh = fields.eta_hat
-        # int |u'|^2 = (1/4pi) int (W_hat - xi W_hat') |eta_hat|^2
-        lhs = integrate(g, K)
-        rhs = 0.5 * spectral_density_integral(g, wk - xwp, eh)
-        entries.append(_entry("pohozaev", lhs, rhs, tol))
-        # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
-        rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eh)
-        entries.append(_entry("action_identity", action(fields), rhs, tol))
-    else:
-        entries.append(IdentityEntry("pohozaev", np.nan, np.nan, np.nan, False, skipped=True))
-        entries.append(IdentityEntry("action_identity", np.nan, np.nan, np.nan, False, skipped=True))
+    wk = spec.lattice_symbol(g)
+    xwp = spec.xi_symbol_deriv(g.xi_half)
+    eh = fields.eta_hat
+    # int |u'|^2 = (1/4pi) int (W_hat - xi W_hat') |eta_hat|^2
+    lhs = integrate(g, K)
+    rhs = 0.5 * spectral_density_integral(g, wk - xwp, eh)
+    entries.append(_entry("pohozaev", lhs, rhs, tol))
+    # J_c(1 - rho) = int (rho')^2 + (1/8pi) int xi W_hat' |eta_hat|^2
+    rhs = integrate(g, fields.rho_x ** 2) + 0.25 * spectral_density_integral(g, xwp, eh)
+    entries.append(_entry("action_identity", action(fields), rhs, tol))
     return IdentityReport(entries=tuple(entries), tol=tol)
 
 

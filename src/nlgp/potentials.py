@@ -53,13 +53,18 @@ class MeasureDecomposition:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """An interaction kernel, defined primarily by its Fourier symbol."""
+    """An interaction kernel, defined primarily by its Fourier symbol: the
+    symbol and its derivative on |xi|, whether the symbol also takes complex
+    xi (``analytic``), the |xi| of its kink (``kink``, which makes the tail
+    algebraic), and the notes its certificate carries."""
 
     kind: str
     params: dict
     _symbol: Callable[[np.ndarray], np.ndarray]
-    _deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _complex_symbol: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _deriv: Callable[[np.ndarray], np.ndarray]
+    analytic: bool = False
+    kink: Optional[float] = None
+    notes: tuple = ()
     measure_decomposition: Optional[MeasureDecomposition] = None
     d2_at_zero: Optional[float] = None
     total_variation: Optional[float] = None
@@ -85,14 +90,8 @@ class PotentialSpec:
             w.flags.writeable = False
         return w
 
-    @property
-    def has_deriv(self) -> bool:
-        return self._deriv is not None
-
     def symbol_deriv(self, xi):
         """(W_hat)' at xi; odd by evenness of the symbol."""
-        if self._deriv is None:
-            raise ValueError(f"{self.kind}: symbol derivative unavailable")
         xi = np.asarray(xi, dtype=float)
         return np.sign(xi) * self._deriv(np.abs(xi))
 
@@ -104,17 +103,14 @@ class PotentialSpec:
 
     @property
     def algebraic_tail(self) -> bool:
-        """True for the truncated parabola, whose solitons decay algebraically."""
-        return self.kind == "bochner_riesz"
-
-    @property
-    def has_complex_symbol(self) -> bool:
-        return self._complex_symbol is not None
+        """True for a symbol with a kink, whose solitons decay algebraically."""
+        return self.kink is not None
 
     def complex_symbol(self, z):
-        if self._complex_symbol is None:
+        """W_hat at complex z, for an analytic symbol."""
+        if not self.analytic:
             raise ValueError(f"{self.kind}: no analytic extension available")
-        return self._complex_symbol(np.asarray(z, dtype=complex))
+        return self._symbol(np.asarray(z, dtype=complex))
 
     def label(self) -> str:
         if not self.params:
@@ -136,10 +132,9 @@ def _format_param(v) -> str:
 
 def delta() -> PotentialSpec:
     """Contact interaction: W_hat = 1."""
-    one = lambda xi: np.ones_like(xi)
     return PotentialSpec(
-        kind="delta", params={}, _symbol=one,
-        _deriv=lambda xi: np.zeros_like(xi), _complex_symbol=one,
+        kind="delta", params={}, _symbol=lambda xi: np.ones_like(xi),
+        _deriv=lambda xi: np.zeros_like(xi), analytic=True,
         measure_decomposition=MeasureDecomposition(0.0, 0.0, 1.0),
         d2_at_zero=0.0, total_variation=1.0)
 
@@ -161,7 +156,7 @@ def exp_repulsive(alpha: float, beta: float) -> PotentialSpec:
 
     return PotentialSpec(
         kind="exp_repulsive", params={"alpha": alpha, "beta": beta},
-        _symbol=sym, _deriv=der, _complex_symbol=sym,
+        _symbol=sym, _deriv=der, analytic=True,
         measure_decomposition=MeasureDecomposition(0.0, 2.0 * alpha / beta, A),
         d2_at_zero=4.0 * alpha / (beta ** 2 * (beta - 2 * alpha)),
         total_variation=(beta + 2 * alpha) / (beta - 2 * alpha))
@@ -174,7 +169,7 @@ def shifted_deltas(lam: float) -> PotentialSpec:
     sym = lambda xi: 2.0 - np.cos(lam * xi)
     return PotentialSpec(
         kind="shifted_deltas", params={"lam": lam}, _symbol=sym,
-        _deriv=lambda xi: lam * np.sin(lam * xi), _complex_symbol=sym,
+        _deriv=lambda xi: lam * np.sin(lam * xi), analytic=True,
         measure_decomposition=MeasureDecomposition(0.0, 0.5, 2.0),
         d2_at_zero=lam ** 2, total_variation=3.0)
 
@@ -186,7 +181,7 @@ def gaussian(lam: float) -> PotentialSpec:
     sym = lambda xi: np.exp(-lam * xi ** 2)
     return PotentialSpec(
         kind="gaussian", params={"lam": lam}, _symbol=sym,
-        _deriv=lambda xi: -2.0 * lam * xi * sym(xi), _complex_symbol=sym,
+        _deriv=lambda xi: -2.0 * lam * xi * sym(xi), analytic=True,
         d2_at_zero=-2.0 * lam, total_variation=1.0)
 
 
@@ -204,8 +199,11 @@ def soft_core(lam: float) -> PotentialSpec:
         return np.where(xi == 0.0, 0.0, out)
 
     return PotentialSpec(
-        kind="soft_core", params={"lam": lam}, _symbol=sym, _deriv=der,
-        _complex_symbol=sym, d2_at_zero=-lam ** 2 / 3.0, total_variation=1.0)
+        kind="soft_core", params={"lam": lam}, _symbol=sym, _deriv=der, analytic=True,
+        notes=("soft_core: sweep yields kappa = lam^2/6 = "
+               f"{lam ** 2 / 6:.6f} (so kappa < 1/2 iff lam < sqrt(3)); an often-"
+               "quoted value lam^2/3 is the derivative bound m, not kappa",),
+        d2_at_zero=-lam ** 2 / 3.0, total_variation=1.0)
 
 
 def bochner_riesz(kappa: float) -> PotentialSpec:
@@ -219,7 +217,8 @@ def bochner_riesz(kappa: float) -> PotentialSpec:
     return PotentialSpec(
         kind="bochner_riesz", params={"kappa": kappa},
         _symbol=lambda xi: np.maximum(1.0 - kappa * xi ** 2, 0.0),
-        _deriv=der, d2_at_zero=-2.0 * kappa, h2_class="XiDerivBounded")
+        _deriv=der, kink=1.0 / math.sqrt(kappa), d2_at_zero=-2.0 * kappa,
+        h2_class="XiDerivBounded")
 
 
 def berloff(a: float, b: float, lam: float) -> PotentialSpec:
@@ -237,7 +236,7 @@ def berloff(a: float, b: float, lam: float) -> PotentialSpec:
 
     return PotentialSpec(
         kind="berloff", params={"a": a, "b": b, "lam": lam},
-        _symbol=sym, _deriv=der, _complex_symbol=sym,
+        _symbol=sym, _deriv=der, analytic=True,
         d2_at_zero=2.0 * (a - lam))
 
 
@@ -275,7 +274,7 @@ def measure_combo(weights, shifts) -> PotentialSpec:
     return PotentialSpec(
         kind="measure_combo",
         params={"weights": tuple(w.tolist()), "shifts": tuple(s.tolist())},
-        _symbol=sym, _deriv=der, _complex_symbol=sym,
+        _symbol=sym, _deriv=der, analytic=True,
         measure_decomposition=MeasureDecomposition(mu_plus, mu_minus, A),
         d2_at_zero=float(-A * np.sum(w * s ** 2)),
         total_variation=float(A * (1.0 + np.sum(np.abs(w)))))
@@ -314,7 +313,8 @@ def tabulated(xi_samples, w_samples) -> PotentialSpec:
     def in_range(xi):
         if np.any(xi > xmax + 1e-12):
             raise OutOfRangeError(
-                f"tabulated symbol queried at |xi| up to {np.max(xi):g} > {xmax:g}")
+                f"tabulated symbol table reaches |xi| = {xmax:g}, but this run "
+                f"needs it up to |xi| = {np.max(xi):g}")
         return xi
 
     for a in (xs, ws):
@@ -478,30 +478,23 @@ def certify_h3(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     return m
 
 
-def certify(spec: PotentialSpec, lattice: Optional[np.ndarray] = None) -> HypothesisCertificate:
+def certify(spec: PotentialSpec) -> HypothesisCertificate:
     """Full sampled certificate: quadratic bound, derivative bound, metadata."""
-    if lattice is None:
-        lattice = certification_lattice(spec)
+    lattice = certification_lattice(spec)
     cs = sound_speed(spec)
     notes = []
     sigma, kappa, critical = certify_h1(spec, lattice)
     normalized = abs(float(spec.symbol(0.0)) - 1.0) < 1e-12
     m = None
     h3_full = False
-    if spec.has_deriv:
-        try:
-            m = certify_h3(spec, lattice)
-        except CertificationError as exc:
-            notes.append(str(exc))
-        else:
-            nonneg = float(np.min(spec.symbol(lattice))) >= -POSITIVITY_TOL
-            h3_full = nonneg and normalized
-    if spec.kind == "soft_core":
-        lam = spec.params["lam"]
-        notes.append(
-            "soft_core: sweep yields kappa = lam^2/6 = "
-            f"{lam ** 2 / 6:.6f} (so kappa < 1/2 iff lam < sqrt(3)); an often-"
-            "quoted value lam^2/3 is the derivative bound m, not kappa")
+    try:
+        m = certify_h3(spec, lattice)
+    except CertificationError as exc:
+        notes.append(str(exc))
+    else:
+        nonneg = float(np.min(spec.symbol(lattice))) >= -POSITIVITY_TOL
+        h3_full = nonneg and normalized
+    notes += spec.notes
     return HypothesisCertificate(
         sigma=sigma, kappa=kappa, sound_speed=cs, normalized=normalized,
         critical_sigma=critical, m=m, h3_full=h3_full,
@@ -594,13 +587,12 @@ def kink_aligned_half_length(spec: PotentialSpec, target: float) -> float:
 
     Spectral sums over a lattice that straddles a symbol kink converge only
     at O(1/L); centering the kink between lattice points cancels the leading
-    jump term and restores O(1/L^2).  Kinds without a kink return ``target``.
+    jump term and restores O(1/L^2).  Kernels without a kink return ``target``.
     """
-    if spec.kind != "bochner_riesz":
+    if spec.kink is None:
         return target
-    xistar = 1.0 / math.sqrt(spec.params["kappa"])
-    k = max(1, round(target * xistar / math.pi - 0.5))
-    return (k + 0.5) * math.pi / xistar
+    k = max(1, round(target * spec.kink / math.pi - 0.5))
+    return (k + 0.5) * math.pi / spec.kink
 
 
 def reference_cases():
@@ -708,13 +700,13 @@ def decay_prediction(spec: PotentialSpec, c: float) -> DecayPrediction:
     Analytic symbols: exponential decay at the rate set by the lowest zero of
     M_c in the upper half-strip, located by rectangle sampling on
     [0, 4 c*] x (0, STRIP_W_MAX] plus Newton polishing; with no zero there
-    the rate is reported as STRIP_W_MAX, censored.  The truncated-parabola
-    kernel only admits algebraic decay (every power below 1); tabulated
-    symbols give no prediction.
+    the rate is reported as STRIP_W_MAX, censored.  A symbol with a kink
+    (the truncated parabola) only admits algebraic decay (every power below
+    1); any other symbol (tabulated) gives no prediction.
     """
     if spec.algebraic_tail:
         return DecayPrediction(model="algebraic", value=1.0)
-    if not spec.has_complex_symbol:
+    if not spec.analytic:
         return DecayPrediction(model="unknown")
     cs = sound_speed(spec)
     zeros = _strip_zeros(lambda z: mc_symbol(spec, c, z), xi_max=4.0 * cs,

@@ -22,6 +22,10 @@ from nlgp.potentials import certify_h1
 from nlgp.spectral import convolve, integrate
 
 
+IDENTITIES = ("phase_current", "elliptic", "kinetic_flux", "first_integral",
+              "kinetic_closure", "pohozaev", "action_identity")
+
+
 def report(n, passed, detail):
     print(f"ACCEPTANCE {n}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, detail
@@ -71,7 +75,7 @@ def test_criterion_3_identity_battery(catalog_solutions):
     worst = {}
     for name, sol in catalog_solutions.items():
         rep = sol.identity_report
-        assert not any(e.skipped for e in rep.entries), name
+        assert [e.name for e in rep.entries] == list(IDENTITIES), name
         worst[name] = rep.max_residual
     bad = {k: v for k, v in worst.items() if v > 1e-6}
     report(3, not bad,

@@ -1,6 +1,7 @@
 """Configuration round-trip, CLI commands, exit codes, file formats."""
 
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -723,6 +724,56 @@ def test_cli_bad_table_exit_2_one_line(content, tmp_path, capsys):
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("cmd, reach", [(("certify",), "1414.21"),
+                                        (("solve", "--c", "0.8", "--N", "16384"), "201.062")],
+                         ids=["certify", "solve"])
+def test_cli_short_table_exit_2_naming_the_reach(cmd, reach, tmp_path, capsys):
+    # a table reaching |xi| = 60 is too short for the certification lattice
+    # (out to 10^3 c*) and for N = 16384 on L = 128: an input error
+    xs = np.linspace(0.0, 60.0, 1201)
+    table = tmp_path / "symbol.csv"
+    np.savetxt(table, np.column_stack([xs, np.exp(-0.3 * xs ** 2)]), delimiter=",")
+    assert run_cli(*cmd, "--potential", "tabulated", "--file", str(table)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert f"needs it up to |xi| = {reach}" in err
+
+
+def test_cli_decay_without_prediction_says_so(tmp_path, capsys):
+    # a tabulated symbol has neither an analytic extension nor a kink
+    table = _gaussian_table(tmp_path / "symbol.csv")
+    kernel = ("decay", "--potential", "tabulated", "--file", str(table), "--c", "0.8")
+    assert run_cli(*kernel) == 0
+    out = capsys.readouterr().out
+    assert ("prediction: none (the symbol has neither an analytic extension nor a kink)"
+            in out)
+    assert "nan" not in out and "None" not in out
+    assert run_cli("--json", *kernel) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["prediction"]["model"] == "unknown" and math.isnan(doc["prediction"]["value"])
+
+
+def test_cli_certify_unknown_total_variation_says_so(capsys):
+    kernel = ("certify", "--potential", "berloff", "--a", "-36", "--b", "2687",
+              "--lambda", "30")
+    assert run_cli(*kernel) == 0
+    out = capsys.readouterr().out
+    assert "total variation: unknown (not recorded for this kernel)" in out
+    assert "None" not in out
+    assert run_cli("--json", *kernel) == 0
+    assert json.loads(capsys.readouterr().out)["h4_norm"] is None
+
+
+def test_cli_verify_json_lists_seven_identities(tabulated_solution, capsys):
+    capsys.readouterr()
+    assert run_cli("--json", "verify", str(tabulated_solution[1])) == 0
+    entries = json.loads(capsys.readouterr().out)["identity"]["entries"]
+    assert [e["name"] for e in entries] == [
+        "phase_current", "elliptic", "kinetic_flux", "first_integral",
+        "kinetic_closure", "pohozaev", "action_identity"]
+    assert all("skipped" not in e for e in entries)
+
+
 def test_cli_mpass(capsys, tmp_path):
     out = tmp_path / "bracket.json"
     code = run_cli("--json", "mpass", "--potential", "delta", "--c", "1.0",
@@ -804,6 +855,18 @@ def test_cli_sonic_lists_skipped_gaps(capsys, monkeypatch):
             in capsys.readouterr().out)
     assert run_cli("--json", "sonic", "--potential", "delta") == 0
     assert json.loads(capsys.readouterr().out)["skipped_gaps"] == [1e-9]
+
+
+def test_cli_sonic_unknown_symbol_curvature_says_so(capsys, monkeypatch):
+    sweep = solver.sonic_sweep
+    monkeypatch.setattr(solver, "sonic_sweep", lambda *a, **k: dataclasses.replace(
+        sweep(*a, **k), d2_symbol_at_zero=None))
+    assert run_cli("sonic", "--potential", "delta") == 0
+    out = capsys.readouterr().out
+    assert "symbol curvature at 0: unknown (not recorded for this kernel)" in out
+    assert "None" not in out
+    assert run_cli("--json", "sonic", "--potential", "delta") == 0
+    assert json.loads(capsys.readouterr().out)["d2_symbol_at_zero"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,8 @@ def test_polyline_action_matches_functional_J(grid, spec, monkeypatch):
     path = s[:, None] * a + np.sin(np.pi * s)[:, None] * b   # 9 admissible nodes
     spectra, eta_spectra = spectrum(path), spectrum(path * (2.0 - path))
     c = 0.8
-    J_at = functionals._polyline_action(grid, path, spectra, eta_spectra, c, spec)
+    J_at = functionals._polyline_action(grid, path, spectra, eta_spectra, c, spec,
+                                        range(len(path) - 1))
     ts = np.array([0.0, 0.1, 0.37, 0.5, 0.9, 1.0])
     for k in range(len(path) - 1):
         ref = functional_J(grid, (1.0 - ts[:, None]) * path[k] + ts[:, None] * path[k + 1],
@@ -405,7 +406,8 @@ def test_polyline_action_matches_functional_J(grid, spec, monkeypatch):
     Js = functional_J(grid, path, c, spec).J
     calls = []
     monkeypatch.setattr(functionals, "_action", lambda *args: calls.append(args))
-    top = functionals._path_max(grid, path, spectra, eta_spectra, Js, c, spec)
+    top = functionals._path_max(grid, path, spectra, eta_spectra, Js, c, spec,
+                                range(len(path) - 1))
     assert calls == []
     assert top >= Js[:-1].max()   # the last node, an endpoint, is not sampled
 

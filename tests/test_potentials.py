@@ -12,7 +12,7 @@ from nlgp import (CertificationError, Grid, NoSoundSpeedError, OutOfRangeError,
                   convolve, decay_prediction, delta, dispersion, exp_repulsive,
                   gaussian, mc_symbol, measure_combo, roton_maxon,
                   shifted_deltas, soft_core, sound_speed, tabulated)
-from nlgp.potentials import certification_lattice
+from nlgp.potentials import certification_lattice, reference_cases
 
 ALL_SPECS = [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5),
              gaussian(0.3), soft_core(1.0), bochner_riesz(0.4),
@@ -35,13 +35,39 @@ def test_symbol_values():
     assert bochner_riesz(0.4).symbol(10.0) == 0.0
 
 
-@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.has_complex_symbol],
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.analytic],
                          ids=lambda s: s.kind)
 def test_complex_symbol_extends_the_real_symbol(spec):
     xi = Grid(16.0, 256).xi                    # includes xi = 0 and both signs
     z = spec.complex_symbol(xi + 0j)
     assert np.all(z.imag == 0.0)
     np.testing.assert_allclose(z.real, spec.symbol(xi), rtol=1e-15, atol=1e-15)
+
+
+_TABLE = np.linspace(0.0, 60.0, 601)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec, _, _ in reference_cases()]
+                         + [berloff(-36.0, 2687.0, 30.0),
+                            tabulated(_TABLE, np.exp(-0.3 * _TABLE ** 2))],
+                         ids=lambda s: s.kind)
+def test_kernel_record_states_tail_and_extension(spec):
+    # the tail is algebraic exactly when the record names a kink, and the
+    # complex symbol exists exactly when the record says the symbol is analytic
+    assert spec.algebraic_tail == (spec.kink is not None)
+    assert (spec.kink is not None) == (spec.kind == "bochner_riesz")
+    if spec.kink is not None:
+        assert spec.kink == 1.0 / math.sqrt(spec.params["kappa"])
+        # the symbol reaches 0 at the kink and stays there
+        assert spec.symbol(1.001 * spec.kink) == 0.0 < spec.symbol(0.999 * spec.kink)
+        assert abs(spec.symbol(spec.kink)) < 1e-15
+    z = np.array([0.3 + 0.7j, 1.1 + 0.05j])
+    if spec.analytic:
+        np.testing.assert_array_equal(spec.complex_symbol(z), spec._symbol(z))
+    else:
+        with pytest.raises(ValueError, match="no analytic extension"):
+            spec.complex_symbol(z)
+    assert spec.analytic == (spec.kind not in ("bochner_riesz", "tabulated"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,8 +94,8 @@ def test_symbol_deriv_matches_finite_differences():
     xs = np.linspace(0.05, 10.0, 401)
     h = 1e-6
     for spec in ALL_SPECS:
-        if spec.kind == "bochner_riesz":
-            continue  # kink: one-sided derivative
+        if spec.kink is not None:
+            continue  # one-sided derivative at the kink
         fd = (spec.symbol(xs + h) - spec.symbol(xs - h)) / (2 * h)
         np.testing.assert_allclose(spec.symbol_deriv(xs), fd, rtol=1e-6, atol=1e-6)
 
@@ -290,7 +316,7 @@ def test_mc_symbol_values():
 def test_mc_symbol_complex_argument_uses_the_analytic_extension():
     z = np.array([0.3 + 0.7j, 1.1 + 0.05j, 2.0j])
     for spec in ALL_SPECS:
-        if not spec.has_complex_symbol:
+        if not spec.analytic:
             continue
         np.testing.assert_array_equal(
             mc_symbol(spec, 0.9, z), z ** 2 + 2.0 * spec.complex_symbol(z) - 0.81)
