@@ -262,6 +262,7 @@ def _cmd_verify(args, cfg):
     if not 0.0 < args.tol < math.inf:    # written so that NaN fails it
         raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     spec, grid, c, arrays, doc = nio.read_solution(args.input)
+    _check_subsonic(spec, c)    # as solve does, before anything is assembled
     fields = assemble(grid, arrays["rho"], c, spec)
     report = identity_suite(fields, tol=args.tol)
     sup, l2 = residual_amplitude(fields)
@@ -438,7 +439,7 @@ def _report_row(name, doc):
     """One summary row of a solution document; None for another format."""
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
-    if doc.get("format") != nio.SOLUTION_FORMAT:
+    if doc.get("format") not in nio.SOLUTION_FORMATS:
         return None
     spec, ident = doc.get("spec"), doc.get("identity") or {}
     if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)

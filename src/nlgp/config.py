@@ -63,7 +63,9 @@ def parse(text: str) -> RunConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        # configparser puts each offending line on a line of its own
+        message = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config: {message}") from exc
     cfg = RunConfig()
     for section in cp.sections():
         items = dict(cp.items(section))

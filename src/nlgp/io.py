@@ -1,14 +1,17 @@
 """Solution and branch files: JSON header with a compact binary payload.
 
-Arrays are embedded as base64-encoded little-endian float64 blocks so a
-solution file round-trips bit-exactly.  All writes are atomic (temp file
-plus rename).
+A solution's payload is rho alone, a base64-encoded little-endian float64
+block, so it round-trips bit-exactly; theta and eta are functions of rho and
+c (``hydro.assemble``).  Files of the first format, whose payload also holds
+theta and eta, are still read, and those two are ignored.  All writes are
+atomic (temp file plus rename).
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import tempfile
 
@@ -19,7 +22,8 @@ from .errors import ConfigError, UnderresolvedTailError
 from .potentials import make_potential, tabulated
 from .spectral import Grid
 
-SOLUTION_FORMAT = "nlgp-solution-v1"
+SOLUTION_FORMAT = "nlgp-solution-v2"
+SOLUTION_FORMATS = (SOLUTION_FORMAT, "nlgp-solution-v1")   # the formats read
 
 
 def atomic_write_text(path, text: str):
@@ -46,7 +50,9 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _decode(s: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8").copy()
+    # b64decode takes the ASCII str as it is, and raises TypeError on any
+    # other JSON value
+    return np.frombuffer(base64.b64decode(s), dtype="<f8").copy()
 
 
 def solution_to_dict(sol, extra=None) -> dict:
@@ -73,8 +79,6 @@ def solution_to_dict(sol, extra=None) -> dict:
         "payload": {
             "encoding": "base64/float64-le",
             "rho": _encode(f.rho),
-            "theta": _encode(f.theta),
-            "eta": _encode(f.eta),
         },
     }
     if extra:
@@ -106,16 +110,18 @@ def write_solution(path, sol, extra=None) -> dict:
 
 
 def read_solution(path):
-    """Load a solution file: (spec, grid, c, arrays dict, full document).
+    """Load a solution file: (spec, grid, c, {"rho": rho}, full document).
 
-    A file that is not a well-formed solution raises ConfigError.
+    Either format is read, and only its rho is decoded.  A file that is not
+    a well-formed solution raises ConfigError; so do a c and a residuals.sup
+    that are not finite numbers.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") not in SOLUTION_FORMATS:
         raise ConfigError(f"not a solution file: {path}")
     try:
         if doc["spec"]["kind"] == "tabulated":
@@ -127,14 +133,19 @@ def read_solution(path):
         else:
             spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
         grid = Grid(doc["grid"]["half_length"], doc["grid"]["size"])
-        arrays = {k: _decode(doc["payload"][k]) for k in ("rho", "theta", "eta")}
-        c = float(doc["c"])
-        float(doc["residuals"]["sup"])  # the reference residual of nlgp verify
-    except (KeyError, TypeError, ValueError) as exc:
+        rho = _decode(doc["payload"]["rho"])
+        # c and the reference residual of nlgp verify: JSON's true is an int,
+        # and float() would take a string
+        c, sup = (float(v) if type(v) in (int, float) else math.nan
+                  for v in (doc["c"], doc["residuals"]["sup"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed solution file: {exc!r}") from exc
-    if any(a.size != grid.size for a in arrays.values()):
+    if not (math.isfinite(c) and math.isfinite(sup)):
+        raise ConfigError(f"{path}: c and residuals.sup must be finite numbers, got "
+                          f"{doc['c']!r} and {doc['residuals']['sup']!r}")
+    if rho.size != grid.size:
         raise ConfigError(f"{path}: payload length differs from grid size {grid.size}")
-    return spec, grid, c, arrays, doc
+    return spec, grid, c, {"rho": rho}, doc
 
 
 BRANCH_COLUMNS = "c,E,p,J,eta_max,min_rho,decay_rate_fit,newton_iters,dp_dc"

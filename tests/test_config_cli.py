@@ -53,6 +53,18 @@ def test_config_unparsable_value_exit_2_naming_key(text, where, tmp_path, capsys
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["[grid]\nsize = 512\ngarbage\nmore garbage\n",
+                                  "garbage\n[grid]\n"],
+                         ids=["two_bad_lines", "no_section_header"])
+def test_config_parsing_errors_exit_2_one_line(text, tmp_path, capsys):
+    # configparser names each offending line on a line of its own
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), "certify"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: malformed config: ") and "garbage" in line
+
+
 def test_config_inline_comment_after_value():
     assert config.parse("[grid]\nsize = 4096 ; note\n").grid.size == 4096
 
@@ -599,8 +611,20 @@ def _short_rho(doc):
     return {**doc, "payload": {**doc["payload"], "rho": short}}
 
 
-@pytest.mark.parametrize("corrupt", [lambda doc: {"a": 1}, _without_payload, _short_rho],
-                         ids=["wrong_format", "missing_key", "wrong_length"])
+def _rho(value):
+    return lambda doc: {**doc, "payload": {**doc["payload"], "rho": value}}
+
+
+def _residual(value):
+    return lambda doc: {**doc, "residuals": {**doc["residuals"], "sup": value}}
+
+
+@pytest.mark.parametrize("corrupt", [lambda doc: {"a": 1}, _without_payload, _short_rho,
+                                     _rho(None), _rho(5), _rho(["AAAA"]), _rho("A"),
+                                     _residual("1e-12"), _residual(float("inf"))],
+                         ids=["wrong_format", "missing_key", "wrong_length", "rho_null",
+                              "rho_number", "rho_list", "rho_not_base64",
+                              "residual_string", "residual_inf"])
 def test_cli_verify_bad_file_exit_2_one_line(corrupt, solution_doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(solution_doc)))
@@ -608,6 +632,25 @@ def test_cli_verify_bad_file_exit_2_one_line(corrupt, solution_doc, tmp_path, ca
     assert run_cli("verify", str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("c, code", [
+    (True, cli.EXIT_CONFIG), (float("nan"), cli.EXIT_CONFIG), ("1.0", cli.EXIT_CONFIG),
+    (10 ** 400, cli.EXIT_CONFIG), (1e300, cli.EXIT_REGIME), (-0.8, cli.EXIT_REGIME),
+    (0, cli.EXIT_REGIME),
+], ids=["true", "nan", "string", "integer_beyond_float", "1e300", "negative", "zero"])
+def test_cli_verify_checks_the_speed_first(c, code, solution_doc, tmp_path, monkeypatch,
+                                           capsys):
+    # c must be a finite number (exit 2) inside (0, c*), checked as solve
+    # checks it (exit 5), before any field is assembled
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**solution_doc, "c": c}))
+    monkeypatch.setattr(cli, "assemble", lambda *a: pytest.fail("assembled"))
+    capsys.readouterr()
+    assert run_cli("verify", str(bad)) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == cli.EXIT_CONFIG else "out of regime: c = "
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
 
 
 def test_cli_reads_a_solution_file_with_a_seed(solution_doc, tmp_path, capsys):

@@ -1,14 +1,15 @@
-"""Solution files: every catalog kind round-trips bit-for-bit."""
+"""Solution files: every catalog kind round-trips bit-for-bit, and both formats
+are read."""
 
 import json
 
 import numpy as np
 import pytest
 
-from nlgp import (Grid, SolitonSolution, assemble, berloff, bochner_riesz, delta,
-                  exp_repulsive, gaussian, measure_combo, shifted_deltas,
-                  soft_core, tabulated)
-from nlgp.io import read_solution, solution_to_dict, write_solution
+from nlgp import (Grid, SolitonSolution, assemble, berloff, bochner_riesz, cli, delta,
+                  exp_repulsive, gaussian, initial_guess, measure_combo, newton_solve,
+                  shifted_deltas, soft_core, tabulated)
+from nlgp.io import _encode, read_solution, solution_to_dict, write_solution
 from nlgp.potentials import CATALOG
 
 _XS = np.linspace(0.0, 120.0, 2001)
@@ -57,7 +58,8 @@ def test_write_solution_splices_the_payload_unscanned(tmp_path, monkeypatch):
     path = tmp_path / "sol.json"
     doc = write_solution(path, sol, extra=extra)
     assert "w" in doc["spec"]["table"] and len(encoded) > 20
-    assert not set(encoded) & {doc["payload"][k] for k in ("rho", "theta", "eta")}
+    assert doc["payload"].keys() == {"encoding", "rho"}
+    assert doc["payload"]["rho"] not in encoded
     monkeypatch.undo()
     assert path.read_text() == json.dumps(doc, indent=1)
 
@@ -74,8 +76,48 @@ def test_solution_file_roundtrip(spec, tmp_path):
     path = tmp_path / "sol.json"
     write_solution(path, sol)
     back, g, c_back, arrays, _ = read_solution(path)
-    assert g == grid and c_back == c
+    assert g == grid and c_back == c and arrays.keys() == {"rho"}
+    # the file stores rho alone; the fields assembled from it are the solution's
+    fields = assemble(g, arrays["rho"], c_back, back)
     for name in ("rho", "theta", "eta"):
-        assert np.array_equal(arrays[name], getattr(f, name))
+        assert np.array_equal(getattr(fields, name), getattr(f, name))
     assert back.kind == spec.kind and back.params == spec.params
     assert np.array_equal(back.lattice_symbol(grid), spec.lattice_symbol(grid))
+
+
+def _as_v1(doc, fields):
+    """``doc`` as the first format wrote it, with theta and eta in the payload."""
+    payload = {**doc["payload"], "theta": _encode(fields.theta), "eta": _encode(fields.eta)}
+    return {**doc, "format": "nlgp-solution-v1", "payload": payload}
+
+
+@pytest.fixture(scope="module")
+def gaussian_solution():
+    grid = Grid(64.0, 2048)
+    sol = newton_solve(gaussian(0.3), grid, 1.0, initial_guess(grid, 1.0))
+    assert sol.converged and sol.identity_report.passed
+    return sol
+
+
+def test_a_v1_file_verifies_as_its_v2_file_does(gaussian_solution, tmp_path, capsys):
+    # a v1 file's theta and eta are ignored: verify reads rho alone
+    path, outputs = tmp_path / "sol.json", []
+    v2 = write_solution(path, gaussian_solution)
+    for text in (path.read_text(), json.dumps(_as_v1(v2, gaussian_solution.fields), indent=1)):
+        path.write_text(text)
+        for argv in (["verify", str(path)], ["--json", "verify", str(path)]):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    assert json.loads(path.read_text())["payload"].keys() == {"encoding", "rho", "theta", "eta"}
+    assert outputs[:2] == outputs[2:]
+
+
+def test_report_lists_both_formats(gaussian_solution, tmp_path, capsys):
+    v2 = write_solution(tmp_path / "v2.json", gaussian_solution)
+    (tmp_path / "v1.json").write_text(json.dumps(_as_v1(v2, gaussian_solution.fields)))
+    (tmp_path / "v9.json").write_text(json.dumps({**v2, "format": "nlgp-solution-v9"}))
+    assert cli.main(["report", "--dir", str(tmp_path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if ".json |" in line]
+    assert [row.split(" | ")[:2] for row in rows] == [["| v1.json", "gaussian"],
+                                                      ["| v2.json", "gaussian"]]
+    assert rows[0].split(" | ")[2:] == rows[1].split(" | ")[2:]
