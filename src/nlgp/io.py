@@ -109,12 +109,26 @@ def write_solution(path, sol, extra=None) -> dict:
     return doc
 
 
+def _number(path, where: str, v) -> float:
+    """The JSON value v at member ``where`` as a float; ConfigError unless it
+    is a finite number (JSON's true is an int, float() would take a string,
+    and an int may lie beyond float range)."""
+    try:
+        x = float(v) if type(v) in (int, float) else math.nan
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: {where} must be a finite number, got {v!r}")
+    return x
+
+
 def read_solution(path):
     """Load a solution file: (spec, grid, c, {"rho": rho}, full document).
 
     Either format is read, and only its rho is decoded.  A file that is not
-    a well-formed solution raises ConfigError; so do a c and a residuals.sup
-    that are not finite numbers.
+    a well-formed solution raises ConfigError; so do a kernel param (or an
+    item of a list param), c, residuals.sup or grid.half_length that is not
+    a finite number, and a grid.size that is not an integer.
     """
     try:
         with open(path) as fh:
@@ -131,18 +145,24 @@ def read_solution(path):
                                   "table (spec.table with the xi, W_hat samples)")
             spec = tabulated(_decode(table["xi"]), _decode(table["w"]))
         else:
-            spec = make_potential(doc["spec"]["kind"], **doc["spec"]["params"])
-        grid = Grid(doc["grid"]["half_length"], doc["grid"]["size"])
+            params = doc["spec"]["params"]
+            for k, v in params.items():
+                if type(v) is list:       # measure_combo's weights and shifts
+                    for i, x in enumerate(v):
+                        _number(path, f"spec.params.{k}[{i}]", x)
+                else:
+                    _number(path, f"spec.params.{k}", v)
+            spec = make_potential(doc["spec"]["kind"], **params)
+        size = doc["grid"]["size"]
+        if type(size) is not int:
+            raise ConfigError(f"{path}: grid.size must be an integer, got {size!r}")
+        grid = Grid(_number(path, "grid.half_length", doc["grid"]["half_length"]), size)
         rho = _decode(doc["payload"]["rho"])
-        # c and the reference residual of nlgp verify: JSON's true is an int,
-        # and float() would take a string
-        c, sup = (float(v) if type(v) in (int, float) else math.nan
-                  for v in (doc["c"], doc["residuals"]["sup"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # c and the reference residual of nlgp verify
+        c = _number(path, "c", doc["c"])
+        sup = _number(path, "residuals.sup", doc["residuals"]["sup"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed solution file: {exc!r}") from exc
-    if not (math.isfinite(c) and math.isfinite(sup)):
-        raise ConfigError(f"{path}: c and residuals.sup must be finite numbers, got "
-                          f"{doc['c']!r} and {doc['residuals']['sup']!r}")
     if rho.size != grid.size:
         raise ConfigError(f"{path}: payload length differs from grid size {grid.size}")
     return spec, grid, c, {"rho": rho}, doc

@@ -288,24 +288,18 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
         E=energy(fields), p=momentum(fields), J=action(fields))
 
 
-def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
-               half_length: float = 128.0, size: int = 4096):
-    """``newton_solve`` on Grid(half_length, size), doubling the domain (at
-    most MAX_REFINEMENTS times) until the tail falls below TAIL_TOL.  Kernels
-    with an algebraic tail (``PotentialSpec.algebraic_tail``) never meet an
-    exponential tail tolerance, so refinement is skipped for them and the
-    periodization is only monitored.
+def _seed(spec: PotentialSpec, grid: Grid, c: float, opts: SolverOptions, first: bool):
+    """(seed, CoarseLevel or None) for ``solve_auto`` on grid Grid(L, N):
+    the first of its levels, unfinalized ``_newton`` solves on fewer nodes,
+    that gives a seed, else the contact seed on grid itself.  In order:
 
-    Each grid Grid(L, N) is seeded by the first of its levels, unfinalized
-    ``_newton`` solves on fewer nodes, that gives a seed:
-
-    1. on the first grid, the narrower domains of half-length L / COARSE_FACTOR^k
-       at the spacing of the level above them, smallest first, the first
-       from the contact seed and each later one from the level below.
-       1 - rho is carried up by ``zero_extend``: the soliton decays, so past
-       its tail the wider domain holds the vacuum rho = 1.  For an
-       exponential tail they are at grid's spacing.  A level whose tail
-       exceeds TAIL_TOL seeds only the next narrow level, never grid: near
+    1. on the first grid only, the narrower domains of half-length
+       L / COARSE_FACTOR^k at the spacing of the level above them, smallest
+       first, the first from the contact seed and each later one from the
+       level below.  1 - rho is carried up by ``zero_extend``: the soliton
+       decays, so past its tail the wider domain holds the vacuum rho = 1.
+       For an exponential tail they are at grid's spacing.  A level whose
+       tail exceeds TAIL_TOL seeds only the next level, never grid: near
        the sonic speed such a seed leaves grid's Newton steps ending just
        under ``tol_newton``, short of what the identity suite needs.  An
        algebraic tail exceeds it on every narrower domain, so its levels are
@@ -321,46 +315,52 @@ def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOption
     Only levels of at least COARSE_MIN_SIZE nodes run.  A level that fails,
     converges to a flat profile or carries an inadmissible seed gives none,
     and a narrow level that gives none ends the narrow levels.  The levels
-    are never finalized or returned; the result records the one that seeded
-    it in ``coarse``.
+    are never finalized or returned.
+    """
+    coarse = Grid(grid.half_length, grid.size // COARSE_FACTOR)
+    if coarse.size < COARSE_MIN_SIZE:
+        return initial_guess(grid, c), None
+    narrow, level = [], coarse if spec.algebraic_tail else grid
+    while first and level.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
+        level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
+        narrow.insert(0, level)
+    start = initial_guess(coarse, c)
+    for k, level in enumerate(narrow):
+        rho0 = 1.0 - zero_extend(narrow[k - 1], v, level) if k else initial_guess(level, c)
+        rho, status, iters, krylov, _ = _newton(spec, level, c, rho0, opts)
+        if status != "converged":
+            break
+        v = 1.0 - rho
+        if level.spacing == grid.spacing and tail_magnitude(level, v) <= TAIL_TOL:
+            seed = 1.0 - zero_extend(level, v, grid)
+            if not admissible(seed):
+                break
+            return seed, CoarseLevel(level.size, level.half_length, iters, krylov)
+    else:
+        if narrow and level.spacing == coarse.spacing:
+            start = 1.0 - zero_extend(level, v, coarse)
+    rho, status, iters, krylov, _ = _newton(spec, coarse, c, start, opts)
+    if status == "converged":
+        seed = zero_pad(coarse, rho, grid)
+        if admissible(seed):
+            return seed, CoarseLevel(coarse.size, coarse.half_length, iters, krylov)
+    return initial_guess(grid, c), None
+
+
+def solve_auto(spec: PotentialSpec, c: float, opts: SolverOptions = SolverOptions(),
+               half_length: float = 128.0, size: int = 4096):
+    """``newton_solve`` on Grid(half_length, size), doubling the domain (at
+    most MAX_REFINEMENTS times) until the tail falls below TAIL_TOL.  Kernels
+    with an algebraic tail (``PotentialSpec.algebraic_tail``) never meet an
+    exponential tail tolerance, so refinement is skipped for them and the
+    periodization is only monitored.  Each grid is seeded by ``_seed``, and
+    the result records the level that seeded it in ``coarse``.
     """
     grid = Grid(half_length, size)
     for n in range(MAX_REFINEMENTS + 1):
         if n:
             grid = grid.refined()
-        levels = []
-        if grid.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
-            levels.append(Grid(grid.half_length, grid.size // COARSE_FACTOR))
-            level = levels[0] if spec.algebraic_tail else grid
-            while n == 0 and level.size // COARSE_FACTOR >= COARSE_MIN_SIZE:
-                level = Grid(level.half_length / COARSE_FACTOR, level.size // COARSE_FACTOR)
-                levels.insert(0, level)
-        below = None                  # the narrow level whose v seeds the next one
-        for level in levels:
-            narrow = level.half_length < grid.half_length
-            if below is not None and below.spacing == level.spacing:
-                start = 1.0 - zero_extend(below, v, level)
-            elif narrow and level is not levels[0]:
-                continue              # the narrow level below gave none
-            else:
-                start = initial_guess(level, c)
-            rho, status, iters, krylov, _ = _newton(spec, level, c, start, opts)
-            below = None
-            if status != "converged":
-                continue
-            v = 1.0 - rho
-            if not narrow:
-                carried = zero_pad(level, rho, grid)
-            elif level.spacing != grid.spacing or tail_magnitude(level, v) > TAIL_TOL:
-                below = level
-                continue
-            else:
-                carried = 1.0 - zero_extend(level, v, grid)
-            if admissible(carried):
-                seed, record = carried, CoarseLevel(level.size, level.half_length, iters, krylov)
-                break
-        else:
-            seed, record = initial_guess(grid, c), None
+        seed, record = _seed(spec, grid, c, opts, n == 0)
         sol = replace(newton_solve(spec, grid, c, seed, opts), coarse=record)
         tail = tail_magnitude(grid, 1.0 - sol.fields.rho)
         if spec.algebraic_tail or not sol.converged or tail <= TAIL_TOL:

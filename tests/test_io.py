@@ -9,6 +9,7 @@ import pytest
 from nlgp import (Grid, SolitonSolution, assemble, berloff, bochner_riesz, cli, delta,
                   exp_repulsive, gaussian, initial_guess, measure_combo, newton_solve,
                   shifted_deltas, soft_core, tabulated)
+from nlgp.errors import ConfigError
 from nlgp.io import _encode, read_solution, solution_to_dict, write_solution
 from nlgp.potentials import CATALOG
 
@@ -121,3 +122,41 @@ def test_report_lists_both_formats(gaussian_solution, tmp_path, capsys):
     assert [row.split(" | ")[:2] for row in rows] == [["| v1.json", "gaussian"],
                                                       ["| v2.json", "gaussian"]]
     assert rows[0].split(" | ")[2:] == rows[1].split(" | ")[2:]
+
+
+def _replaced(doc, where, value):
+    """doc with the member at the dotted path ``where`` replaced by value(member)."""
+    head, _, rest = where.partition(".")
+    return {**doc, head: _replaced(doc[head], rest, value) if rest else value(doc[head])}
+
+
+@pytest.mark.parametrize("where, value", [
+    ("spec.params.lam", lambda v: float("nan")), ("spec.params.lam", lambda v: True),
+    ("spec.params.lam", str), ("grid.size", float), ("grid.half_length", str)],
+    ids=["lam_nan", "lam_true", "lam_string", "size_float", "half_length_string"])
+def test_verify_names_a_file_number_of_the_wrong_type(where, value, gaussian_solution,
+                                                      tmp_path, capsys):
+    # exit 2 with one line naming the member, as a nan --lambda flag does:
+    # these read as c* = nan (exit 5), as gaussian(1) (exit 4, no message),
+    # or raised a TypeError that named no member
+    path = tmp_path / "sol.json"
+    doc = write_solution(path, gaussian_solution)
+    path.write_text(json.dumps(_replaced(doc, where, value)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert f" {where} " in err
+
+
+def test_read_solution_checks_each_number_of_a_list_param(tmp_path):
+    spec = measure_combo([0.25, -0.25], [0.0, 1.0])
+    grid = Grid(16.0, 512)
+    f = assemble(grid, np.ones(grid.size), 0.7, spec)
+    sol = SolitonSolution(fields=f, converged=True, status="converged", newton_iters=0,
+                          krylov_iters=0, residual_sup=1e-12, residual_l2=1e-12)
+    path = tmp_path / "sol.json"
+    doc = write_solution(path, sol)
+    path.write_text(json.dumps(_replaced(doc, "spec.params.shifts", lambda v: [0.0, "1"])))
+    with pytest.raises(ConfigError, match=r"spec\.params\.shifts\[1\] must be a finite number"):
+        read_solution(path)

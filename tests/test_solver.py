@@ -1,6 +1,7 @@
 """Newton solves, branch continuation, sonic sweep."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -370,14 +371,33 @@ def test_solve_auto_seeds_each_domain_doubling(monkeypatch):
     assert (sol.coarse.size, sol.coarse.half_length) == (2048, 64.0)
 
 
-def test_sonic_sweeps_of_the_default_grid_kernels_skip_no_gap():
+def test_sonic_sweeps_of_the_default_grid_kernels_skip_no_gap(monkeypatch):
     # a vacuum pad of a level whose tail exceeds TAIL_TOL left soft_core(1)
-    # at gap 0.008 with a 1.2e-6 identity residual: the tail rule keeps it out
+    # at gap 0.008 with a 1.2e-6 identity residual: the tail rule keeps it out.
+    # Each sweep of nine gaps makes these level solves (unfinalized _newton
+    # seeds) and grid solves (newton_solve, one per grid, two where the
+    # domain doubles); a seed that solves more gaps sooner lowers them
+    solves = {"delta": (20, 11), "exp_repulsive_1_3": (21, 12),
+              "shifted_deltas_0.5": (21, 12), "gaussian_0.3": (15, 9),
+              "soft_core_1.0": (18, 10)}
     cases = [(name, spec) for name, spec, L, N in potentials.reference_cases()
              if (L, N) == (128.0, 4096)]
-    assert len(cases) == 5
+    assert [name for name, _ in cases] == list(solves)
+    calls = Counter()
+
+    def counted(name, f):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return spy
+    # newton_solve runs _newton, so a grid solve is counted by both spies
+    monkeypatch.setattr(solver, "_newton", counted("_newton", solver._newton))
+    monkeypatch.setattr(solver, "newton_solve", counted("newton_solve", solver.newton_solve))
     for name, spec in cases:
+        calls.clear()
         assert sonic_sweep(spec).skipped_gaps == (), name
+        grid_solves = calls["newton_solve"]
+        assert (calls["_newton"] - grid_solves, grid_solves) == solves[name], name
 
 
 @pytest.mark.parametrize("c", [0.8, 1.0])
