@@ -155,15 +155,24 @@ def algebraic_envelope_check(grid: Grid, eta: np.ndarray, power: float,
 class PhaseLimits:
     theta_minus: float
     theta_plus: float
-    jump: float
-    u_plus: complex
-    u_minus: complex
     zero_jump: bool          # jump vanishes iff int eta/(1-eta) = 0
     tail_warning: bool
 
+    @property
+    def jump(self) -> float:
+        return self.theta_plus - self.theta_minus
+
+    @property
+    def u_plus(self) -> complex:
+        return complex(np.exp(1j * self.theta_plus))
+
+    @property
+    def u_minus(self) -> complex:
+        return complex(np.exp(1j * self.theta_minus))
+
 
 def phase_limits(fields: WaveFields) -> PhaseLimits:
-    """theta(+-inf) = theta(0) + (c/2) int_0^{+-inf} eta/(1-eta), by quadrature."""
+    """theta(+-inf) = (c/2) int_0^{+-inf} eta/(1-eta), by quadrature: theta(0) = 0."""
     g = fields.grid
     eta = fields.eta
     integrand = eta / (1.0 - eta)
@@ -171,16 +180,11 @@ def phase_limits(fields: WaveFields) -> PhaseLimits:
     pos = g.x > 0
     neg = g.x < 0
     j0 = g.size // 2  # x = 0 node, weighted half on each side
-    theta0 = float(fields.theta[j0])
-    plus = theta0 + 0.5 * fields.c * h * (np.sum(integrand[pos]) + 0.5 * integrand[j0])
-    minus = theta0 - 0.5 * fields.c * h * (np.sum(integrand[neg]) + 0.5 * integrand[j0])
-    jump = plus - minus
+    plus = 0.5 * fields.c * h * (np.sum(integrand[pos]) + 0.5 * integrand[j0])
+    minus = -0.5 * fields.c * h * (np.sum(integrand[neg]) + 0.5 * integrand[j0])
     total = 0.5 * fields.c * h * np.sum(integrand)
     warn = max(abs(eta[0]), abs(eta[-1])) > PHASE_TAIL_TOL
     return PhaseLimits(theta_minus=float(minus), theta_plus=float(plus),
-                       jump=float(jump),
-                       u_plus=complex(np.exp(1j * plus)),
-                       u_minus=complex(np.exp(1j * minus)),
                        zero_jump=bool(abs(total) < 1e-12),
                        tail_warning=bool(warn))
 

@@ -120,6 +120,12 @@ def _load_config(args) -> config.RunConfig:
     for where, v in named:
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"{where} must be finite, got {v!r}")
+    # every speed is squared, and c^2 overflows from |c| ~ 1.3e154
+    for k in ("c", "c_from", "c_to"):
+        v = cfg.command.get(k)
+        if v is not None and not math.isfinite(v * v):
+            raise ConfigError(f"--{k.replace('_', '-')} ([command] {k}) = {v!r}: "
+                              "its square overflows")
     return cfg
 
 
@@ -165,7 +171,7 @@ def _check_subsonic(spec, c):
 def _one_speed(args, cfg, solve=True):
     """The prologue of solve, decay and mpass: (spec, c, solution, tail).
 
-    --c is required.  With ``solve`` it must be subsonic, and ``solve_auto``
+    --c is required and must be subsonic.  With ``solve``, ``solve_auto``
     solves from the configured grid, whose domain it may double; a solve
     that does not converge raises NlgpError.  Without, the solution and
     tail are None.
@@ -174,9 +180,9 @@ def _one_speed(args, cfg, solve=True):
     c = cfg.command.get("c")
     if c is None:
         raise ConfigError(f"{args.cmd} needs --c")
+    _check_subsonic(spec, c)
     if not solve:
         return spec, c, None, None
-    _check_subsonic(spec, c)
     sol, tail = solver.solve_auto(spec, c, cfg.solver, cfg.grid.half_length,
                                   cfg.grid.size)
     if not sol.converged:
@@ -308,8 +314,12 @@ def _cmd_verify(args, cfg):
 def _cmd_dispersion(args, cfg):
     spec = _make_spec(cfg.potential)
     cs = potentials.sound_speed(spec)
-    xi = np.linspace(0.0, cfg.command.get("xi_max", 8.0 * cs),
-                     cfg.command.get("n", 2048))
+    n = cfg.command.get("n", 2048)
+    # numpy refuses a huge n as "array is too big", from 2^63 on by an IndexError
+    try:
+        xi = np.linspace(0.0, cfg.command.get("xi_max", 8.0 * cs), n)
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise ConfigError(f"--n ([command] n) = {n} is too large to allocate") from exc
     w = potentials.dispersion(spec, xi)
     imag = np.isnan(w)
     crit = potentials.roton_maxon(spec, xi)

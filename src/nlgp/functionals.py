@@ -192,11 +192,14 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid) -> PhiEndpoint:
 @dataclass(frozen=True)
 class SphereBound:
     ell: float
-    lower: float          # ell * r^2
     r: float
     r_sup: float          # largest radius keeping both terms positive
     samples_checked: int
     min_margin: float     # min over samples of J(v) - lower
+
+    @property
+    def lower(self) -> float:
+        return self.ell * self.r ** 2
 
 
 def _r_sup(cert: HypothesisCertificate, c: float) -> float:
@@ -204,7 +207,8 @@ def _r_sup(cert: HypothesisCertificate, c: float) -> float:
     sigma, kappa = cert.sigma, cert.kappa
 
     def ok(r):
-        return (1.0 - 2.0 * kappa * (1.0 + r) ** 2 > 0.0
+        # r = 1 is never admissible; the bisection reaches it when c^2 = 0
+        return (1.0 - 2.0 * kappa * (1.0 + r) ** 2 > 0.0 and r < 1.0
                 and sigma - c ** 2 / (2.0 * (1.0 - r) ** 2) > 0.0)
 
     if not ok(1e-12):
@@ -244,9 +248,8 @@ def sphere_bound(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
         J = functional_J(grid, v, c, spec).J
         min_margin = min(min_margin, J - lower * (1.0 - 1e-6))
         checked += 1
-    return SphereBound(ell=float(ell), lower=float(lower), r=float(r),
-                       r_sup=float(r_sup), samples_checked=checked,
-                       min_margin=float(min_margin))
+    return SphereBound(ell=float(ell), r=float(r), r_sup=float(r_sup),
+                       samples_checked=checked, min_margin=float(min_margin))
 
 
 def _random_band_limited(grid: Grid, rng) -> np.ndarray:
@@ -259,7 +262,6 @@ def _random_band_limited(grid: Grid, rng) -> np.ndarray:
 class MountainPassBracket:
     c: float
     lower: float
-    upper: float
     path: np.ndarray              # (PATH_NODES, N): the nodes v from 0 to 1 - phi_c
     phi_delta: float
     phi_r: float
@@ -267,6 +269,11 @@ class MountainPassBracket:
     upper_history: list           # the path maximum at each checkpoint
     segments_sampled: list        # how many segments each checkpoint sampled
     sweeps: int                   # string-method sweeps run
+
+    @property
+    def upper(self) -> float:
+        """The least path maximum: each checkpoint's path is admissible."""
+        return min(self.upper_history)
 
     def as_dict(self):
         return {"c": self.c, "lower": self.lower, "upper": self.upper,
@@ -354,7 +361,7 @@ def mountain_pass_bracket(c: float, spec: PotentialSpec, cert: HypothesisCertifi
                 break
     if not history:
         checkpoint()
-    return MountainPassBracket(c=c, lower=lower, upper=min(history), path=path,
+    return MountainPassBracket(c=c, lower=lower, path=path,
                                phi_delta=endpoint.delta, phi_r=endpoint.r,
                                endpoint_J=endpoint.J, upper_history=history,
                                segments_sampled=sampled, sweeps=sweeps)

@@ -1,9 +1,9 @@
 """Hydrodynamic representation u = rho e^{i theta} and the identity battery.
 
-A traveling profile is stored through its amplitude and phase.  The complex
-field u is never differentiated directly (the phase is not periodic); all
-derivatives go through the periodic quantities rho and theta', which keeps
-spectral accuracy for profiles whose phase jumps across the domain.
+A traveling profile is stored through its amplitude and phase gradient.  The
+complex field u is never differentiated directly (the phase is not periodic);
+all derivatives go through the periodic quantities rho and theta', which
+keeps spectral accuracy for profiles whose phase jumps across the domain.
 """
 
 from __future__ import annotations
@@ -38,18 +38,18 @@ def admissible(rho: np.ndarray) -> bool | np.ndarray:
 class WaveFields:
     """One traveling-wave profile at speed c under the kernel spec, in hydrodynamic variables.
 
-    theta is the cumulative phase on [-L, x] (not periodic; the mismatch
-    theta(L) - theta(-L) is the physical phase jump).  theta_prime is stored
-    separately because it *is* periodic and carries the spectral accuracy.
-    The periodic derivatives rho' and eta' and the nonlocal field W*eta are
-    taken once, here, and every diagnostic reads them from the profile; so
-    is eta's spectrum, from which eta' and W*eta are formed.
+    theta_prime is the input because it *is* periodic and carries the
+    spectral accuracy; theta, its antiderivative with theta(0) = 0, is not
+    periodic (the mismatch theta(L) - theta(-L) is the physical phase jump)
+    and is formed only when read.  The periodic derivatives rho' and eta'
+    and the nonlocal field W*eta are taken once, here, and every diagnostic
+    reads them from the profile; so is eta's spectrum, from which eta' and
+    W*eta are formed.
     """
 
     grid: Grid
     c: float
     rho: np.ndarray
-    theta: np.ndarray
     theta_prime: np.ndarray
     spec: PotentialSpec
     eta: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,24 +81,29 @@ class WaveFields:
         return self.rho * np.exp(1j * self.theta)
 
     @cached_property
+    def theta(self) -> np.ndarray:
+        """The phase theta = int_0^x theta', formed on first read and kept:
+        only u and the symmetry metric read it, so neither a solve nor
+        ``nlgp verify`` integrates it."""
+        return cumulative_integral(self.grid, self.theta_prime)
+
+    @cached_property
     def rho_xx(self) -> np.ndarray:
         """rho'', formed on first read and kept: only the residuals read it,
         so a solve's finalize stage never pays for it."""
         return derivative(self.grid, self.rho, 2)
 
 
-def _phase(grid: Grid, rho: np.ndarray, c: float):
-    """(theta, theta') from theta' = (c/2)(rho^-2 - 1), with theta(0) = 0."""
+def _phase(rho: np.ndarray, c: float) -> np.ndarray:
+    """theta' = (c/2)(rho^-2 - 1), the phase gradient of the amplitude rho."""
     if rho.min() <= 0.0:
         raise VortexError(f"min rho = {rho.min():g} <= 0: phase lifting impossible")
-    thp = 0.5 * c * (1.0 / rho ** 2 - 1.0)
-    return cumulative_integral(grid, thp), thp
+    return 0.5 * c * (1.0 / rho ** 2 - 1.0)
 
 
 def assemble(grid: Grid, rho: np.ndarray, c: float, spec: PotentialSpec) -> WaveFields:
     """Build the full field set of an amplitude profile under the kernel spec."""
-    theta, thp = _phase(grid, rho, c)
-    return WaveFields(grid=grid, c=c, rho=rho, theta=theta, theta_prime=thp, spec=spec)
+    return WaveFields(grid=grid, c=c, rho=rho, theta_prime=_phase(rho, c), spec=spec)
 
 
 def residual_tw(fields: WaveFields):
@@ -364,11 +369,14 @@ def momentum_conditioning_warning(fields: WaveFields) -> str | None:
 class NonvanishingReport:
     weta_sup: float
     bound: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.weta_sup >= self.bound
 
 
 def nonvanishing_check(fields: WaveFields) -> NonvanishingReport:
     """Check ||W * eta||_inf >= (2 - c^2)/4, satisfied by nontrivial solutions."""
     sup = float(np.abs(fields.weta).max())
     bound = (2.0 - fields.c ** 2) / 4.0
-    return NonvanishingReport(weta_sup=sup, bound=bound, passed=sup >= bound)
+    return NonvanishingReport(weta_sup=sup, bound=bound)

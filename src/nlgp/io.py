@@ -156,7 +156,11 @@ def read_solution(path):
         size = doc["grid"]["size"]
         if type(size) is not int:
             raise ConfigError(f"{path}: grid.size must be an integer, got {size!r}")
-        grid = Grid(_number(path, "grid.half_length", doc["grid"]["half_length"]), size)
+        half_length = _number(path, "grid.half_length", doc["grid"]["half_length"])
+        try:
+            grid = Grid(half_length, size)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: grid.half_length, grid.size: {exc}") from exc
         rho = _decode(doc["payload"]["rho"])
         # c and the reference residual of nlgp verify
         c = _number(path, "c", doc["c"])

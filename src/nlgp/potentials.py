@@ -416,7 +416,7 @@ class HypothesisCertificate:
         return self.sigma
 
 
-def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
+def certify_h1(spec: PotentialSpec, lattice: np.ndarray):
     """Largest sampled sigma with the smallest kappa realizing it.
 
     sigma(kappa) = min over the lattice of W_hat + kappa xi^2 is nondecreasing
@@ -426,8 +426,6 @@ def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     When the symbol is nonnegative the critical case kappa = 1/2 is recorded
     separately.  Raises CertificationError when no positive sigma exists.
     """
-    if lattice is None:
-        lattice = certification_lattice(spec)
     wl = spec.symbol(lattice)
     lat2 = lattice ** 2
 
@@ -457,14 +455,12 @@ def certify_h1(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
     return sigma_star, kappa_star, critical
 
 
-def certify_h3(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
+def certify_h3(spec: PotentialSpec, lattice: np.ndarray):
     """Smallest sampled m in [0, 1) with (W_hat)'(xi) >= -m xi for xi > 0.
 
     Also cross-checks the implied bound W_hat >= 1 - m xi^2 / 2 on the
     lattice.  Raises CertificationError when the required m reaches 1.
     """
-    if lattice is None:
-        lattice = certification_lattice(spec)
     pos = lattice[lattice > 0]
     slopes = -spec.symbol_deriv(pos) / pos
     m = max(0.0, float(slopes.max()))
@@ -525,14 +521,13 @@ def _dispersion_slope(spec: PotentialSpec, xi):
     return num / (2.0 * w)
 
 
-def roton_maxon(spec: PotentialSpec, lattice: Optional[np.ndarray] = None):
-    """Interior critical points of the dispersion curve on (0, xi_max).
+def roton_maxon(spec: PotentialSpec, lattice: np.ndarray):
+    """Interior critical points of the dispersion curve between the positive
+    samples of ``lattice``.
 
     Returns a list of (xi*, w(xi*), 'max'|'min') found by sign changes of the
     discrete slope refined by bisection; empty when w is monotone.
     """
-    if lattice is None:
-        lattice = np.linspace(0.0, 8.0 * sound_speed(spec), 8192)
     xs = lattice[lattice > 0]
     sl = _dispersion_slope(spec, xs)
     good = np.isfinite(sl)

@@ -74,7 +74,6 @@ class CoarseLevel:
 @dataclass(frozen=True)
 class SolitonSolution:
     fields: WaveFields
-    converged: bool
     status: str                       # converged | newton_failed | trivialized | vanishing_amplitude
     newton_iters: int
     krylov_iters: int                 # GMRES iterations over all Newton steps
@@ -85,6 +84,10 @@ class SolitonSolution:
     p: float = math.nan
     J: float = math.nan
     coarse: Optional[CoarseLevel] = None  # the seeding level, narrow or coarse, if any
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     @property
     def spec(self) -> PotentialSpec:
@@ -282,9 +285,8 @@ def newton_solve(spec: PotentialSpec, grid: Grid, c: float, rho0: np.ndarray,
     sup, l2 = residual_norms(grid, res)
     fields = assemble(grid, rho, c, spec)
     return SolitonSolution(
-        fields=fields, converged=status == "converged", status=status,
-        newton_iters=iters, krylov_iters=krylov, residual_sup=sup,
-        residual_l2=l2, identity_report=identity_suite(fields),
+        fields=fields, status=status, newton_iters=iters, krylov_iters=krylov,
+        residual_sup=sup, residual_l2=l2, identity_report=identity_suite(fields),
         E=energy(fields), p=momentum(fields), J=action(fields))
 
 
@@ -476,8 +478,11 @@ class SonicSweep:
     rows: np.ndarray        # columns: c, sqrt2 - c, eta_max, E, p, nonvanishing margin
     gamma: float            # fitted exponent of eta_max ~ (2 - c^2)^gamma
     d2_symbol_at_zero: Optional[float]
-    all_nonvanishing_ok: bool
     skipped_gaps: tuple     # gaps unconverged or failing the identity suite, left out of rows
+
+    @property
+    def all_nonvanishing_ok(self) -> bool:
+        return bool(np.all(self.rows[:, 5] >= 0.0))
 
 
 def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
@@ -513,6 +518,4 @@ def sonic_sweep(spec: PotentialSpec, opts: SolverOptions = SolverOptions(),
     x = np.log(2.0 - rows[:, 0] ** 2)
     gamma = float(np.polyfit(x, np.log(rows[:, 2]), 1)[0])
     return SonicSweep(spec_label=spec.label(), rows=rows, gamma=gamma,
-                      d2_symbol_at_zero=spec.d2_at_zero,
-                      all_nonvanishing_ok=bool(np.all(rows[:, 5] >= 0.0)),
-                      skipped_gaps=tuple(skipped))
+                      d2_symbol_at_zero=spec.d2_at_zero, skipped_gaps=tuple(skipped))

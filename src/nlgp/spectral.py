@@ -21,6 +21,7 @@ wider domain at the same spacing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import ConfigError
 
 TAIL_FRACTION = 0.05   # share of nodes on each side that tail_magnitude reads
+LATTICE_MAX = sys.float_info.max ** 0.25   # largest frequency whose xi^4 is finite
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,15 @@ class Grid:
             raise ConfigError(f"grid half-length must be finite and positive, got {L}")
         if N < 4 or (N & (N - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 4, got {N}")
+        # N floats outsize any array (sys.maxsize bytes), and 2L / N overflows from N = 2^1024
+        if N > sys.maxsize // 8:
+            raise ConfigError(f"grid size {N} is too large to allocate")
         h = 2.0 * L / N
-        # the nodes are spaced h apart and the lattice reaches pi / h
-        if not (0.0 < h < math.inf and 1.0 / h < math.inf):
-            raise ConfigError(f"grid spacing 2L/N = {h!r} and its reciprocal must be "
-                              f"finite and positive (L = {L!r}, N = {N})")
+        # the nodes are spaced h apart and the lattice reaches pi / h, whose
+        # fourth power is the largest derivative symbol
+        if not (0.0 < h < math.inf and math.pi / h < LATTICE_MAX):
+            raise ConfigError(f"grid spacing 2L/N = {h!r} must be finite and positive, "
+                              f"and pi / (2L/N) below {LATTICE_MAX:.3g} (L = {L!r}, N = {N})")
         try:
             object.__setattr__(self, "x", -L + h * np.arange(N))
             object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))

@@ -61,7 +61,7 @@ def fail_nth_solve(monkeypatch):
         def failing(*args, **kwargs):
             sol = solve(*args, **kwargs)
             if len(calls) + 1 == n:
-                sol = dataclasses.replace(sol, converged=False, status="newton_failed")
+                sol = dataclasses.replace(sol, status="newton_failed")
             calls.append((sol.c, sol.status, sol.newton_iters))
             return sol
 

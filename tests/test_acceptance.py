@@ -18,7 +18,7 @@ from nlgp import (Grid, berloff, bochner_riesz, certify, continue_branch,
                   shifted_deltas, sonic_sweep, symmetry_metrics)
 from nlgp.analysis import algebraic_envelope_check
 from nlgp.functionals import _random_band_limited
-from nlgp.potentials import certify_h1
+from nlgp.potentials import certification_lattice, certify_h1
 from nlgp.spectral import convolve, integrate
 
 
@@ -213,19 +213,21 @@ def test_criterion_10_certification_values():
     """Sampled quadratic-bound certificates reproduce the known constants."""
     tol = 1e-3
     results = []
-    sigma, kappa, _ = certify_h1(shifted_deltas(0.5))
+    def h1(spec):
+        return certify_h1(spec, certification_lattice(spec))
+    sigma, kappa, _ = h1(shifted_deltas(0.5))
     results.append(("shifted_deltas", abs(sigma - 1.0) <= tol and kappa <= tol,
                     f"(sigma, kappa) = ({sigma:.4f}, {kappa:.4f}) vs (1, 0)"))
-    sigma, kappa, _ = certify_h1(gaussian(0.3))
+    sigma, kappa, _ = h1(gaussian(0.3))
     results.append(("gaussian(0.3)", abs(sigma - 1.0) <= tol and abs(kappa - 0.3) <= tol,
                     f"(sigma, kappa) = ({sigma:.4f}, {kappa:.4f}) vs (1, 0.3)"))
     lam = 0.7
     target = (1.0 + math.log(2 * lam)) / (2 * lam)
-    _, _, critical = certify_h1(gaussian(lam))
+    _, _, critical = h1(gaussian(lam))
     results.append(("gaussian(0.7)", critical is not None
                     and abs(critical - target) <= tol,
                     f"critical sigma = {critical:.4f} vs {target:.4f}"))
-    sigma, _, _ = certify_h1(berloff(-36.0, 2687.0, 30.0))
+    sigma, _, _ = h1(berloff(-36.0, 2687.0, 30.0))
     results.append(("berloff", abs(sigma - 0.175) <= tol,
                     f"sigma = {sigma:.4f} vs 0.175"))
     ok = all(r[1] for r in results)

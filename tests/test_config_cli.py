@@ -197,9 +197,10 @@ def test_cli_solve_records_the_coarse_level(tmp_path, capsys):
 
 def test_cli_verify_takes_both_residuals_from_one_profile(tmp_path, monkeypatch,
                                                          capsys):
-    # assemble and the identity suite take 10 transforms, rho'' and theta''
-    # 2 each; F reads W*eta from the profile.  18 while residual_rho formed
-    # rho'' and W*eta again and residual_tw rho'' once more
+    # assemble and the identity suite take 8 transforms, rho'' and theta''
+    # 2 each; F reads W*eta from the profile, and theta is never formed.  14
+    # while assemble integrated theta, 18 while residual_rho formed rho'' and
+    # W*eta again and residual_tw rho'' once more
     from nlgp.hydro import residual_rho
     out = tmp_path / "sol.json"
     assert run_cli("solve", "--potential", "gaussian", "--lambda", "0.3",
@@ -213,7 +214,7 @@ def test_cli_verify_takes_both_residuals_from_one_profile(tmp_path, monkeypatch,
         monkeypatch.setattr(np.fft, name, counted)
     assert run_cli("--json", "verify", str(out)) == 0
     monkeypatch.undo()
-    assert transforms[0] <= 14
+    assert transforms[0] <= 12
     doc = json.loads(capsys.readouterr().out)
     spec, grid, c, arrays, _ = read_solution(out)
     assert grid.size == 4096
@@ -277,19 +278,40 @@ def test_cli_solver_value_out_of_range_exit_2_naming_key(line, tmp_path, capsys)
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("n", [2 ** 50, 2 ** 62])
-def test_cli_grid_too_large_to_allocate_exits_2(n, capsys):
-    # numpy refuses both without allocating: 8 PiB of nodes, and past its
-    # largest array
-    assert run_cli("solve", "--potential", "delta", "--c", "0.8", "--N", str(n)) == 2
+@pytest.mark.parametrize("cmd, n", [("solve", 2 ** 50), ("solve", 2 ** 62),
+                                    ("solve", 2 ** 2000), ("mpass", 2 ** 1030)],
+                         ids=["1125899906842624", "4611686018427387904",
+                              "solve_2e2000", "mpass_2e1030"])
+def test_cli_grid_too_large_to_allocate_exits_2(cmd, n, capsys):
+    # numpy refuses the first two without allocating: 8 PiB of nodes, and
+    # past its largest array.  From 2^1024 on, 2L / N overflowed before N's
+    # range was checked: an OverflowError traceback, exit 1
+    assert run_cli(cmd, "--potential", "delta", "--c", "0.8", "--N", str(n)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(n) in err
-    assert len(err.strip().splitlines()) == 1
+    assert err == f"config error: grid size {n} is too large to allocate\n"
 
 
-@pytest.mark.parametrize("L", ["1e308", "1e-320"])
+def test_config_huge_grid_size_exits_2_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[grid]\nsize = {2 ** 1100}\n")
+    assert run_cli("--config", str(path), "solve", "--c", "0.9") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: grid size {2 ** 1100} is too large to allocate\n"
+
+
+@pytest.mark.parametrize("n", [2 ** 59, 2 ** 62, 2 ** 63, 2 ** 2000],
+                         ids=["2e59", "2e62", "2e63", "2e2000"])
+def test_cli_dispersion_samples_too_many_to_allocate_exits_2(n, capsys):
+    # numpy refuses each without allocating; each was a traceback (exit 1)
+    assert run_cli("dispersion", "--potential", "delta", "--n", str(n)) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --n ([command] n) = {n} is too large to allocate\n"
+
+
+@pytest.mark.parametrize("L", ["1e308", "1e-320", "2.8e-272"])
 def test_cli_grid_spacing_out_of_range_exits_2_one_line(L, capsys):
-    # 1e308 gave a zero_extend traceback (exit 1), 1e-320 a nan residual (exit 3)
+    # 1e308 gave a zero_extend traceback (exit 1), 1e-320 a nan residual (exit
+    # 3); at 2.8e-272 the lattice's xi^4 overflowed, so warnings, then exit 3
     assert run_cli("solve", "--potential", "delta", "--c", "0.8", "--L", L) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: grid spacing 2L/N = ")
@@ -861,6 +883,29 @@ def test_cli_mpass_out_of_regime_exit_5(capsys):
     assert run_cli("mpass", "--potential", "delta", "--c", "1.45") == 5
     err = capsys.readouterr().err
     assert err.startswith("out of regime: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("c, message", [
+    ("0", "c = 0 outside (0, c*)"), ("-0.8", "c = -0.8 outside (0, c*)"),
+    ("1e-320", "negative endpoint's core amplitude 0 ")])
+def test_cli_mpass_speed_at_or_near_zero_exit_5(c, message, capsys):
+    # c^2 = 0 let the sphere radius's bisection reach r = 1: a
+    # ZeroDivisionError traceback (exit 1)
+    assert run_cli("mpass", "--potential", "delta", f"--c={c}", "--N", "1024") == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"out of regime: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("dispersion", "--potential", "delta", "--c", "1e300"), "--c ([command] c)"),
+    (("branch", "--potential", "delta", "--c-to", "1e300", "--N", "64"),
+     "--c-to ([command] c_to)"),
+], ids=["dispersion_c", "branch_c_to"])
+def test_cli_speed_whose_square_overflows_exit_2(argv, where, capsys):
+    # c ** 2 raised OverflowError in mc_symbol and continue_branch (exit 1)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"config error: {where} = 1e+300: its square overflows\n"
 
 
 def test_cli_mpass_below_the_least_speed_exit_5(capsys):

@@ -89,12 +89,13 @@ def test_assemble_trivial(grid):
 
 
 def test_u_formed_on_read_not_stored(grid):
-    # a profile stores eight real arrays and eta's spectrum; u is built from
-    # rho and theta
+    # a profile stores seven real arrays and eta's spectrum; theta is formed
+    # from theta' on first read and kept, and u is built from rho and theta
     f = assemble(grid, contact_amplitude(grid.x, 0.8), 0.8, delta())
-    assert "u" not in vars(f)
-    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 9
+    assert "u" not in vars(f) and "theta" not in vars(f)
+    assert sum(isinstance(a, np.ndarray) for a in vars(f).values()) == 8
     assert np.array_equal(f.u, f.rho * np.exp(1j * f.theta))
+    assert "u" not in vars(f) and vars(f)["theta"] is f.theta
 
 
 def test_assemble_contact_trough(grid, contact_fields):
@@ -136,7 +137,7 @@ def test_residual_tw_plane_wave(grid):
     c, mode = 1.0, 16
     k = math.pi * mode / grid.half_length
     r = math.sqrt(1.0 - k ** 2 - c * k)
-    f = WaveFields(grid=grid, c=c, rho=np.full(grid.size, r), theta=k * grid.x,
+    f = WaveFields(grid=grid, c=c, rho=np.full(grid.size, r),
                    theta_prime=np.full(grid.size, k), spec=delta())
     sup, _ = residual_tw(f)
     assert sup < 1e-12
@@ -236,9 +237,10 @@ def test_conjugation_speed_sign(grid):
 
 
 def test_gauge_invariance(grid, contact_fields):
+    # theta is formed on first read; a constant shift goes in its cached slot
     shifted = WaveFields(grid=grid, c=contact_fields.c, rho=contact_fields.rho,
-                         theta=contact_fields.theta + 1.234,
                          theta_prime=contact_fields.theta_prime, spec=delta())
+    vars(shifted)["theta"] = contact_fields.theta + 1.234
     s0 = residual_tw(contact_fields)
     s1 = residual_tw(shifted)
     assert s0 == pytest.approx(s1, rel=1e-12)

@@ -28,7 +28,7 @@ def test_write_solution_returns_the_document_it_wrote(tmp_path):
     # nlgp solve --out prints this document instead of encoding it again
     grid = Grid(16.0, 512)
     f = assemble(grid, np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2), 0.7, delta())
-    sol = SolitonSolution(fields=f, converged=True, status="converged",
+    sol = SolitonSolution(fields=f, status="converged",
                           newton_iters=0, krylov_iters=0, residual_sup=1e-12,
                           residual_l2=1e-12)
     path, extra = tmp_path / "sol.json", {"tail": 1e-15, "coarse_level": "contact seed"}
@@ -45,7 +45,7 @@ def test_write_solution_splices_the_payload_unscanned(tmp_path, monkeypatch):
     grid = Grid(16.0, 512)
     f = assemble(grid, np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2), 0.7,
                  tabulated(_XS, np.exp(-0.3 * _XS ** 2)))
-    sol = SolitonSolution(fields=f, converged=True, status="converged",
+    sol = SolitonSolution(fields=f, status="converged",
                           newton_iters=0, krylov_iters=0, residual_sup=1e-12,
                           residual_l2=1e-12)
     extra = {"tail": float("nan"), "coarse_level": {"size": 1024, "half_length": 32.0},
@@ -71,7 +71,7 @@ def test_solution_file_roundtrip(spec, tmp_path):
     c = 0.7
     rho = np.sqrt(1.0 - 0.5 / np.cosh(0.5 * grid.x) ** 2)
     f = assemble(grid, rho, c, spec)
-    sol = SolitonSolution(fields=f, converged=True, status="converged",
+    sol = SolitonSolution(fields=f, status="converged",
                           newton_iters=0, krylov_iters=0, residual_sup=1e-12,
                           residual_l2=1e-12)
     path = tmp_path / "sol.json"
@@ -149,11 +149,24 @@ def test_verify_names_a_file_number_of_the_wrong_type(where, value, gaussian_sol
     assert f" {where} " in err
 
 
+def test_verify_names_a_huge_grid_size(gaussian_solution, tmp_path, capsys):
+    # Grid formed 2L / N first: OverflowError('int too large to convert to
+    # float'), a message that named no member
+    path = tmp_path / "sol.json"
+    doc = write_solution(path, gaussian_solution)
+    path.write_text(json.dumps(_replaced(doc, "grid.size", lambda v: 2 ** 2000)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"config error: {path}: grid.half_length, grid.size: "
+                    f"grid size {2 ** 2000} is too large to allocate")
+
+
 def test_read_solution_checks_each_number_of_a_list_param(tmp_path):
     spec = measure_combo([0.25, -0.25], [0.0, 1.0])
     grid = Grid(16.0, 512)
     f = assemble(grid, np.ones(grid.size), 0.7, spec)
-    sol = SolitonSolution(fields=f, converged=True, status="converged", newton_iters=0,
+    sol = SolitonSolution(fields=f, status="converged", newton_iters=0,
                           krylov_iters=0, residual_sup=1e-12, residual_l2=1e-12)
     path = tmp_path / "sol.json"
     doc = write_solution(path, sol)

@@ -193,14 +193,18 @@ def test_sound_speed_undefined():
 # certificates
 
 
+def _h1(spec):
+    return certify_h1(spec, certification_lattice(spec))
+
+
 def test_certify_h1_shifted_deltas():
-    sigma, kappa, _ = certify_h1(shifted_deltas(0.7))
+    sigma, kappa, _ = _h1(shifted_deltas(0.7))
     assert sigma == pytest.approx(1.0, abs=1e-9)
     assert kappa == 0.0
 
 
 def test_certify_h1_gaussian_subhalf():
-    sigma, kappa, _ = certify_h1(gaussian(0.3))
+    sigma, kappa, _ = _h1(gaussian(0.3))
     assert sigma == pytest.approx(1.0, abs=1e-6)
     assert kappa == pytest.approx(0.3, abs=1e-3)
 
@@ -208,21 +212,21 @@ def test_certify_h1_gaussian_subhalf():
 def test_certify_h1_gaussian_critical():
     # for lam >= 1/2 the nonnegative-symbol route gives (1 + ln 2 lam)/(2 lam)
     lam = 0.7
-    _, _, critical = certify_h1(gaussian(lam))
+    _, _, critical = _h1(gaussian(lam))
     assert critical == pytest.approx((1.0 + math.log(2 * lam)) / (2 * lam), abs=1e-3)
 
 
 def test_certify_h1_soft_core_kappa():
     # smallest kappa achieving sigma = 1 is lam^2/6; admissible iff lam < sqrt(3)
     for lam in (0.8, 1.0, 1.5):
-        sigma, kappa, _ = certify_h1(soft_core(lam))
+        sigma, kappa, _ = _h1(soft_core(lam))
         assert sigma == pytest.approx(1.0, abs=1e-6)
         assert kappa == pytest.approx(lam ** 2 / 6.0, abs=1e-3)
         assert (kappa < 0.5) == (lam < math.sqrt(3.0))
 
 
 def test_certify_h1_berloff():
-    sigma, kappa, _ = certify_h1(berloff(-36.0, 2687.0, 30.0))
+    sigma, kappa, _ = _h1(berloff(-36.0, 2687.0, 30.0))
     assert sigma == pytest.approx(0.175, abs=1e-3)
     assert 0.0 < kappa < 0.5
 
@@ -245,15 +249,17 @@ def test_certify_h1_failure():
 
 
 def test_certify_h3_values():
-    assert certify_h3(delta()) == 0.0
+    def h3(spec):
+        return certify_h3(spec, certification_lattice(spec))
+    assert h3(delta()) == 0.0
     # shifted deltas: m = -min(sin x / x) * lam^2
     lam = 0.5
     s_min = float(np.min(np.sinc(np.linspace(0, 50, 400001) / np.pi)))
-    assert certify_h3(shifted_deltas(lam)) == pytest.approx(-s_min * lam ** 2, rel=1e-4)
+    assert h3(shifted_deltas(lam)) == pytest.approx(-s_min * lam ** 2, rel=1e-4)
     # gaussian: the slope ratio peaks at 2 lam near xi = 0
-    assert certify_h3(gaussian(0.3)) == pytest.approx(0.6, rel=1e-3)
+    assert h3(gaussian(0.3)) == pytest.approx(0.6, rel=1e-3)
     with pytest.raises(CertificationError):
-        certify_h3(gaussian(0.6))  # would need m = 1.2 >= 1
+        h3(gaussian(0.6))  # would need m = 1.2 >= 1
 
 
 def test_certify_full_record():
@@ -288,9 +294,11 @@ def test_dispersion_imaginary_branch():
 
 
 def test_roton_maxon():
-    assert roton_maxon(delta()) == []
-    assert roton_maxon(gaussian(0.3)) == []
-    crit = roton_maxon(berloff(-36.0, 2687.0, 30.0))
+    def crit_points(spec):
+        return roton_maxon(spec, certification_lattice(spec))
+    assert crit_points(delta()) == []
+    assert crit_points(gaussian(0.3)) == []
+    crit = crit_points(berloff(-36.0, 2687.0, 30.0))
     kinds = [k for _, _, k in crit]
     assert kinds == ["max", "min"]  # one maxon followed by one roton
     (x1, w1, _), (x2, w2, _) = crit

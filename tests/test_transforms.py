@@ -174,11 +174,11 @@ def test_newton_and_gmres_iterations_gaussian_n4096(monkeypatch):
     # its first cycle forms no true residual b - A x, and the forcing term
     # lets the early steps solve loosely (8 iterations a step at a fixed 1e-8)
     # and the last only to STOP_MARGIN tol_newton (8, 7 and 8 iterations to
-    # 1e-8); the finalize stage (assemble and identity_suite) takes 10
-    # transforms
-    for c, newton, krylov, n_transforms in ((0.6, 4, [4, 5, 6, 5], 126),
-                                            (1.0, 4, [4, 4, 5, 6], 122),
-                                            (1.2, 5, [5, 5, 5, 6, 3], 150)):
+    # 1e-8); the finalize stage (assemble and identity_suite) takes 8
+    # transforms (10 while assemble integrated theta)
+    for c, newton, krylov, n_transforms in ((0.6, 4, [4, 5, 6, 5], 124),
+                                            (1.0, 4, [4, 4, 5, 6], 120),
+                                            (1.2, 5, [5, 5, 5, 6, 3], 148)):
         gmres_iters.clear()
         transforms[0] = 0
         sol = newton_solve(gaussian(0.3), grid, c, initial_guess(grid, c))
