@@ -27,11 +27,9 @@ PHASE_TAIL_TOL = 1e-8      # |eta| at the edges above which phase limits warn
 
 @dataclass(frozen=True)
 class DecayFit:
-    model: str              # "exponential" | "algebraic"
     rate_or_power: float
     r_squared: float
     window: tuple           # (x_lo, x_hi): the bands' extent in |x|
-    tail_discrepancy: float  # |left rate - right rate|, extra symmetry diagnostic
 
 
 def _band(samples: np.ndarray):
@@ -69,7 +67,7 @@ def _ls_fit(columns, logy):
     return coef, min(max(r2, 0.0), 1.0)
 
 
-def _fit(grid: Grid, eta: np.ndarray, model: str, abscissa) -> DecayFit:
+def _fit(grid: Grid, eta: np.ndarray, abscissa) -> DecayFit:
     """Slope of log|eta| against abscissa(|x|) over each tail's band, averaged
     with the band sizes as weights."""
     mid = grid.size // 2      # the node x = 0
@@ -83,10 +81,9 @@ def _fit(grid: Grid, eta: np.ndarray, model: str, abscissa) -> DecayFit:
         r2s.append(r2)
         sizes.append(xs.size)
         ends += [xs[0], xs[-1]]
-    return DecayFit(model=model, rate_or_power=-float(np.average(slopes, weights=sizes)),
+    return DecayFit(rate_or_power=-float(np.average(slopes, weights=sizes)),
                     r_squared=float(np.average(r2s, weights=sizes)),
-                    window=(float(min(ends)), float(max(ends))),
-                    tail_discrepancy=float(abs(slopes[0] - slopes[1])))
+                    window=(float(min(ends)), float(max(ends))))
 
 
 def fit_exponential(grid: Grid, eta: np.ndarray) -> DecayFit:
@@ -95,12 +92,12 @@ def fit_exponential(grid: Grid, eta: np.ndarray) -> DecayFit:
     Both tails are fitted on their upper envelopes and averaged.  Raises
     UnderresolvedTailError when a tail's band has too few samples.
     """
-    return _fit(grid, eta, "exponential", lambda xs: xs)
+    return _fit(grid, eta, lambda xs: xs)
 
 
 def fit_algebraic(grid: Grid, eta: np.ndarray) -> DecayFit:
     """Slope of log|eta| against log|x| over the same band."""
-    return _fit(grid, eta, "algebraic", np.log)
+    return _fit(grid, eta, np.log)
 
 
 def analyticity_strip(fields: WaveFields) -> float:
@@ -155,20 +152,11 @@ def algebraic_envelope_check(grid: Grid, eta: np.ndarray, power: float,
 class PhaseLimits:
     theta_minus: float
     theta_plus: float
-    zero_jump: bool          # jump vanishes iff int eta/(1-eta) = 0
     tail_warning: bool
 
     @property
     def jump(self) -> float:
         return self.theta_plus - self.theta_minus
-
-    @property
-    def u_plus(self) -> complex:
-        return complex(np.exp(1j * self.theta_plus))
-
-    @property
-    def u_minus(self) -> complex:
-        return complex(np.exp(1j * self.theta_minus))
 
 
 def phase_limits(fields: WaveFields) -> PhaseLimits:
@@ -182,10 +170,8 @@ def phase_limits(fields: WaveFields) -> PhaseLimits:
     j0 = g.size // 2  # x = 0 node, weighted half on each side
     plus = 0.5 * fields.c * h * (np.sum(integrand[pos]) + 0.5 * integrand[j0])
     minus = -0.5 * fields.c * h * (np.sum(integrand[neg]) + 0.5 * integrand[j0])
-    total = 0.5 * fields.c * h * np.sum(integrand)
     warn = max(abs(eta[0]), abs(eta[-1])) > PHASE_TAIL_TOL
     return PhaseLimits(theta_minus=float(minus), theta_plus=float(plus),
-                       zero_jump=bool(abs(total) < 1e-12),
                        tail_warning=bool(warn))
 
 

@@ -22,7 +22,7 @@ from .errors import (ConfigError, NlgpError, NoSoundSpeedError, OutOfRegimeError
 from .hydro import (IDENTITY_TOL, assemble, identity_suite,
                     momentum_conditioning_warning, nonvanishing_check,
                     residual_amplitude, residual_tw)
-from .spectral import Grid
+from .spectral import LATTICE_MAX, Grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,6 +126,10 @@ def _load_config(args) -> config.RunConfig:
         if v is not None and not math.isfinite(v * v):
             raise ConfigError(f"--{k.replace('_', '-')} ([command] {k}) = {v!r}: "
                               "its square overflows")
+    # the dispersion curve takes xi^4, as the grid's lattice does
+    if cfg.command.get("xi_max", 0.0) >= LATTICE_MAX:
+        raise ConfigError(f"--xi-max ([command] xi_max) must be below {LATTICE_MAX:.6g}, "
+                          f"where xi^4 overflows, got {cfg.command['xi_max']!r}")
     return cfg
 
 
@@ -148,6 +152,8 @@ def _make_spec(pot: dict) -> potentials.PotentialSpec:
         return potentials.make_potential(kind, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:    # a finite parameter whose square overflows
+        raise ConfigError(f"{kind} parameters {params} are out of float range") from exc
 
 
 def _emit(args, doc: dict, text_lines):

@@ -193,7 +193,6 @@ def build_phi_c(c: float, spec: PotentialSpec, grid: Grid) -> PhiEndpoint:
 class SphereBound:
     ell: float
     r: float
-    r_sup: float          # largest radius keeping both terms positive
     samples_checked: int
     min_margin: float     # min over samples of J(v) - lower
 
@@ -248,8 +247,8 @@ def sphere_bound(c: float, spec: PotentialSpec, cert: HypothesisCertificate,
         J = functional_J(grid, v, c, spec).J
         min_margin = min(min_margin, J - lower * (1.0 - 1e-6))
         checked += 1
-    return SphereBound(ell=float(ell), r=float(r), r_sup=float(r_sup),
-                       samples_checked=checked, min_margin=float(min_margin))
+    return SphereBound(ell=float(ell), r=float(r), samples_checked=checked,
+                       min_margin=float(min_margin))
 
 
 def _random_band_limited(grid: Grid, rng) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analysis import fit_exponential
 from .errors import ConfigError, UnderresolvedTailError
+from .hydro import POSITIVITY_FLOOR
 from .potentials import make_potential, tabulated
 from .spectral import Grid
 
@@ -86,26 +87,10 @@ def solution_to_dict(sol, extra=None) -> dict:
     return doc
 
 
-def _solution_text(doc: dict) -> str:
-    """json.dumps(doc, indent=1), with the payload's strings spliced in
-    as they are: base64 needs no JSON escape, so they are never scanned.
-    A JSON text holds no raw newline, so each other member is dumped alone
-    and nested one level deeper by indenting each of its lines once more."""
-    members = []
-    for key, value in doc.items():
-        if key == "payload":
-            text = "{\n" + ",\n".join(f'  {json.dumps(k)}: "{v}"'
-                                       for k, v in value.items()) + "\n }"
-        else:
-            text = json.dumps(value, indent=1).replace("\n", "\n ")
-        members.append(f" {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}"
-
-
 def write_solution(path, sol, extra=None) -> dict:
     """Write the solution file; returns the document written."""
     doc = solution_to_dict(sol, extra)
-    atomic_write_text(path, _solution_text(doc))
+    atomic_write_text(path, json.dumps(doc, indent=1))
     return doc
 
 
@@ -128,7 +113,8 @@ def read_solution(path):
     Either format is read, and only its rho is decoded.  A file that is not
     a well-formed solution raises ConfigError; so do a kernel param (or an
     item of a list param), c, residuals.sup or grid.half_length that is not
-    a finite number, and a grid.size that is not an integer.
+    a finite number, a grid.size that is not an integer, and a rho sample
+    that is not finite or not above the positivity floor.
     """
     try:
         with open(path) as fh:
@@ -169,6 +155,11 @@ def read_solution(path):
         raise ConfigError(f"{path}: malformed solution file: {exc!r}") from exc
     if rho.size != grid.size:
         raise ConfigError(f"{path}: payload length differs from grid size {grid.size}")
+    # every Newton iterate lies above the floor; NaN fails both comparisons
+    ok = (rho > POSITIVITY_FLOOR) & (rho < math.inf)
+    if not ok.all():
+        raise ConfigError(f"{path}: payload.rho must be finite and above the positivity "
+                          f"floor {POSITIVITY_FLOOR:g}, got {float(rho[~ok][0])!r}")
     return spec, grid, c, {"rho": rho}, doc
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CertificationError, NoSoundSpeedError, OutOfRangeError,
                      SupersonicMultiplierError)
-from .spectral import Grid
+from .spectral import LATTICE_MAX, Grid
 
 POSITIVITY_TOL = 1e-12
 CERT_LINEAR_SAMPLES = 8192   # certification lattice: dense part on [0, 8 c*]
@@ -176,8 +176,9 @@ def shifted_deltas(lam: float) -> PotentialSpec:
 
 def gaussian(lam: float) -> PotentialSpec:
     """Gaussian kernel: W_hat(xi) = exp(-lam xi^2)."""
-    if lam <= 0:
-        raise ValueError("gaussian requires lam > 0")
+    # lam xi^2 stays finite on every lattice, whose |xi| < LATTICE_MAX = max^(1/4)
+    if not (lam > 0 and math.isfinite(lam * LATTICE_MAX ** 2)):
+        raise ValueError(f"gaussian requires 0 < lam < {LATTICE_MAX ** 2:.6g}")
     sym = lambda xi: np.exp(-lam * xi ** 2)
     return PotentialSpec(
         kind="gaussian", params={"lam": lam}, _symbol=sym,
@@ -224,8 +225,10 @@ def bochner_riesz(kappa: float) -> PotentialSpec:
 def berloff(a: float, b: float, lam: float) -> PotentialSpec:
     """Polynomial-Gaussian symbol with maxon/roton dispersion.
 
-    W_hat(xi) = (1 + a xi^2 + b xi^4) exp(-lam xi^2).
+    W_hat(xi) = (1 + a xi^2 + b xi^4) exp(-lam xi^2); requires lam > 0.
     """
+    if lam <= 0:
+        raise ValueError("berloff requires lam > 0")
 
     def sym(xi):
         x2 = xi ** 2
@@ -424,9 +427,14 @@ def certify_h1(spec: PotentialSpec, lattice: np.ndarray):
     takes the best sigma, and bisects for the smallest kappa attaining it
     (within KAPPA_TOL).
     When the symbol is nonnegative the critical case kappa = 1/2 is recorded
-    separately.  Raises CertificationError when no positive sigma exists.
+    separately.  Raises CertificationError when the symbol is not finite on
+    the lattice or no positive sigma exists.
     """
-    wl = spec.symbol(lattice)
+    with np.errstate(all="ignore"):    # a symbol that overflows is refused below
+        wl = spec.symbol(lattice)
+    if not np.all(np.isfinite(wl)):
+        raise CertificationError(f"{spec.label()}: the symbol is not finite on "
+                                 "the sample lattice")
     lat2 = lattice ** 2
 
     def sigma_of(kappa):
@@ -435,7 +443,7 @@ def certify_h1(spec: PotentialSpec, lattice: np.ndarray):
     kappas = np.arange(0.0, 0.5, KAPPA_STEP)
     sigmas = np.array([sigma_of(k) for k in kappas])
     best = sigmas.max()
-    if best <= POSITIVITY_TOL:
+    if not best > POSITIVITY_TOL:     # written so that NaN fails it
         raise CertificationError(
             f"{spec.label()}: no sampled sigma > 0 for kappa < 1/2")
     target = best - KAPPA_TOL * max(1.0, abs(best))
@@ -529,7 +537,8 @@ def roton_maxon(spec: PotentialSpec, lattice: np.ndarray):
     discrete slope refined by bisection; empty when w is monotone.
     """
     xs = lattice[lattice > 0]
-    sl = _dispersion_slope(spec, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):   # w = 0 where xi^2 underflows
+        sl = _dispersion_slope(spec, xs)
     good = np.isfinite(sl)
     xs, sl = xs[good], sl[good]
     out = []
@@ -569,7 +578,7 @@ def inverse_mc(spec: PotentialSpec, c: float, grid: Grid) -> np.ndarray:
     """1/M_c on the grid's half lattice; the one check that M_c > 0 there,
     raising SupersonicMultiplierError otherwise."""
     mc = mc_symbol(spec, c, grid)
-    if np.min(mc) <= 0.0:
+    if not np.min(mc) > 0.0:          # written so that NaN fails it
         raise SupersonicMultiplierError(
             f"{spec.label()}: M_c has a nonpositive value {np.min(mc):g} "
             f"on the lattice at c = {c:g}; speed outside the subsonic range")

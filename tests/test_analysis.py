@@ -104,7 +104,6 @@ def test_phase_limits_trivial(fit_grid):
     f = assemble(fit_grid, np.ones(fit_grid.size), 1.0, delta())
     pl = phase_limits(f)
     assert pl.theta_minus == pl.theta_plus == pl.jump == 0.0
-    assert pl.zero_jump
 
 
 def test_phase_limits_contact(fit_grid, contact_solution):
@@ -112,8 +111,6 @@ def test_phase_limits_contact(fit_grid, contact_solution):
     c = 1.0
     # oracle: jump of the closed-form soliton, 2 arctan(sqrt(2 - c^2)/c)
     assert pl.jump == pytest.approx(2 * math.atan(math.sqrt(2 - c * c) / c), abs=1e-6)
-    assert pl.u_plus == pytest.approx(np.exp(1j * pl.theta_plus))
-    assert not pl.zero_jump
     assert not pl.tail_warning
 
 

@@ -381,6 +381,31 @@ def test_cli_unparsable_kernel_flag_exit_2_one_line(capsys):
     assert err.startswith("config error: --lam") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("kernel", [
+    # lam^2 or beta^2 overflowed in the constructor (exit 1, a traceback)
+    ("soft_core", "--lambda", "1e200"), ("shifted_deltas", "--lambda", "1e300"),
+    ("exp_repulsive", "--alpha", "1e-300", "--beta", "1e300"),
+    # an unbounded symbol: solve exited 3 and certify 0, after warning lines
+    ("berloff", "--a", "-36", "--b", "2687", "--lambda", "-1"),
+], ids=["soft_core", "shifted_deltas", "exp_repulsive", "berloff_lam_negative"])
+@pytest.mark.parametrize("cmd", [("certify",), ("solve", "--c", "0.9", "--N", "1024", "--L", "32")],
+                         ids=["certify", "solve"])
+def test_cli_kernel_params_out_of_range_exit_2_one_line(kernel, cmd, capsys):
+    assert run_cli(*cmd, "--potential", *kernel) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {kernel[0]}") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_certify_symbol_not_finite_one_line(capsys):
+    # the symbol is inf * 0 on the lattice: certify printed sigma = NaN and
+    # exited 0 after warning lines
+    assert run_cli("--json", "certify", "--potential", "berloff", "--a", "1e300",
+                   "--b", "1e300", "--lambda", "1") == cli.EXIT_SOLVER
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "not finite on the sample lattice" in err
+
+
 def test_cli_certify_berloff_json(capsys):
     code = run_cli("--json", "certify", "--potential", "berloff",
                    "--a", "-36", "--b", "2687", "--lambda", "30")
@@ -637,16 +662,28 @@ def _rho(value):
     return lambda doc: {**doc, "payload": {**doc["payload"], "rho": value}}
 
 
+def _rho_sample(value):
+    # one sample of an otherwise valid rho
+    def corrupt(doc):
+        rho = np.frombuffer(base64.b64decode(doc["payload"]["rho"]), dtype="<f8").copy()
+        rho[100] = value
+        return _rho(base64.b64encode(rho.tobytes()).decode())(doc)
+    return corrupt
+
+
 def _residual(value):
     return lambda doc: {**doc, "residuals": {**doc["residuals"], "sup": value}}
 
 
 @pytest.mark.parametrize("corrupt", [lambda doc: {"a": 1}, _without_payload, _short_rho,
                                      _rho(None), _rho(5), _rho(["AAAA"]), _rho("A"),
-                                     _residual("1e-12"), _residual(float("inf"))],
+                                     _residual("1e-12"), _residual(float("inf")),
+                                     *map(_rho_sample, [math.nan, math.inf, 1e-200, 0.0, -0.1])],
                          ids=["wrong_format", "missing_key", "wrong_length", "rho_null",
                               "rho_number", "rho_list", "rho_not_base64",
-                              "residual_string", "residual_inf"])
+                              "residual_string", "residual_inf", "rho_sample_nan",
+                              "rho_sample_inf", "rho_sample_1e-200", "rho_sample_0",
+                              "rho_sample_negative"])
 def test_cli_verify_bad_file_exit_2_one_line(corrupt, solution_doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(solution_doc)))
@@ -1002,6 +1039,9 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
     (("mpass", "--c", "nan"), "", "--c ([command] c) must be finite"),
     (("branch", "--c-to", "nan"), "", "--c-to ([command] c_to) must be finite"),
     (("dispersion", "--xi-max", "nan"), "", "--xi-max ([command] xi_max) must be finite"),
+    # xi^4 overflowed: exit 0 after warning lines
+    (("dispersion", "--xi-max", "1e300"), "", "--xi-max ([command] xi_max) must be below"),
+    (("dispersion",), "[command]\nxi_max = 1e80\n", "--xi-max ([command] xi_max) must be below"),
     # a lattice up to xi_max <= 0 has no positive frequency, yet dispersion
     # reported it monotone and exited 0
     (("dispersion", "--xi-max", "0"), "", "--xi-max ([command] xi_max) must be > 0"),
@@ -1015,7 +1055,8 @@ _GAUSSIAN = "[potential]\nkind = gaussian\n"
      "--lam ([potential] lam) must be finite"),
 ], ids=["n_flag", "n_key", "n_flag_0", "n_flag_1", "n_key_2", "refine_steps_flag",
         "refine_steps_key", "tol_inf", "tol_nan", "tol_0", "tol_neg", "c_nan_solve",
-        "c_nan_mpass", "c_to_nan", "xi_max_nan", "xi_max_0", "xi_max_neg", "xi_max_key_0",
+        "c_nan_mpass", "c_to_nan", "xi_max_nan", "xi_max_1e300", "xi_max_key_1e80",
+        "xi_max_0", "xi_max_neg", "xi_max_key_0",
         "L_inf", "L_key_inf", "lambda_nan",
         "lam_key_nan"])
 def test_cli_negative_count_exit_2(argv, cfg_text, name, solution_doc, tmp_path,

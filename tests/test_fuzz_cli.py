@@ -1,6 +1,7 @@
 """A standing fuzz test of the command line: random argv, random INI files and
 solution files with one member mutated each reach a documented exit code
-(0, 2, 3, 4 or 5), and a non-zero code comes with at most one stderr line.
+(0, 2, 3, 4 or 5); code 0 comes with no stderr output, and a non-zero code
+with at most one stderr line.
 
 Each argv is one that argparse accepts: every flag belongs to its command,
 every typed flag gets a value of its type, and each value is joined to its
@@ -11,6 +12,7 @@ no array can hold and which must be refused before anything is allocated;
 never in between, where a run would allocate a huge array.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -18,6 +20,7 @@ import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from nlgp import Grid, cli, gaussian, initial_guess, newton_solve
@@ -70,20 +73,22 @@ SPEED_COMMANDS = {"solve", "mpass", "decay"}
 def run(argv):
     """(exit code, stderr lines) of one in-process ``nlgp`` call under
     Python's default warning filter, as a shell runs it: a warning is printed
-    to stderr and its lines count."""
+    to stderr and its lines count.  The warnings are recorded and formatted
+    here, because pytest's own recorder would otherwise catch them."""
     out, err = io.StringIO(), io.StringIO()
-    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
         warnings.simplefilter("default")
         code = cli.main(argv)
-    return code, err.getvalue().splitlines()
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+             for w in caught]
+    return code, "".join(shown).splitlines() + err.getvalue().splitlines()
 
 
 def check(argv):
     code, err = run(argv)
     assert code in EXIT_CODES, (argv, code, err)
-    if code != cli.EXIT_OK:
-        assert len(err) <= 1, (argv, code, err)
+    assert len(err) <= (0 if code == cli.EXIT_OK else 1), (argv, code, err)
 
 
 @st.composite
@@ -111,6 +116,27 @@ def argvs(draw):
 @given(argvs())
 @example(["solve", "--potential=delta", "--c=0.9", f"--N={2 ** 2000}"])
 @example(["mpass", "--potential=delta", "--c=1.0", f"--N={2 ** 1030}"])
+# lam^2 or beta^2 overflowed in the kernel constructor (a traceback)
+@example(["certify", "--potential=soft_core", "--lambda=1e200"])
+@example(["certify", "--potential=shifted_deltas", "--lambda=1e300"])
+@example(["certify", "--potential=exp_repulsive", "--alpha=1e-300", "--beta=1e300"])
+@example(["solve", "--potential=soft_core", "--lambda=1e200", "--c=0.9", "--N=1024", "--L=32"])
+@example(["solve", "--potential=shifted_deltas", "--lambda=1e300", "--c=0.9", "--N=1024",
+          "--L=32"])
+@example(["solve", "--potential=exp_repulsive", "--alpha=1e-300", "--beta=1e300", "--c=0.9",
+          "--N=1024", "--L=32"])
+# berloff with lam < 0, an unbounded symbol (warning lines)
+@example(["solve", "--potential=berloff", "--a=-36", "--b=2687", "--lambda=-1", "--c=0.9",
+          "--N=1024", "--L=32"])
+@example(["certify", "--potential=berloff", "--a=-36", "--b=2687", "--lambda=-1"])
+# a symbol of inf * 0 on the certification lattice (a NaN certificate)
+@example(["--json", "certify", "--potential=berloff", "--a=1e300", "--b=1e300", "--lambda=1"])
+# lam xi^2 overflowed on the certification lattice (warning lines on exit 0)
+@example(["certify", "--potential=gaussian", "--lambda=1e307"])
+# xi^4 overflowed, or xi^2 underflowed and the slope divided by w = 0
+# (warning lines on exit 0)
+@example(["dispersion", "--potential=delta", "--xi-max=1e300"])
+@example(["dispersion", "--potential=delta", "--xi-max=1e-320"])
 @FUZZ
 def test_random_argv(argv):
     check(argv)
@@ -183,6 +209,9 @@ def _replaced(doc, where, value):
 
 @given(st.sampled_from(MEMBERS), VALUES, st.sampled_from(["verify", "report"]))
 @example("grid.size", 2 ** 2000, "verify")
+@example("spec.params.lam", 2 ** 1023, "verify")   # lam xi^2 overflowed
+@example("payload.rho", base64.b64encode(np.full(1024, np.inf, dtype="<f8").tobytes()).decode(),
+         "verify")
 @FUZZ
 def test_mutated_solution_file(solution_doc, tmp_path_factory, where, value, cmd):
     folder = tmp_path_factory.mktemp("mutated")

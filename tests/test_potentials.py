@@ -1,6 +1,7 @@
 """Kernel catalog: symbols, certificates, dispersion, decay prediction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgp import (CertificationError, Grid, NoSoundSpeedError, OutOfRangeError,
+                  SupersonicMultiplierError,
                   berloff, bochner_riesz, certify, certify_h1, certify_h3,
                   convolve, decay_prediction, delta, dispersion, exp_repulsive,
                   gaussian, mc_symbol, measure_combo, roton_maxon,
                   shifted_deltas, soft_core, sound_speed, tabulated)
-from nlgp.potentials import certification_lattice, reference_cases
+from nlgp.potentials import (PotentialSpec, certification_lattice, inverse_mc,
+                             reference_cases)
+from nlgp.spectral import LATTICE_MAX
 
 ALL_SPECS = [delta(), exp_repulsive(1.0, 3.0), shifted_deltas(0.5),
              gaussian(0.3), soft_core(1.0), bochner_riesz(0.4),
@@ -246,6 +250,34 @@ def test_certify_h1_failure():
     spec = tabulated(xs, 0.2 - 0.6 * xs ** 2)
     with pytest.raises(CertificationError):
         certify_h1(spec, np.linspace(0.0, 12.0, 2048))
+
+
+def test_certify_h1_refuses_a_symbol_not_finite_on_the_lattice():
+    # b xi^4 overflows on the lattice and exp(-xi^2) underflows: inf * 0 is
+    # NaN, which used to give sigma = NaN with overflow warnings
+    spec = berloff(1e300, 1e300, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError, match="not finite"):
+            certify_h1(spec, certification_lattice(spec))
+
+
+def test_inverse_mc_refuses_nan():
+    nan_above_1 = PotentialSpec("nan_above_1", {}, lambda xi: np.where(xi > 1.0, np.nan, 1.0),
+                                lambda xi: np.zeros_like(xi))
+    with pytest.raises(SupersonicMultiplierError):
+        inverse_mc(nan_above_1, 0.5, Grid(8.0, 64))
+
+
+def test_lam_ranges_of_gaussian_and_berloff():
+    # gaussian's lam xi^2 overflowed from lam ~ 1e307 on the certification
+    # lattice; berloff's symbol grows without bound for lam <= 0
+    assert math.isfinite(gaussian(1.3e154).symbol_deriv(LATTICE_MAX * (1 - 1e-15)))
+    for make in (lambda: gaussian(1.35e154), lambda: gaussian(1e307),
+                 lambda: gaussian(2.0 ** 1023), lambda: berloff(-36.0, 2687.0, 0.0),
+                 lambda: berloff(-36.0, 2687.0, -1.0)):
+        with pytest.raises(ValueError, match="requires"):
+            make()
 
 
 def test_certify_h3_values():
